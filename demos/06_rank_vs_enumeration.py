@@ -40,10 +40,10 @@ print(f"{'H(X1)':<44} {h_rank:>5} {str(h_enum):>5}")
 
 rng = np.random.Generator(np.random.PCG64(7))
 for i in range(3):
-    a = [infocalc.observable_from_matrix(
-        lay, random_matrix(2, lay.N, params.field, rng=rng), f"a{i}")]
-    b = [infocalc.observable_from_matrix(
-        lay, random_matrix(2, lay.N, params.field, rng=rng), f"b{i}")]
+    a = [infocalc.LinearObservable(
+        f"a{i}", random_matrix(2, lay.N, params.field, rng=rng), lay)]
+    b = [infocalc.LinearObservable(
+        f"b{i}", random_matrix(2, lay.N, params.field, rng=rng), lay)]
     ranked = infocalc.mutual_information(a, b)
     brute = infocalc.brute_force_mi(a, b)
     label = f"random two-row observables, query {i}"

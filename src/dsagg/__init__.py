@@ -7,15 +7,8 @@ a brute-force enumeration oracle that re-derives the same quantities by
 counting.
 """
 
-from .gf import FieldElement, FieldMismatchError, PrimeField, is_prime
-from .linalg import (
-    DimensionMismatchError,
-    Matrix,
-    block,
-    hstack,
-    random_matrix,
-    vstack,
-)
+from .gf import FieldMismatchError, PrimeField, is_prime
+from .linalg import DimensionMismatchError, Matrix, random_matrix
 from .scheme import (
     ConstructionFailedError,
     GroupKeySet,
@@ -58,8 +51,6 @@ from .infocalc import (
     entropy,
     layout_for,
     mutual_information,
-    observable_from_matrix,
-    observe_group_key,
     observe_input,
     observe_key_bundle,
     observe_message,

@@ -22,7 +22,6 @@ import numpy as np
 from . import infocalc
 from .infocalc import (
     LinearObservable,
-    SourceLayout,
     layout_for,
     observe_input,
     observe_key_bundle,
@@ -93,13 +92,16 @@ def submatrix_hhat(precoder: Precoder, k: int, colluders: Sequence[int]) -> Matr
     cset = _validate_collusion(precoder, k, colluders)
     p = precoder.params
     survivors = [u for u in p.users if u != k and u not in cset]
-    surviving_groups = [g for g in p.groups if all(u in survivors for u in g)]
-    if not surviving_groups:
-        return Matrix.zeros(p.field, len(survivors) * precoder.L, 0)
-    rows = []
-    for u in survivors:
-        rows.append(np.hstack([precoder.block(u, g).data for g in surviving_groups]))
-    return Matrix(p.field, np.vstack(rows))
+    surviving = precoder.key_columns(
+        g for g in p.groups if all(u in survivors for u in g))
+    L = precoder.L
+    out = np.zeros((len(survivors) * L, surviving.size), dtype=np.int64)
+    for r, u in enumerate(survivors):
+        held = precoder.key_columns(p.held(u))
+        keep = np.isin(held, surviving)
+        out[r * L : (r + 1) * L, np.searchsorted(surviving, held[keep])] = (
+            precoder.row(u).data[:, keep])
+    return Matrix(p.field, out)
 
 
 @dataclass(frozen=True)
@@ -256,25 +258,59 @@ class AuditReport:
         return lines
 
 
-# -- observable bundles ---------------------------------------------------------
+# -- audit context --------------------------------------------------------------
 
 
-def _view(layout: SourceLayout, precoder: Precoder, k: int,
-          cset: Sequence[int]) -> list[LinearObservable]:
-    """Everything user k knows after the round, colluding with cset: the
-    global sum, its own input and keys, and the colluders' inputs and keys."""
-    view = [observe_total(layout), observe_input(layout, k), observe_key_bundle(layout, k)]
-    for u in cset:
-        view.append(observe_input(layout, u))
-        view.append(observe_key_bundle(layout, u))
-    return view
+class _AuditContext:
+    """The observables of one precoder, the views an audit takes of them, and
+    the rank cache its queries share.
+
+    The cache is keyed by observable labels, which name different matrices
+    for different precoders; holding it here ties it to one precoder.
+    """
+
+    def __init__(self, precoder: Precoder) -> None:
+        p = precoder.params
+        self.precoder = precoder
+        self.layout = layout_for(precoder)
+        self.messages = {k: observe_message(self.layout, precoder, k) for k in p.users}
+        self.inputs = {k: observe_input(self.layout, k) for k in p.users}
+        self.bundles = {k: observe_key_bundle(self.layout, k) for k in p.users}
+        self.total = observe_total(self.layout)
+        self.cache: dict = {}
+
+    def others(self, k: int) -> list[int]:
+        return [u for u in self.precoder.params.users if u != k]
+
+    def material(self, users: Sequence[int]) -> list[LinearObservable]:
+        """The inputs and keys of ``users``, in that order."""
+        return [o for u in users for o in (self.inputs[u], self.bundles[u])]
+
+    def security_terms(self, k: int, cset: Sequence[int]) -> tuple[list, list, list]:
+        """(a, b, view) with I(a; b | view) the security MI of user k
+        colluding with cset: what the received messages reveal about the
+        other users' inputs beyond the global sum, k's own input and keys,
+        and the colluders' inputs and keys."""
+        others = self.others(k)
+        return ([self.messages[u] for u in others], [self.inputs[u] for u in others],
+                [self.total] + self.material((k, *cset)))
+
+    def recovery_view(self, k: int) -> list[LinearObservable]:
+        """What user k decodes from: the received messages, its own input
+        and keys."""
+        return [self.messages[u] for u in self.others(k)] + self.material((k,))
+
+
+def _context(subject: Precoder | _AuditContext) -> _AuditContext:
+    return subject if isinstance(subject, _AuditContext) else _AuditContext(subject)
 
 
 # -- audits ---------------------------------------------------------------------
 
+# Each audit takes a precoder, or the context ``audit`` shares across them.
 
-def audit_security(precoder: Precoder, layout: SourceLayout | None = None,
-                   cache: dict | None = None) -> list[SecurityCheck]:
+
+def audit_security(precoder: Precoder | _AuditContext) -> list[SecurityCheck]:
     """Exact MI and rank certificate for every user and collusion set.
 
     The MI probed is: what the received messages reveal about the other
@@ -282,33 +318,23 @@ def audit_security(precoder: Precoder, layout: SourceLayout | None = None,
     the colluders' material. Entries are emitted in (user, set size,
     lexicographic) order so reports diff cleanly across runs.
     """
-    p = precoder.params
-    layout = layout or layout_for(precoder)
-    cache = {} if cache is None else cache
-    messages = {k: observe_message(layout, precoder, k) for k in p.users}
-    inputs = {k: observe_input(layout, k) for k in p.users}
+    ctx = _context(precoder)
+    p = ctx.precoder.params
     checks: list[SecurityCheck] = []
     for k in p.users:
-        others = [u for u in p.users if u != k]
-        a = [messages[u] for u in others]
-        b = [inputs[u] for u in others]
         for cset in collusion_sets(p.K, k, p.T):
-            mi = infocalc.mutual_information(a, b, _view(layout, precoder, k, cset),
-                                             cache=cache)
-            checks.append(SecurityCheck(k, cset, mi, rank_condition(precoder, k, cset)))
+            mi = infocalc.mutual_information(*ctx.security_terms(k, cset), cache=ctx.cache)
+            checks.append(SecurityCheck(k, cset, mi, rank_condition(ctx.precoder, k, cset)))
     return checks
 
 
-def audit_recovery(precoder: Precoder, layout: SourceLayout | None = None,
-                   seed: int = 0, samples: int = 2,
-                   cache: dict | None = None) -> list[RecoveryCheck]:
+def audit_recovery(precoder: Precoder | _AuditContext, seed: int = 0,
+                   samples: int = 2) -> list[RecoveryCheck]:
     """Zero residual entropy of the global sum per user, plus seeded decode
     spot checks against directly summed inputs."""
+    ctx = _context(precoder)
+    precoder = ctx.precoder
     p = precoder.params
-    layout = layout or layout_for(precoder)
-    cache = {} if cache is None else cache
-    messages = {k: observe_message(layout, precoder, k) for k in p.users}
-    total = observe_total(layout)
 
     spot: dict[int, bool] = {k: True for k in p.users}
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -326,16 +352,13 @@ def audit_recovery(precoder: Precoder, layout: SourceLayout | None = None,
 
     checks = []
     for k in p.users:
-        view = [messages[u] for u in p.users if u != k]
-        view.append(observe_input(layout, k))
-        view.append(observe_key_bundle(layout, k))
-        residual = infocalc.conditional_entropy([total], view, cache=cache)
+        residual = infocalc.conditional_entropy([ctx.total], ctx.recovery_view(k),
+                                                cache=ctx.cache)
         checks.append(RecoveryCheck(k, residual, spot[k]))
     return checks
 
 
-def audit_converse(precoder: Precoder, layout: SourceLayout | None = None,
-                   cache: dict | None = None) -> list[ConverseCheck]:
+def audit_converse(precoder: Precoder | _AuditContext) -> list[ConverseCheck]:
     """Evaluate the converse floors on this scheme and assert each one.
 
     These hold for every valid scheme whatsoever; here they are instantiated
@@ -344,39 +367,33 @@ def audit_converse(precoder: Precoder, layout: SourceLayout | None = None,
     tight key-versus-input budget: C(K-T-1, G) * L_S >= (K-T-2) * L, met with
     equality by the optimal construction.
     """
-    p = precoder.params
-    layout = layout or layout_for(precoder)
-    cache = {} if cache is None else cache
-    L = precoder.L
-    messages = {k: observe_message(layout, precoder, k) for k in p.users}
-    inputs = {k: observe_input(layout, k) for k in p.users}
-    bundles = {k: observe_key_bundle(layout, k) for k in p.users}
+    ctx = _context(precoder)
+    p = ctx.precoder.params
+    cache = ctx.cache
+    L = ctx.precoder.L
+    messages, inputs, bundles = ctx.messages, ctx.inputs, ctx.bundles
     checks: list[ConverseCheck] = []
 
     # Each message still carries a full input's worth of fresh entropy even
     # when everyone else's material is known.
     for u in p.users:
-        given = [o for i in p.users if i != u for o in (inputs[i], bundles[i])]
-        value = infocalc.conditional_entropy([messages[u]], given, cache=cache)
+        value = infocalc.conditional_entropy([messages[u]], ctx.material(ctx.others(u)),
+                                             cache=cache)
         checks.append(ConverseCheck("message_entropy_floor", u, (), value, L, "ge"))
 
     # A message must stay independent of its own input from any single
     # other user's seat.
     for k in p.users:
-        for u in p.users:
-            if u == k:
-                continue
+        for u in ctx.others(k):
             value = infocalc.mutual_information(
-                [messages[k]], [inputs[k]], [inputs[u], bundles[u]], cache=cache)
+                [messages[k]], [inputs[k]], ctx.material((u,)), cache=cache)
             checks.append(ConverseCheck("pairwise_input_leak", k, (u,), value, 0, "eq"))
 
     for k in p.users:
-        others = [u for u in p.users if u != k]
+        others = ctx.others(k)
         for cset in itertools.combinations(others, p.T):
             surv = [u for u in others if u not in cset]
-            cond = [inputs[k], bundles[k]]
-            for u in cset:
-                cond += [inputs[u], bundles[u]]
+            cond = ctx.material((k, *cset))
             surv_msgs = [messages[u] for u in surv]
             surv_inputs = [inputs[u] for u in surv]
 
@@ -393,7 +410,7 @@ def audit_converse(precoder: Precoder, layout: SourceLayout | None = None,
             checks.append(ConverseCheck("key_entropy_floor", k, cset,
                                         value, (p.K - p.T - 2) * L, "ge"))
 
-    budget = math.comb(p.K - p.T - 1, p.G) * precoder.L_S
+    budget = math.comb(p.K - p.T - 1, p.G) * ctx.precoder.L_S
     checks.append(ConverseCheck("key_budget", None, (), budget,
                                 (p.K - p.T - 2) * L, "ge"))
     return checks
@@ -411,12 +428,11 @@ def audit_rates(precoder: Precoder) -> RateCheck:
 
 def audit(precoder: Precoder, seed: int = 0) -> AuditReport:
     """Run the full battery and assemble one deterministic report."""
-    layout = layout_for(precoder)
-    cache: dict = {}
+    ctx = _AuditContext(precoder)
     report = AuditReport(params=precoder.params)
-    report.recovery = audit_recovery(precoder, layout, seed=seed, cache=cache)
-    report.security = audit_security(precoder, layout, cache=cache)
-    report.converse = audit_converse(precoder, layout, cache=cache)
+    report.recovery = audit_recovery(ctx, seed=seed)
+    report.security = audit_security(ctx)
+    report.converse = audit_converse(ctx)
     report.rates = audit_rates(precoder)
     return report
 
@@ -462,18 +478,9 @@ def audit_infeasibility(K: int, T: int, G: int, q: int = 2,
                       "keys from the sum")
             return InfeasibilityExplanation(K, T, G,
                                             InfeasibilityReason.GROUP_SIZE_ONE, detail)
-        layout = layout_for(candidate)
-        messages = {k: observe_message(layout, candidate, k) for k in candidate.params.users}
-        inputs = {k: observe_input(layout, k) for k in candidate.params.users}
-        leaks = []
-        for k in candidate.params.users:
-            others = [u for u in candidate.params.users if u != k]
-            mi = infocalc.mutual_information(
-                [messages[u] for u in others],
-                [inputs[u] for u in others],
-                _view(layout, candidate, k, ()),
-            )
-            leaks.append((k, mi))
+        ctx = _AuditContext(candidate)
+        leaks = [(k, infocalc.mutual_information(*ctx.security_terms(k, ()), cache=ctx.cache))
+                 for k in candidate.params.users]
         detail = ("singleton groups force all-zero masks; every user's "
                   "received messages leak the others' inputs beyond the sum")
         return InfeasibilityExplanation(K, T, G, InfeasibilityReason.GROUP_SIZE_ONE,

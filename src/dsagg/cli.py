@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import infocalc
-from .auditor import audit
+from .auditor import _AuditContext, audit
 from .linalg import random_matrix
 from .scheme import (
     FIXTURES,
@@ -59,32 +59,34 @@ def _write(text: str, out: str | None) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    common.add_argument("--q", type=int, default=101,
-                        help="prime field modulus (default 101)")
-    common.add_argument("--m", type=int, default=1, help="block scale (default 1)")
-    common.add_argument("--out", default=None, help="write output to this path")
-    common.add_argument("--format", choices=("text", "csv"), default="text",
-                        help="output format where applicable")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None, help="write output to this path")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    field = argparse.ArgumentParser(add_help=False)
+    field.add_argument("--q", type=int, default=101, help="prime field modulus (default 101)")
+    field.add_argument("--m", type=int, default=1, help="block scale (default 1)")
 
     parser = _Parser(prog="dsagg",
                      description="Construct, simulate, and audit decentralized "
                                  "secure aggregation schemes with groupwise keys.")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("feasible", parents=[common],
+    p = sub.add_parser("feasible", parents=[out],
                        help="rate region for a (K, T, G) triple")
     p.add_argument("-K", type=int, required=True)
     p.add_argument("-T", type=int, required=True)
     p.add_argument("-G", type=int, required=True)
+    p.add_argument("--format", choices=("text", "csv"), default="text",
+                   help="output format (default text)")
 
-    p = sub.add_parser("rates-sweep", parents=[common],
+    p = sub.add_parser("rates-sweep", parents=[out],
                        help="CSV of optimal rates for every group size")
     p.add_argument("-K", type=int, required=True)
     p.add_argument("-T", type=int, required=True)
 
-    p = sub.add_parser("build", parents=[common], help="construct and save a scheme")
+    p = sub.add_parser("build", parents=[seeded, field, out],
+                       help="construct and save a scheme")
     p.add_argument("-K", type=int, required=True)
     p.add_argument("-T", type=int, required=True)
     p.add_argument("-G", type=int, required=True)
@@ -93,17 +95,17 @@ def build_parser() -> argparse.ArgumentParser:
                         "one (its own field size and block scale apply)")
     p.add_argument("--max-retries", type=int, default=16)
 
-    p = sub.add_parser("simulate", parents=[common],
+    p = sub.add_parser("simulate", parents=[seeded, out],
                        help="run one broadcast round from a scheme file")
     p.add_argument("scheme", help="scheme file path")
     p.add_argument("--inputs", default="random",
                    help="'random', 'zero', or a whitespace-separated K*L value file")
 
-    p = sub.add_parser("audit", parents=[common],
+    p = sub.add_parser("audit", parents=[seeded, out],
                        help="verify a scheme file; exit 0 only if all checks pass")
     p.add_argument("scheme", help="scheme file path")
 
-    p = sub.add_parser("oracle", parents=[common],
+    p = sub.add_parser("oracle", parents=[seeded, field, out],
                        help="cross-check rank calculus against full enumeration")
     p.add_argument("-K", type=int, required=True)
     p.add_argument("-T", type=int, required=True)
@@ -209,7 +211,8 @@ def _cmd_oracle(args) -> int:
         precoder = reference_precoder(params)
     except ValueError:
         precoder = build_precoder(params, seed=args.seed)
-    layout = infocalc.layout_for(precoder)
+    ctx = _AuditContext(precoder)
+    layout = ctx.layout
     budget = infocalc.DEFAULT_BUDGET
     if params.q ** layout.N > budget:
         raise ParamsOutOfModelError(
@@ -217,8 +220,6 @@ def _cmd_oracle(args) -> int:
             f"over the budget {budget}"
         )
 
-    messages = {k: infocalc.observe_message(layout, precoder, k) for k in params.users}
-    inputs = {k: infocalc.observe_input(layout, k) for k in params.users}
     lines = []
     all_match = True
 
@@ -229,19 +230,15 @@ def _cmd_oracle(args) -> int:
         lines.append(f"ORACLE {kind} k={k} rank={ranked} brute={brute} "
                      f"{'MATCH' if match else 'MISMATCH'}")
 
-    total = infocalc.observe_total(layout)
     for k in params.users:
-        others = [u for u in params.users if u != k]
-        view = [total, inputs[k], infocalc.observe_key_bundle(layout, k)]
-        a = [messages[u] for u in others]
-        b = [inputs[u] for u in others]
+        a, b, view = ctx.security_terms(k, ())
         record("security_mi", k,
                infocalc.mutual_information(a, b, view),
                infocalc.brute_force_mi(a, b, view))
-        cond = a + [inputs[k], infocalc.observe_key_bundle(layout, k)]
+        cond = ctx.recovery_view(k)
         record("recovery_residual", k,
-               infocalc.conditional_entropy([total], cond),
-               infocalc.brute_force_entropy([total] + cond)
+               infocalc.conditional_entropy([ctx.total], cond),
+               infocalc.brute_force_entropy([ctx.total] + cond)
                - infocalc.brute_force_entropy(cond))
 
     rng = np.random.Generator(np.random.PCG64(args.seed))
@@ -250,7 +247,7 @@ def _cmd_oracle(args) -> int:
         for tag in ("A", "B", "C"):
             rows = int(rng.integers(1, 3))
             mat = random_matrix(rows, layout.N, params.field, rng=rng)
-            obs.append([infocalc.observable_from_matrix(layout, mat, f"q{i}{tag}")])
+            obs.append([infocalc.LinearObservable(f"q{i}{tag}", mat, layout)])
         record(f"random_query_{i}", "-",
                infocalc.mutual_information(obs[0], obs[1], obs[2]),
                infocalc.brute_force_mi(obs[0], obs[1], obs[2]))

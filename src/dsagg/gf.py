@@ -1,4 +1,4 @@
-"""Exact arithmetic in the prime field F_q for a runtime-chosen modulus.
+"""The prime field F_q for a runtime-chosen modulus.
 
 The modulus is a constructor argument rather than a compile-time constant, so
 one build serves q = 2, 3, 5, ... interchangeably. Extension fields are out of
@@ -40,8 +40,8 @@ def is_prime(n: int) -> bool:
 class PrimeField:
     """The field F_q of integers modulo a prime q.
 
-    Acts on plain ints and on numpy int64 arrays; every result is reduced into
-    the canonical range [0, q). Instances are immutable values, so they are
+    Reduces ints and numpy int64 arrays into the canonical range [0, q); the
+    array arithmetic itself lives in ``linalg``. Instances are immutable values, so they are
     safe to share across threads and to use as dict keys.
     """
 
@@ -55,106 +55,10 @@ class PrimeField:
         if not is_prime(self.q):
             raise ValueError(f"modulus {self.q} is not prime")
 
-    # -- scalar arithmetic -------------------------------------------------
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.q
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.q
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.q
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.q
-
-    def inv(self, a: int) -> int:
-        """Multiplicative inverse; raises ZeroDivisionError for 0."""
-        a = a % self.q
-        if a == 0:
-            raise ZeroDivisionError(f"0 has no inverse in F_{self.q}")
-        return pow(a, -1, self.q)
-
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            return pow(self.inv(a), -e, self.q)
-        return pow(a % self.q, e, self.q)
-
-    # -- array helpers -----------------------------------------------------
-
     def reduce(self, values) -> np.ndarray:
         """Return ``values`` as an int64 array reduced into [0, q)."""
         return np.asarray(values, dtype=np.int64) % self.q
 
-    # -- element factory ---------------------------------------------------
-
-    def element(self, value: int) -> "FieldElement":
-        return FieldElement(value % self.q, self)
-
-    @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(0, self)
-
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(1 % self.q, self)
-
-    def elements(self):
-        """Iterate all q field elements in value order."""
-        for v in range(self.q):
-            yield FieldElement(v, self)
-
     def __repr__(self) -> str:
         return f"PrimeField({self.q})"
 
-
-@dataclass(frozen=True)
-class FieldElement:
-    """A single value of F_q, always stored in [0, q).
-
-    Arithmetic between elements of different fields is a contract violation
-    and raises FieldMismatchError instead of silently coercing.
-    """
-
-    value: int
-    field: PrimeField
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "value", self.value % self.field.q)
-
-    def _check(self, other: "FieldElement") -> None:
-        if not isinstance(other, FieldElement):
-            raise TypeError(f"expected FieldElement, got {type(other).__name__}")
-        if other.field != self.field:
-            raise FieldMismatchError(
-                f"mixed fields F_{self.field.q} and F_{other.field.q}"
-            )
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.value + other.value, self.field)
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.value - other.value, self.field)
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.value * other.value, self.field)
-
-    def __truediv__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.value * self.field.inv(other.value), self.field)
-
-    def __neg__(self) -> "FieldElement":
-        return FieldElement(-self.value, self.field)
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field.inv(self.value), self.field)
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __repr__(self) -> str:
-        return f"F{self.field.q}({self.value})"

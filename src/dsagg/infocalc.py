@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -65,7 +66,7 @@ class SourceLayout:
     G: int
     L_S: int
 
-    @property
+    @cached_property
     def groups(self) -> tuple[tuple[int, ...], ...]:
         return groups_of(self.K, self.G)
 
@@ -139,14 +140,6 @@ def observe_total(layout: SourceLayout) -> LinearObservable:
     return LinearObservable("sum(W)", Matrix(layout.field, data), layout)
 
 
-def observe_group_key(layout: SourceLayout, group: Sequence[int]) -> LinearObservable:
-    g = tuple(group)
-    data = np.zeros((layout.L_S, layout.N), dtype=np.int64)
-    data[:, layout.key_slice(g)] = np.eye(layout.L_S, dtype=np.int64)
-    label = "S{" + ",".join(map(str, g)) + "}"
-    return LinearObservable(label, Matrix(layout.field, data), layout)
-
-
 def observe_key_bundle(layout: SourceLayout, k: int) -> LinearObservable:
     """Everything user k stores: all group keys whose group contains k."""
     holding = [g for g in layout.groups if k in g]
@@ -166,14 +159,8 @@ def observe_message(layout: SourceLayout, precoder: Precoder, k: int) -> LinearO
         raise LayoutMismatchError("precoder shape does not match layout")
     data = np.zeros((layout.L, layout.N), dtype=np.int64)
     data[:, layout.input_slice(k)] = np.eye(layout.L, dtype=np.int64)
-    for g in layout.groups:
-        if k in g:
-            data[:, layout.key_slice(g)] = precoder.block(k, g).data
+    data[:, layout.K * layout.L + precoder.key_columns(p.held(k))] = precoder.row(k).data
     return LinearObservable(f"X{k}", Matrix(layout.field, data), layout)
-
-
-def observable_from_matrix(layout: SourceLayout, matrix: Matrix, label: str) -> LinearObservable:
-    return LinearObservable(label, matrix, layout)
 
 
 # -- rank calculus ---------------------------------------------------------------
@@ -203,8 +190,9 @@ def _stacked_rank(obs: Sequence[LinearObservable], layout: SourceLayout,
         key = tuple(sorted(o.label for o in obs))
         if key in cache:
             return cache[key]
-    stacked = np.vstack([o.matrix.data for o in obs])
-    rank = Matrix(layout.field, stacked).rank()
+    # The stack is left unnamed so that it is freed once Matrix has copied
+    # it, before rank() makes its own working copy.
+    rank = Matrix(layout.field, np.vstack([o.matrix.data for o in obs])).rank()
     if cache is not None:
         cache[key] = rank
     return rank

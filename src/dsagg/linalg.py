@@ -9,8 +9,6 @@ construction reproducible across runs and platforms.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
-
 import numpy as np
 
 from .gf import FieldMismatchError, PrimeField
@@ -34,15 +32,12 @@ def _safe_dot(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     return out
 
 
-def _row_reduce(arr: np.ndarray, q: int, full: bool) -> tuple[np.ndarray, list[int]]:
-    """Row-reduce ``arr`` in place (it must be a fresh writable copy).
-
-    Returns the reduced array and the list of pivot columns. With ``full``
-    the result is the unique reduced row-echelon form; otherwise only rows
-    below each pivot are cleared, which is enough for rank.
+def _row_reduce(arr: np.ndarray, q: int) -> int:
+    """Row-reduce ``arr`` in place (it must be a fresh writable copy) and
+    return its rank. Only rows below each pivot are cleared, which is enough
+    for rank.
     """
     rows, cols = arr.shape
-    pivots: list[int] = []
     r = 0
     for c in range(cols):
         if r == rows:
@@ -55,16 +50,11 @@ def _row_reduce(arr: np.ndarray, q: int, full: bool) -> tuple[np.ndarray, list[i
             arr[[r, p]] = arr[[p, r]]
         inv = pow(int(arr[r, c]), -1, q)
         arr[r] = (arr[r] * inv) % q
-        if full:
-            targets = np.nonzero(arr[:, c])[0]
-            targets = targets[targets != r]
-        else:
-            targets = r + 1 + np.nonzero(arr[r + 1 :, c])[0]
+        targets = r + 1 + np.nonzero(arr[r + 1 :, c])[0]
         if targets.size:
             arr[targets] = (arr[targets] - np.outer(arr[targets, c], arr[r])) % q
-        pivots.append(c)
         r += 1
-    return arr, pivots
+    return r
 
 
 class Matrix:
@@ -89,10 +79,6 @@ class Matrix:
     @classmethod
     def zeros(cls, field: PrimeField, rows: int, cols: int) -> "Matrix":
         return cls(field, np.zeros((rows, cols), dtype=np.int64))
-
-    @classmethod
-    def identity(cls, field: PrimeField, n: int) -> "Matrix":
-        return cls(field, np.eye(n, dtype=np.int64))
 
     # -- shape ----------------------------------------------------------
 
@@ -131,12 +117,6 @@ class Matrix:
     def __neg__(self) -> "Matrix":
         return Matrix(self.field, -self.data)
 
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        self._check_field(other)
-        if self.cols != other.rows:
-            raise DimensionMismatchError(f"{self.shape} @ {other.shape}")
-        return Matrix(self.field, _safe_dot(self.data, other.data, self.field.q))
-
     def matvec(self, vec) -> np.ndarray:
         """Matrix-vector product; returns a 1-D int64 array in [0, q)."""
         v = self.field.reduce(vec)
@@ -146,34 +126,10 @@ class Matrix:
             )
         return _safe_dot(self.data, v[:, None], self.field.q)[:, 0]
 
-    def transpose(self) -> "Matrix":
-        return Matrix(self.field, self.data.T)
-
     # -- reductions --------------------------------------------------------
 
     def rank(self) -> int:
-        _, pivots = _row_reduce(self.data.copy(), self.field.q, full=False)
-        return len(pivots)
-
-    def rref(self) -> "Matrix":
-        """The unique reduced row-echelon form."""
-        reduced, _ = _row_reduce(self.data.copy(), self.field.q, full=True)
-        return Matrix(self.field, reduced)
-
-    def kernel(self) -> "Matrix":
-        """A basis of the right null space, one basis vector per column.
-
-        Satisfies self @ kernel == 0 exactly; the number of columns equals
-        cols - rank.
-        """
-        reduced, pivots = _row_reduce(self.data.copy(), self.field.q, full=True)
-        free = [c for c in range(self.cols) if c not in pivots]
-        basis = np.zeros((self.cols, len(free)), dtype=np.int64)
-        for j, fc in enumerate(free):
-            basis[fc, j] = 1
-            for i, pc in enumerate(pivots):
-                basis[pc, j] = (-reduced[i, fc]) % self.field.q
-        return Matrix(self.field, basis)
+        return _row_reduce(self.data.copy(), self.field.q)
 
     # -- comparison / display ------------------------------------------
 
@@ -188,7 +144,7 @@ class Matrix:
     def __repr__(self) -> str:
         return f"Matrix(F_{self.field.q}, {self.rows}x{self.cols})"
 
-    # -- text round trip ---------------------------------------------------
+    # -- text ---------------------------------------------------------------
 
     def to_text(self) -> str:
         """Serialize as a 'rows cols' header plus row-major decimal entries."""
@@ -196,69 +152,6 @@ class Matrix:
         for row in self.data:
             lines.append(" ".join(str(int(v)) for v in row))
         return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, field: PrimeField, text: str) -> "Matrix":
-        tokens = text.split()
-        if len(tokens) < 2:
-            raise ValueError("matrix text needs a 'rows cols' header")
-        try:
-            rows, cols = int(tokens[0]), int(tokens[1])
-        except ValueError as exc:
-            raise ValueError(f"bad matrix header {tokens[:2]}") from exc
-        body = tokens[2:]
-        if rows < 0 or cols < 0 or len(body) != rows * cols:
-            raise ValueError(
-                f"expected {rows * cols} entries for {rows}x{cols}, got {len(body)}"
-            )
-        try:
-            values = [int(t) for t in body]
-        except ValueError as exc:
-            raise ValueError("non-integer matrix entry") from exc
-        for v in values:
-            if not 0 <= v < field.q:
-                raise ValueError(f"entry {v} outside [0, {field.q})")
-        data = np.array(values, dtype=np.int64).reshape(rows, cols)
-        return cls(field, data)
-
-
-# -- block assembly ----------------------------------------------------------
-
-
-def vstack(mats: Sequence[Matrix]) -> Matrix:
-    """Stack matrices vertically; all must share field and column count."""
-    mats = list(mats)
-    if not mats:
-        raise DimensionMismatchError("vstack of nothing")
-    field = mats[0].field
-    cols = mats[0].cols
-    for m in mats[1:]:
-        if m.field != field:
-            raise FieldMismatchError("vstack across fields")
-        if m.cols != cols:
-            raise DimensionMismatchError(f"vstack: {cols} vs {m.cols} columns")
-    return Matrix(field, np.vstack([m.data for m in mats]))
-
-
-def hstack(mats: Sequence[Matrix]) -> Matrix:
-    """Concatenate matrices horizontally; all must share field and row count."""
-    mats = list(mats)
-    if not mats:
-        raise DimensionMismatchError("hstack of nothing")
-    field = mats[0].field
-    rows = mats[0].rows
-    for m in mats[1:]:
-        if m.field != field:
-            raise FieldMismatchError("hstack across fields")
-        if m.rows != rows:
-            raise DimensionMismatchError(f"hstack: {rows} vs {m.rows} rows")
-    return Matrix(field, np.hstack([m.data for m in mats]))
-
-
-def block(grid: Iterable[Sequence[Matrix]]) -> Matrix:
-    """Assemble a matrix from a 2-D grid of conformal blocks."""
-    rows = [hstack(row) for row in grid]
-    return vstack(rows)
 
 
 # -- randomness ---------------------------------------------------------------

@@ -19,13 +19,14 @@ import itertools
 import math
 import os
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .gf import PrimeField
-from .linalg import DimensionMismatchError, Matrix, block as block_assemble, random_matrix
+from .linalg import DimensionMismatchError, Matrix, random_matrix
 
 SCHEME_MAGIC = "DSA1"
 
@@ -220,16 +221,26 @@ class SchemeParams:
         return self.m * (self.K - self.T - 2)
 
     @property
-    def L_X(self) -> int:
-        return self.L
-
-    @property
     def users(self) -> range:
         return range(1, self.K + 1)
 
-    @property
+    @cached_property
     def groups(self) -> tuple[tuple[int, ...], ...]:
         return groups_of(self.K, self.G)
+
+    @cached_property
+    def group_index(self) -> dict[tuple[int, ...], int]:
+        """Position of each group in ``groups``."""
+        return {g: i for i, g in enumerate(self.groups)}
+
+    @cached_property
+    def _held(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        return tuple(tuple(g for g in self.groups if k in g) for k in self.users)
+
+    def held(self, k: int) -> tuple[tuple[int, ...], ...]:
+        """The groups holding user k in lexicographic order: the order of
+        k's blocks in the precoder's stored form."""
+        return self._held[k - 1]
 
 
 # -- precoder --------------------------------------------------------------
@@ -238,15 +249,18 @@ class SchemeParams:
 class Precoder:
     """The per-user, per-group key coefficient blocks of a linear scheme.
 
-    ``blocks[(k, group)]`` is the L x L_S matrix applied to the group's key
-    inside user k's message; users outside a group implicitly carry the zero
-    block. Block sizes may deliberately differ from the parameter-derived
-    lengths (e.g. to study undersized keys), so L and L_S are stored
-    explicitly. Instances are immutable after construction and safe to audit
-    from concurrent workers.
+    The block of user k for a group holding k is the L x L_S matrix applied
+    to that group's key inside k's message; users outside a group implicitly
+    carry the zero block. Each user's blocks are stored side by side, in the
+    order of ``params.held(k)``, as one L x C(K-1, G-1)*L_S matrix: user k's
+    mask is that matrix times k's held keys stacked in the same order. Block
+    sizes may deliberately differ from the parameter-derived lengths (e.g.
+    to study undersized keys), so L and L_S are stored explicitly. Instances
+    are immutable after construction and safe to audit from concurrent
+    workers.
     """
 
-    __slots__ = ("params", "L", "L_S", "_blocks")
+    __slots__ = ("params", "L", "L_S", "_rows")
 
     def __init__(
         self,
@@ -276,10 +290,14 @@ class Precoder:
                     f"block ({k}, {g}) has shape {mat.shape}, expected {(L, L_S)}"
                 )
             store[(k, g)] = mat
+        rows = tuple(
+            Matrix(params.field, np.hstack([store[(k, g)].data for g in params.held(k)]))
+            for k in params.users
+        )
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "L", L)
         object.__setattr__(self, "L_S", L_S)
-        object.__setattr__(self, "_blocks", store)
+        object.__setattr__(self, "_rows", rows)
 
     def __setattr__(self, name, value):
         raise AttributeError("Precoder is immutable")
@@ -288,50 +306,53 @@ class Precoder:
     def groups(self) -> tuple[tuple[int, ...], ...]:
         return self.params.groups
 
+    def row(self, k: int) -> Matrix:
+        """User k's stored blocks side by side, in ``params.held(k)`` order."""
+        return self._rows[k - 1]
+
+    def key_columns(self, groups: Iterable[Sequence[int]]) -> np.ndarray:
+        """Positions of the listed groups' key symbols among all
+        C(K, G) * L_S, which stack the group keys in lexicographic order."""
+        index = self.params.group_index
+        ids = np.array([index[tuple(g)] for g in groups], dtype=np.int64)
+        return (ids[:, None] * self.L_S + np.arange(self.L_S)).ravel()
+
     def block(self, k: int, group: Sequence[int]) -> Matrix:
         """The coefficient block of user k for ``group`` (zero if k is outside)."""
         g = tuple(group)
-        if g not in self.params.groups:
+        if g not in self.params.group_index:
             raise KeyError(f"{g} is not a size-{self.params.G} group of [1..{self.params.K}]")
-        return self._blocks.get((k, g), Matrix.zeros(self.params.field, self.L, self.L_S))
+        if k not in g:
+            return Matrix.zeros(self.params.field, self.L, self.L_S)
+        start = self.params.held(k).index(g) * self.L_S
+        return Matrix(self.params.field, self.row(k).data[:, start : start + self.L_S])
 
     def zero_sum_ok(self) -> bool:
         """Whether every group's blocks sum to the zero matrix."""
-        for g in self.groups:
-            total = np.zeros((self.L, self.L_S), dtype=np.int64)
-            for k in g:
-                total = (total + self._blocks[(k, g)].data) % self.params.q
-            if total.any():
-                return False
-        return True
-
-    def full_matrix(self) -> Matrix:
-        """The K*L x C(K,G)*L_S grid of all blocks (zero where k is outside)."""
-        grid = [[self.block(k, g) for g in self.groups] for k in self.params.users]
-        return block_assemble(grid)
+        total = np.zeros((self.L, len(self.groups) * self.L_S), dtype=np.int64)
+        for k in self.params.users:
+            total[:, self.key_columns(self.params.held(k))] += self.row(k).data
+        return not (total % self.params.q).any()
 
     def mask(self, k: int, keys: "GroupKeySet") -> np.ndarray:
         """Sum of this user's key contributions: sum over groups holding k."""
-        out = np.zeros(self.L, dtype=np.int64)
-        for g in self.groups:
-            if k in g:
-                out = (out + self._blocks[(k, g)].matvec(keys.key(g))) % self.params.q
-        return out
+        held = np.concatenate([keys.key(g) for g in self.params.held(k)])
+        return self.row(k).matvec(held)
 
     def replace_block(self, k: int, group: Sequence[int], mat: Matrix) -> "Precoder":
         """A copy with one block swapped (used by damage/mutation tests)."""
         g = tuple(group)
-        if (k, g) not in self._blocks:
+        blocks = {(u, h): self.block(u, h) for h in self.groups for u in h}
+        if (k, g) not in blocks:
             raise KeyError(f"user {k} carries no block for {g}")
-        new = dict(self._blocks)
-        new[(k, g)] = mat
-        return Precoder(self.params, new, self.L, self.L_S)
+        blocks[(k, g)] = mat
+        return Precoder(self.params, blocks, self.L, self.L_S)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Precoder):
             return NotImplemented
         return (self.params == other.params and self.L == other.L
-                and self.L_S == other.L_S and self._blocks == other._blocks)
+                and self.L_S == other.L_S and self._rows == other._rows)
 
 
 def random_zero_sum_blocks(
@@ -587,8 +608,15 @@ def recover(params: SchemeParams, precoder: Precoder, keys: GroupKeySet,
 
 def scheme_to_text(precoder: Precoder) -> str:
     """Serialize: header '{magic} K T G q m', then every block in group
-    lexicographic order, members ascending, in the matrix text format."""
+    lexicographic order, members ascending, in the matrix text format.
+
+    Raises ValueError for a precoder whose blocks are not the L x L_S its
+    parameters derive, which the file format cannot carry.
+    """
     p = precoder.params
+    if (precoder.L, precoder.L_S) != (p.L, p.L_S):
+        raise ValueError(f"blocks are {precoder.L}x{precoder.L_S}; a scheme file "
+                         f"for these parameters holds {p.L}x{p.L_S} blocks")
     parts = [f"{SCHEME_MAGIC} {p.K} {p.T} {p.G} {p.q} {p.m}\n"]
     for g in precoder.groups:
         for k in g:
@@ -598,6 +626,13 @@ def scheme_to_text(precoder: Precoder) -> str:
 
 def scheme_from_text(text: str) -> Precoder:
     """Parse a scheme file; raises SchemeFormatError with a line number."""
+    # The precoder is built once _parse_scheme has returned, so the file's
+    # split lines are freed before the precoder copies the blocks.
+    params, blocks = _parse_scheme(text)
+    return Precoder(params, blocks)
+
+
+def _parse_scheme(text: str) -> tuple[SchemeParams, dict[tuple[int, tuple[int, ...]], Matrix]]:
     lines = text.splitlines()
     if not lines:
         raise SchemeFormatError("empty scheme file", 1)
@@ -615,21 +650,22 @@ def scheme_from_text(text: str) -> Precoder:
         L, L_S = params.L, params.L_S
     except (ParamsOutOfModelError, InfeasibleSchemeError, ValueError) as exc:
         raise SchemeFormatError(str(exc), 1) from None
+    needed = 1 + G * math.comb(K, G) * (L + 1)
+    if len(lines) < needed:
+        raise SchemeFormatError(
+            f"file has {len(lines)} lines; {math.comb(K, G)} groups of {G} "
+            f"blocks, each a header and {L} rows, need {needed}", 1)
 
     pos = 1  # 0-based index of the next unread line
 
     def read_block() -> Matrix:
         nonlocal pos
-        if pos >= len(lines):
-            raise SchemeFormatError("unexpected end of file inside block list", len(lines) + 1)
         head = lines[pos].split()
         if len(head) != 2 or head != [str(L), str(L_S)]:
             raise SchemeFormatError(f"expected block header '{L} {L_S}'", pos + 1)
         pos += 1
         rows = []
         for _ in range(L):
-            if pos >= len(lines):
-                raise SchemeFormatError("unexpected end of file inside block", len(lines) + 1)
             row = lines[pos].split()
             if len(row) != L_S:
                 raise SchemeFormatError(f"expected {L_S} entries per row", pos + 1)
@@ -652,12 +688,13 @@ def scheme_from_text(text: str) -> Precoder:
         extra = next((i for i in range(pos, len(lines)) if lines[i].strip()), None)
         if extra is not None:
             raise SchemeFormatError("trailing content after final block", extra + 1)
-    return Precoder(params, blocks)
+    return params, blocks
 
 
 def save_scheme(precoder: Precoder, path: str | os.PathLike) -> None:
+    text = scheme_to_text(precoder)  # before opening, so a failed save writes nothing
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(scheme_to_text(precoder))
+        fh.write(text)
 
 
 def load_scheme(path: str | os.PathLike) -> Precoder:

@@ -184,7 +184,7 @@ def test_criterion_5_oracle_equivalence():
                 for tag in "abc":
                     rows = int(rng.integers(1, 4))
                     mat = dsagg.random_matrix(rows, lay.N, params.field, rng=rng)
-                    obs.append([infocalc.observable_from_matrix(lay, mat, f"{tag}{i}")])
+                    obs.append([infocalc.LinearObservable(f"{tag}{i}", mat, lay)])
                 ranked = infocalc.mutual_information(*obs)
                 assert infocalc.brute_force_mi(*obs) == Fraction(ranked)
 

@@ -246,6 +246,17 @@ def test_full_audit_fixture():
     assert report.rates.tight
 
 
+def test_rank_cache_never_outlives_its_precoder():
+    # Rank caches are keyed by observable labels, which name different
+    # matrices for different precoders. An audit of one scheme must not
+    # answer from the ranks of another audited earlier in the process.
+    audit(fixture_example2())
+    report = audit(zero_precoder(SchemeParams(K=5, T=1, G=2, q=5)))
+    assert sum(c.mi for c in report.security) == 165
+    with pytest.raises(TypeError):
+        audit_security(fixture_example2(), cache={})
+
+
 def test_audit_rates_undersized_scheme_outside_region():
     params = SchemeParams(K=5, T=1, G=2, q=101)
     rates = audit_rates(random_precoder(params, seed=0, L=3, L_S=1))

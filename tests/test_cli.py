@@ -2,6 +2,7 @@ import csv
 import io
 from fractions import Fraction
 
+import dsagg.scheme
 from dsagg.cli import main
 from dsagg.scheme import load_scheme, scheme_to_text
 
@@ -37,6 +38,20 @@ def test_feasible_output_and_exit_codes(capsys):
 def test_unknown_flag_rejected(capsys):
     code, _, _ = run_cli(capsys, "feasible", "-K", "5", "-T", "1", "-G", "2", "--nope")
     assert code == 1
+
+
+def test_subcommands_reject_flags_they_do_not_read(tmp_path, capsys):
+    scheme = tmp_path / "s.dsa"
+    code, _, _ = run_cli(capsys, "build", "-K", "5", "-T", "1", "-G", "2",
+                         "--q", "5", "--fixture", "example2", "--out", str(scheme))
+    assert code == 0
+    for argv in (("audit", str(scheme), "--q", "7"),
+                 ("simulate", str(scheme), "--format", "csv"),
+                 ("feasible", "-K", "5", "-T", "1", "-G", "2", "--seed", "1"),
+                 ("rates-sweep", "-K", "5", "-T", "1", "--m", "2")):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1, argv
+        assert "unrecognized arguments" in err
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +139,18 @@ def test_audit_format_error_exit_3(tmp_path, capsys):
     code, _, err = run_cli(capsys, "audit", str(bad))
     assert code == 3
     assert "line" in err
+
+
+def test_short_scheme_file_exit_3_before_enumerating_groups(tmp_path, capsys, monkeypatch):
+    def refuse(K, G):
+        raise AssertionError("groups enumerated before the length check")
+
+    monkeypatch.setattr(dsagg.scheme, "groups_of", refuse)
+    short = tmp_path / "short.dsa"
+    short.write_text("DSA1 20 0 10 101 1\n")
+    code, _, err = run_cli(capsys, "audit", str(short))
+    assert code == 3
+    assert "line 1" in err
 
 
 def test_build_random_then_simulate(tmp_path, capsys):

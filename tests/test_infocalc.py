@@ -13,8 +13,6 @@ from dsagg.infocalc import (
     entropy,
     layout_for,
     mutual_information,
-    observable_from_matrix,
-    observe_group_key,
     observe_input,
     observe_key_bundle,
     observe_message,
@@ -71,7 +69,7 @@ def test_entropy_drops_dependent_rows():
     lay = layout_for(fixture_example1())  # L = 1
     w1 = observe_input(lay, 1)
     w2 = observe_input(lay, 2)
-    w1_plus_w2 = observable_from_matrix(lay, w1.matrix + w2.matrix, "W1+W2")
+    w1_plus_w2 = LinearObservable("W1+W2", w1.matrix + w2.matrix, lay)
     assert entropy([w1_plus_w2, w1, w2]) == 2
 
 
@@ -87,7 +85,7 @@ def test_entropy_of_surviving_key_mixes_is_six():
         for g in surviving:
             if u in g:
                 data[:, lay.key_slice(g)] = pre.block(u, g).data
-        mixes.append(observable_from_matrix(lay, Matrix(lay.field, data), f"mix{u}"))
+        mixes.append(LinearObservable(f"mix{u}", Matrix(lay.field, data), lay))
     assert entropy(mixes) == 6
 
 
@@ -127,7 +125,9 @@ def test_mutual_information_examples():
 
 def test_group_key_observable():
     lay = layout_for(fixture_example2())
-    assert entropy([observe_group_key(lay, (1, 2))]) == 2
+    data = np.zeros((2, lay.N), dtype=np.int64)
+    data[:, lay.key_slice((1, 2))] = np.eye(2, dtype=np.int64)
+    assert entropy([LinearObservable("S{1,2}", Matrix(lay.field, data), lay)]) == 2
     assert entropy([observe_key_bundle(lay, 1)]) == 4 * 2
 
 
@@ -149,7 +149,7 @@ def random_observables(lay, rng, count):
     for i in range(count):
         rows = int(rng.integers(1, 4))
         mat = random_matrix(rows, lay.N, lay.field, rng=rng)
-        out.append(observable_from_matrix(lay, mat, f"r{i}-{rng.integers(1 << 30)}"))
+        out.append(LinearObservable(f"r{i}-{rng.integers(1 << 30)}", mat, lay))
     return out
 
 

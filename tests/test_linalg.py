@@ -1,15 +1,8 @@
 import numpy as np
 import pytest
 
-from dsagg.gf import FieldMismatchError, PrimeField
-from dsagg.linalg import (
-    DimensionMismatchError,
-    Matrix,
-    block,
-    hstack,
-    random_matrix,
-    vstack,
-)
+from dsagg.gf import PrimeField
+from dsagg.linalg import DimensionMismatchError, Matrix, random_matrix
 from dsagg.scheme import fixture_example2
 
 F5 = PrimeField(5)
@@ -21,7 +14,7 @@ F2 = PrimeField(2)
 # ---------------------------------------------------------------------------
 
 def test_rank_identity_and_zero():
-    assert Matrix.identity(F5, 4).rank() == 4
+    assert Matrix(F5, np.eye(4)).rank() == 4
     assert Matrix.zeros(F5, 3, 2).rank() == 0
 
 
@@ -32,8 +25,8 @@ def test_rank_of_surviving_key_stack_is_six():
     pre = fixture_example2()
     survivors = [3, 4, 5]
     pairs = [(3, 4), (3, 5), (4, 5)]
-    rows = [hstack([pre.block(u, g) for g in pairs]) for u in survivors]
-    stacked = vstack(rows)
+    rows = [np.hstack([pre.block(u, g).data for g in pairs]) for u in survivors]
+    stacked = Matrix(F5, np.vstack(rows))
     assert stacked.shape == (9, 6)
     assert stacked.rank() == 6
 
@@ -43,14 +36,14 @@ def test_rank_transpose_invariant():
     for _ in range(20):
         r, c = (int(v) for v in rng.integers(1, 8, size=2))
         m = random_matrix(r, c, F5, rng=rng)
-        assert m.rank() == m.transpose().rank()
+        assert m.rank() == Matrix(F5, m.data.T).rank()
 
 
 def test_rank_block_diagonal_adds():
     rng = np.random.Generator(np.random.PCG64(3))
     a = random_matrix(3, 4, F5, rng=rng)
     b = random_matrix(2, 2, F5, rng=rng)
-    grid = block([[a, Matrix.zeros(F5, 3, 2)], [Matrix.zeros(F5, 2, 4), b]])
+    grid = Matrix(F5, np.block([[a.data, np.zeros((3, 2))], [np.zeros((2, 4)), b.data]]))
     assert grid.rank() == a.rank() + b.rank()
 
 
@@ -62,43 +55,12 @@ def test_rank_at_most_min_dimension():
 
 
 # ---------------------------------------------------------------------------
-# block assembly
-# ---------------------------------------------------------------------------
-
-def test_block_of_scalars():
-    a, b, c, d = (Matrix(F5, [[v]]) for v in (1, 2, 3, 4))
-    m = block([[a, b], [c, d]])
-    assert m.shape == (2, 2)
-    assert m.data.tolist() == [[1, 2], [3, 4]]
-
-
-def test_hstack_with_empty_block():
-    a = Matrix.zeros(F5, 3, 2)
-    empty = Matrix.zeros(F5, 3, 0)
-    assert hstack([a, empty]).shape == (3, 2)
-
-
-def test_vstack():
-    a = random_matrix(3, 2, F5, seed=0)
-    assert vstack([a, a]).shape == (6, 2)
-
-
-def test_stack_dimension_errors():
-    with pytest.raises(DimensionMismatchError):
-        vstack([Matrix.zeros(F5, 2, 2), Matrix.zeros(F5, 2, 3)])
-    with pytest.raises(DimensionMismatchError):
-        hstack([Matrix.zeros(F5, 2, 2), Matrix.zeros(F5, 3, 2)])
-    with pytest.raises(FieldMismatchError):
-        vstack([Matrix.zeros(F5, 2, 2), Matrix.zeros(F2, 2, 2)])
-
-
-# ---------------------------------------------------------------------------
 # products
 # ---------------------------------------------------------------------------
 
 def test_matvec_identity_and_zero():
     v = np.array([1, 2, 3])
-    assert Matrix.identity(F5, 3).matvec(v).tolist() == [1, 2, 3]
+    assert Matrix(F5, np.eye(3)).matvec(v).tolist() == [1, 2, 3]
     assert Matrix.zeros(F5, 2, 3).matvec(v).tolist() == [0, 0]
 
 
@@ -110,7 +72,7 @@ def test_matvec_fixture_first_column():
 
 def test_matvec_dimension_error():
     with pytest.raises(DimensionMismatchError):
-        Matrix.identity(F5, 3).matvec([1, 2])
+        Matrix(F5, np.eye(3)).matvec([1, 2])
 
 
 def test_matmul_against_numpy():
@@ -118,39 +80,17 @@ def test_matmul_against_numpy():
     a = random_matrix(3, 4, F5, rng=rng)
     b = random_matrix(4, 2, F5, rng=rng)
     expected = (a.data @ b.data) % 5
-    assert np.array_equal((a @ b).data, expected)
+    got = np.column_stack([a.matvec(col) for col in b.data.T])
+    assert np.array_equal(got, expected)
 
 
 def test_large_modulus_products_do_not_overflow():
     q = 2**31 - 1
     f = PrimeField(q)
     a = Matrix(f, np.full((2, 400), q - 1, dtype=np.int64))
-    b = Matrix(f, np.full((400, 2), q - 1, dtype=np.int64))
-    got = (a @ b).data
+    got = a.matvec(np.full(400, q - 1, dtype=np.int64))
     expected = (400 * pow(q - 1, 2, q)) % q
     assert np.all(got == expected)
-
-
-# ---------------------------------------------------------------------------
-# kernel and rref
-# ---------------------------------------------------------------------------
-
-def test_kernel_annihilates():
-    rng = np.random.Generator(np.random.PCG64(9))
-    for _ in range(20):
-        m = random_matrix(3, 5, F5, rng=rng)
-        ker = m.kernel()
-        assert ker.cols == m.cols - m.rank()
-        assert not (m @ ker).data.any()
-
-
-def test_rref_is_idempotent_and_rank_revealing():
-    rng = np.random.Generator(np.random.PCG64(13))
-    m = random_matrix(4, 6, F5, rng=rng)
-    r = m.rref()
-    assert r.rref() == r
-    nonzero_rows = sum(1 for row in r.data if row.any())
-    assert nonzero_rows == m.rank()
 
 
 # ---------------------------------------------------------------------------
@@ -189,9 +129,9 @@ def test_random_symbols_uniform_within_5_sigma():
 
 def test_text_round_trip():
     m = random_matrix(3, 2, F5, seed=8)
-    again = Matrix.from_text(F5, m.to_text())
-    assert again == m
-    assert again.to_text() == m.to_text()
+    header, *rows = m.to_text().splitlines()
+    assert header == "3 2"
+    assert np.array_equal(np.array([row.split() for row in rows], dtype=np.int64), m.data)
 
 
 def test_text_format_canonical():
@@ -199,21 +139,12 @@ def test_text_format_canonical():
     assert m.to_text() == "2 2\n1 2\n3 4\n"
 
 
-def test_text_rejects_bad_input():
-    with pytest.raises(ValueError):
-        Matrix.from_text(F5, "2 2\n1 2 3 4 5")
-    with pytest.raises(ValueError):
-        Matrix.from_text(F5, "2 2\n1 2\n3 9")  # 9 outside [0, 5)
-    with pytest.raises(ValueError):
-        Matrix.from_text(F5, "")
-
-
 # ---------------------------------------------------------------------------
 # immutability
 # ---------------------------------------------------------------------------
 
 def test_matrix_data_is_read_only():
-    m = Matrix.identity(F5, 2)
+    m = Matrix(F5, np.eye(2))
     with pytest.raises(ValueError):
         m.data[0, 0] = 3
     with pytest.raises(AttributeError):

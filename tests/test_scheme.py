@@ -4,8 +4,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dsagg.auditor import rank_certificate_ok
+import dsagg.scheme
+from dsagg.auditor import collusion_sets, rank_certificate_ok, submatrix_hhat
+from dsagg.infocalc import layout_for, observe_message, source_vector
 from dsagg.linalg import DimensionMismatchError, Matrix
 from dsagg.scheme import (
     ConstructionFailedError,
@@ -29,6 +32,7 @@ from dsagg.scheme import (
     recover,
     reference_precoder,
     sample_keys,
+    save_scheme,
     scheme_from_text,
     scheme_to_text,
 )
@@ -114,7 +118,6 @@ def test_derived_lengths_realize_the_optimal_rate():
             p = SchemeParams(K=K, T=T, G=G, q=11, m=m)
             assert p.L == m * math.comb(K - T - 1, G)
             assert p.L_S == m * (K - T - 2)
-            assert p.L_X == p.L
             assert Fraction(p.L_S, p.L) == capacity(K, T, G).r_s_star
 
 
@@ -154,13 +157,7 @@ def test_fixture_example2_block_values():
     assert pre.zero_sum_ok()
     total = pre.block(1, (1, 2)) + pre.block(2, (1, 2))
     assert not total.data.any()
-
-
-def test_fixture_example2_full_matrix_shape():
-    pre = fixture_example2()
-    full = pre.full_matrix()
-    assert full.shape == (5 * 3, 10 * 2)
-    # users outside a group contribute zero blocks
+    # users outside a group carry the zero block
     assert not pre.block(3, (1, 2)).data.any()
 
 
@@ -428,3 +425,68 @@ def test_scheme_format_errors_carry_line_numbers():
     with pytest.raises(SchemeFormatError) as info:
         scheme_from_text("\n".join(good) + "\nextra\n")
     assert info.value.line == len(good) + 1
+
+
+def test_loader_checks_length_before_enumerating_groups(monkeypatch):
+    # A one-line file claiming C(20, 10) groups of 10 blocks of C(19, 10)
+    # rows each must be refused before any group is enumerated.
+    def refuse(K, G):
+        raise AssertionError("groups enumerated before the length check")
+
+    monkeypatch.setattr(dsagg.scheme, "groups_of", refuse)
+    with pytest.raises(SchemeFormatError) as info:
+        scheme_from_text("DSA1 20 0 10 101 1\n")
+    assert info.value.line == 1
+
+
+def test_save_refuses_blocks_the_format_cannot_carry(tmp_path):
+    pre = random_precoder(SchemeParams(K=5, T=1, G=2, q=101), seed=0, L=3, L_S=1)
+    with pytest.raises(ValueError):
+        scheme_to_text(pre)
+    path = tmp_path / "small.dsa"
+    with pytest.raises(ValueError):
+        save_scheme(pre, path)
+    assert not path.exists()
+
+
+# ---------------------------------------------------------------------------
+# stored form: one matrix per user, every view slices it
+# ---------------------------------------------------------------------------
+
+@st.composite
+def small_precoders(draw):
+    K = draw(st.integers(3, 6))
+    T = draw(st.integers(0, K - 3))
+    G = draw(st.integers(2, K - T - 1))
+    params = SchemeParams(K=K, T=T, G=G, q=draw(st.sampled_from([2, 5, 2**31 - 1])))
+    seed = draw(st.integers(0, 2**32 - 1))
+    L, L_S = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    return random_precoder(params, seed, L=L, L_S=L_S), seed
+
+
+@settings(max_examples=50, deadline=None)
+@given(small_precoders())
+def test_stored_form_agrees_with_its_blocks(drawn):
+    pre, seed = drawn
+    p = pre.params
+    blocks = {(k, g): pre.block(k, g) for g in p.groups for k in g}
+    assert Precoder(p, blocks, pre.L, pre.L_S) == pre
+
+    rng = np.random.Generator(np.random.PCG64(seed))
+    keys = GroupKeySet(p, {g: rng.integers(0, p.q, size=pre.L_S) for g in p.groups})
+    inputs = rng.integers(0, p.q, size=(p.K, pre.L))
+    lay = layout_for(pre)
+    source = source_vector(lay, inputs, keys)
+    for k in p.users:
+        sent = encode(p, pre, keys, inputs[k - 1], k)
+        assert np.array_equal(observe_message(lay, pre, k).evaluate(source), sent.payload)
+
+    for k in p.users:
+        for cset in collusion_sets(p.K, k, p.T):
+            survivors = [u for u in p.users if u != k and u not in cset]
+            surviving = [g for g in p.groups if set(g) <= set(survivors)]
+            expected = np.vstack([
+                np.hstack([pre.block(u, g).data for g in surviving]
+                          or [np.zeros((pre.L, 0), dtype=np.int64)])
+                for u in survivors])
+            assert np.array_equal(submatrix_hhat(pre, k, cset).data, expected)
