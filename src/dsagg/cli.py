@@ -11,6 +11,7 @@ deterministic given its flags.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from fractions import Fraction
 
@@ -41,6 +42,10 @@ EXIT_USAGE = 1
 EXIT_INFEASIBLE = 2
 EXIT_FORMAT = 3
 EXIT_CHECKS_FAILED = 4
+
+# Largest precoder build and oracle will construct: 2**24 int64 entries is
+# 128 MB of coefficients.
+MAX_PRECODER_ENTRIES = 2**24
 
 
 class _Parser(argparse.ArgumentParser):
@@ -118,6 +123,18 @@ def build_parser() -> argparse.ArgumentParser:
 # -- subcommands -------------------------------------------------------------
 
 
+def _check_precoder_size(params: SchemeParams) -> None:
+    """Refuse feasible parameters whose precoder, K*C(K-1,G-1) blocks of
+    L x L_S, would be too large, before any group is enumerated."""
+    K, G = params.K, params.G
+    entries = K * math.comb(K - 1, G - 1) * params.L * params.L_S
+    if entries > MAX_PRECODER_ENTRIES:
+        raise ParamsOutOfModelError(
+            f"the precoder would hold {entries} entries, over the limit "
+            f"{MAX_PRECODER_ENTRIES}"
+        )
+
+
 def _cmd_feasible(args) -> int:
     region = capacity(args.K, args.T, args.G)
     if not region.feasible:
@@ -165,6 +182,8 @@ def _cmd_build(args) -> int:
             )
     else:
         params = SchemeParams(K=args.K, T=args.T, G=args.G, q=args.q, m=args.m)
+        if params.feasible:
+            _check_precoder_size(params)
         precoder = build_precoder(params, seed=args.seed, max_retries=args.max_retries)
     if args.out:
         save_scheme(precoder, args.out)
@@ -207,18 +226,22 @@ def _cmd_oracle(args) -> int:
     if not params.feasible:
         _write("INFEASIBLE: no scheme to cross-check\n", args.out)
         return EXIT_INFEASIBLE
+    _check_precoder_size(params)
+    budget = infocalc.DEFAULT_BUDGET
+    N = params.K * params.L + math.comb(params.K, params.G) * params.L_S
+    # q >= 2, so q**N exceeds the budget once N reaches its bit length;
+    # testing that first keeps q**N from being computed for a huge N.
+    if N >= budget.bit_length() or params.q ** N > budget:
+        raise ParamsOutOfModelError(
+            f"enumeration needs q**N = {params.q}**{N} points, "
+            f"over the budget {budget}"
+        )
     try:
         precoder = reference_precoder(params)
     except ValueError:
         precoder = build_precoder(params, seed=args.seed)
     ctx = _AuditContext(precoder)
     layout = ctx.layout
-    budget = infocalc.DEFAULT_BUDGET
-    if params.q ** layout.N > budget:
-        raise ParamsOutOfModelError(
-            f"enumeration needs q**N = {params.q}**{layout.N} points, "
-            f"over the budget {budget}"
-        )
 
     lines = []
     all_match = True

@@ -8,6 +8,14 @@ is exactly rank(A) in q-ary units. Joint observables stack rows, so every
 entropy, conditional entropy, and mutual information in this module reduces
 to integer ranks, with no floating point anywhere.
 
+Most rows of those stacks are coordinate projections: inputs, key bundles,
+and messages once their keys are known. A row with one nonzero is a scaled
+unit vector e_j, so rank([P_S; A]) = |S| + rank(A[:, not S]) with S the
+columns of such rows; the rank path peels these rows and their columns,
+repeating while new ones appear, and eliminates only what is left (the
+singleton step of structured Gaussian elimination). ``Matrix.rank`` stays
+the reference kernel and is called once per rank computed.
+
 The enumeration oracle at the bottom re-derives the same quantities by
 walking the whole source space and counting, sharing no code with the rank
 path; agreement between the two is what justifies using ranks as the general
@@ -181,28 +189,66 @@ def _common_layout(groups: Sequence[Sequence[LinearObservable]]) -> SourceLayout
     return layout
 
 
+def _peel_unit_rows(data: np.ndarray) -> tuple[int, np.ndarray]:
+    """Split off the coordinate projections of a stack.
+
+    A row with one nonzero is a scaled unit vector e_j, so with S the
+    distinct columns of such rows, rank([P_S; A]) = |S| + rank(A[:, not S]).
+    Dropping those columns can leave further rows with one nonzero (a
+    message once its keys are peeled), so this repeats until none is left.
+    Returns |S| over all rounds and the remainder, zero rows removed.
+    """
+    nz = data != 0
+    counts = nz.sum(axis=1)
+    live_rows = counts > 0
+    live_cols = np.ones(data.shape[1], dtype=bool)
+    peeled = 0
+    while True:
+        unit = np.flatnonzero(live_rows & (counts == 1))
+        if unit.size == 0:
+            break
+        hit = np.unique((nz[unit] & live_cols).argmax(axis=1))
+        peeled += hit.size
+        live_cols[hit] = False
+        live_rows[unit] = False
+        counts -= nz[:, hit].sum(axis=1)
+        live_rows &= counts > 0
+    return peeled, data[np.ix_(live_rows, live_cols)]
+
+
 def _stacked_rank(obs: Sequence[LinearObservable], layout: SourceLayout,
                   cache: dict | None) -> int:
     if not obs:
         return 0
     key = None
     if cache is not None:
-        key = tuple(sorted(o.label for o in obs))
+        ordered = tuple(sorted(obs, key=lambda o: o.label))
+        key = tuple(o.label for o in ordered)
         if key in cache:
-            return cache[key]
-    # The stack is left unnamed so that it is freed once Matrix has copied
-    # it, before rank() makes its own working copy.
-    rank = Matrix(layout.field, np.vstack([o.matrix.data for o in obs])).rank()
+            rank, stored = cache[key]
+            for have, want in zip(stored, ordered):
+                if have is not want and have != want:
+                    raise ValueError(
+                        f"cache holds a different observable labelled {want.label!r}"
+                    )
+            return rank
+    # The stack is left unnamed and the remainder is dropped once Matrix has
+    # copied it, so at most two copies are alive while rank() eliminates.
+    peeled, rest = _peel_unit_rows(np.vstack([o.matrix.data for o in obs]))
+    remainder = Matrix(layout.field, rest)
+    del rest
+    rank = peeled + remainder.rank()
     if cache is not None:
-        cache[key] = rank
+        cache[key] = (rank, ordered)
     return rank
 
 
 def entropy(obs: Sequence[LinearObservable], cache: dict | None = None) -> int:
     """Joint entropy of the observables in q-ary units (an exact integer).
 
-    Optional ``cache`` memoizes stacked ranks by sorted label tuple; callers
-    opting in must keep labels unique per distinct observable.
+    Optional ``cache`` memoizes stacked ranks by sorted label tuple and
+    keeps the observables with each rank; a later query whose label names a
+    different observable raises ValueError instead of reusing the rank.
     """
     layout = _common_layout([obs])
     return _stacked_rank(list(obs), layout, cache)

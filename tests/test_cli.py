@@ -2,6 +2,8 @@ import csv
 import io
 from fractions import Fraction
 
+import dsagg.cli
+import dsagg.infocalc
 import dsagg.scheme
 from dsagg.cli import main
 from dsagg.scheme import load_scheme, scheme_to_text
@@ -208,10 +210,29 @@ def test_oracle_matches_on_three_users(capsys):
                for line in out.splitlines())
 
 
-def test_oracle_budget_guard(capsys):
+def refuse_to_enumerate(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("groups enumerated or scheme built before the size check")
+
+    for mod, name in ((dsagg.scheme, "groups_of"), (dsagg.infocalc, "groups_of"),
+                      (dsagg.cli, "build_precoder"), (dsagg.cli, "reference_precoder")):
+        monkeypatch.setattr(mod, name, refuse)
+
+
+def test_oversized_precoder_exit_1_before_enumerating_groups(capsys, monkeypatch):
+    refuse_to_enumerate(monkeypatch)
+    for command in ("build", "oracle"):
+        code, _, err = run_cli(capsys, command, "-K", "40", "-T", "0", "-G", "20")
+        assert code == 1
+        assert "precoder would hold" in err
+
+
+def test_oracle_budget_guard(capsys, monkeypatch):
+    refuse_to_enumerate(monkeypatch)
     code, _, err = run_cli(capsys, "oracle", "-K", "6", "-T", "0", "-G", "2", "--q", "101")
     assert code == 1
     assert "budget" in err
+    assert "101**120" in err
 
 
 def test_oracle_deterministic(capsys):

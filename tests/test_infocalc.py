@@ -2,11 +2,20 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import dsagg.infocalc
+from dsagg.auditor import audit
+from dsagg.gf import PrimeField
 from dsagg.infocalc import (
+    DEFAULT_BUDGET,
     BudgetExceededError,
     LayoutMismatchError,
     LinearObservable,
+    SourceLayout,
+    _peel_unit_rows,
+    _stacked_rank,
     brute_force_entropy,
     brute_force_mi,
     conditional_entropy,
@@ -23,6 +32,7 @@ from dsagg.linalg import Matrix, random_matrix
 from dsagg.scheme import (
     Precoder,
     SchemeParams,
+    build_precoder,
     fixture_example1,
     fixture_example2,
     sample_keys,
@@ -179,6 +189,101 @@ def test_mi_nonnegative_and_rank_identity():
 
 
 # ---------------------------------------------------------------------------
+# peeling coordinate projections
+# ---------------------------------------------------------------------------
+
+def single_segment_layout(field, n):
+    """A layout whose source is one n-symbol segment (one group of all
+    three users, no inputs), so observables can have any width."""
+    return SourceLayout(field, 3, 0, 3, n)
+
+
+@st.composite
+def peel_stacks(draw):
+    """(q, row blocks) mixing dense, unit, scaled-copy, zero and two-entry
+    rows; a two-entry row turns into a unit row once one of its columns is
+    peeled. Blocks may have zero rows and the width may be zero."""
+    q = draw(st.sampled_from((2, 101, 2**31 - 1)))
+    n = draw(st.integers(0, 8))
+    scale = st.integers(1, q - 1)
+    rows = []
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(("dense", "unit", "copy", "zero", "pair")))
+        row = np.zeros(n, dtype=np.int64)
+        if kind == "copy" and rows:
+            row = rows[draw(st.integers(0, len(rows) - 1))] * draw(scale) % q
+        elif kind == "dense":
+            row[:] = draw(st.lists(st.integers(0, q - 1), min_size=n, max_size=n))
+        elif kind == "pair" and n >= 2:
+            cols = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+            row[cols] = [draw(scale), draw(scale)]
+        elif kind != "zero" and n >= 1:
+            row[draw(st.integers(0, n - 1))] = draw(scale)
+        rows.append(row)
+    stack = np.array(rows, dtype=np.int64).reshape(len(rows), n)
+    cuts = sorted(draw(st.lists(st.integers(0, len(rows)), max_size=3)))
+    return q, np.split(stack, cuts)
+
+
+@settings(max_examples=50, deadline=None)
+@given(peel_stacks())
+def test_peeled_rank_equals_plain_elimination(case):
+    q, blocks = case
+    field = PrimeField(q)
+    lay = single_segment_layout(field, blocks[0].shape[1])
+    obs = [LinearObservable(f"b{i}", Matrix(field, b), lay) for i, b in enumerate(blocks)]
+    plain = Matrix(field, np.vstack(blocks)).rank()
+    assert _stacked_rank(obs, lay, None) == plain
+    assert _stacked_rank(obs, lay, {}) == plain
+
+
+def test_peel_follows_rows_that_become_unit():
+    # e0, then e0+e1 once column 0 is gone, then e1+e2, then e2+e3.
+    data = np.array([[0, 0, 1, 1], [1, 1, 0, 0], [1, 0, 0, 0], [0, 1, 1, 0]])
+    peeled, rest = _peel_unit_rows(data)
+    assert (peeled, rest.shape) == (4, (0, 0))
+
+    # A message is a unit row on its input once its sender's keys are peeled.
+    pre = fixture_example2()
+    lay = layout_for(pre)
+    stack = np.vstack([observe_key_bundle(lay, 1).matrix.data,
+                       observe_message(lay, pre, 1).matrix.data])
+    peeled, rest = _peel_unit_rows(stack)
+    assert peeled == Matrix(lay.field, stack).rank() == 8 + 3
+    assert rest.shape[0] == 0
+
+
+def test_every_audit_stack_matches_plain_elimination(monkeypatch):
+    pre = build_precoder(SchemeParams(K=6, T=1, G=2, q=101), seed=0)
+    verdicts = []
+
+    def checked(obs, layout, cache):
+        rank = _stacked_rank(obs, layout, cache)
+        if obs:
+            plain = Matrix(layout.field, np.vstack([o.matrix.data for o in obs])).rank()
+            verdicts.append(rank == plain)
+        return rank
+
+    monkeypatch.setattr(dsagg.infocalc, "_stacked_rank", checked)
+    assert audit(pre).all_ok
+    assert verdicts and all(verdicts)
+
+
+def test_cache_refuses_a_different_observable_under_a_known_label():
+    lay = layout_for(fixture_example1())
+    a1 = LinearObservable("A", observe_input(lay, 1).matrix, lay)
+    a2 = LinearObservable("A", Matrix.zeros(lay.field, 1, lay.N), lay)
+    cache = {}
+    assert entropy([a1], cache=cache) == 1
+    with pytest.raises(ValueError, match="'A'"):
+        entropy([a2], cache=cache)
+    assert entropy([a2]) == 0
+    # An equal observable built afresh still reuses the cached rank.
+    assert entropy([LinearObservable("A", observe_input(lay, 1).matrix, lay)],
+                   cache=cache) == 1
+
+
+# ---------------------------------------------------------------------------
 # enumeration oracle
 # ---------------------------------------------------------------------------
 
@@ -250,6 +355,50 @@ def test_budget_enforced():
     lay = layout_for(pre)
     with pytest.raises(BudgetExceededError):
         brute_force_entropy([observe_input(lay, 1)], budget=2**20)
+
+
+# (q, K, G, L, L_S), every one with q**N within DEFAULT_BUDGET
+ORACLE_SHAPES = ((2, 3, 2, 2, 2), (3, 3, 2, 1, 1), (5, 3, 2, 1, 1), (2, 4, 2, 1, 1))
+
+
+@st.composite
+def oracle_queries(draw):
+    """(a, b, c) drawn from one layout's inputs, key bundles, total and
+    random dense or sparse observables; a and b are never empty."""
+    q, K, G, L, L_S = draw(st.sampled_from(ORACLE_SHAPES))
+    lay = SourceLayout(PrimeField(q), K, L, G, L_S)
+    pool = [observe_total(lay)]
+    pool += [observe_input(lay, k) for k in range(1, K + 1)]
+    pool += [observe_key_bundle(lay, k) for k in range(1, K + 1)]
+    for i in range(draw(st.integers(0, 3))):
+        rows = []
+        for _ in range(draw(st.integers(1, 2))):
+            if draw(st.booleans()):
+                rows.append(draw(st.lists(st.integers(0, q - 1),
+                                          min_size=lay.N, max_size=lay.N)))
+            else:
+                row = [0] * lay.N
+                for j in draw(st.lists(st.integers(0, lay.N - 1), min_size=1, max_size=2)):
+                    row[j] = draw(st.integers(1, q - 1))
+                rows.append(row)
+        pool.append(LinearObservable(f"R{i}", Matrix(lay.field, rows), lay))
+    pick = st.sampled_from(pool)
+    return (lay, draw(st.lists(pick, min_size=1, max_size=3)),
+            draw(st.lists(pick, min_size=1, max_size=3)),
+            draw(st.lists(pick, max_size=3)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(oracle_queries())
+def test_rank_calculus_matches_oracle_nonnegative_and_chains(query):
+    lay, a, b, c = query
+    assert lay.field.q ** lay.N <= DEFAULT_BUDGET
+    cache = {}
+    mi = mutual_information(a, b, c, cache=cache)
+    assert mi >= 0
+    assert Fraction(mi) == brute_force_mi(a, b, c)
+    assert (mutual_information(a, b + c, cache=cache)
+            == mutual_information(a, c, cache=cache) + mi)
 
 
 # ---------------------------------------------------------------------------
