@@ -22,17 +22,17 @@ keys = GroupKeySet(params, {
 print("inputs :", w.ravel().tolist())
 print("keys   :", {g: int(v[0]) for g, v in keys.items()})
 
-messages = {k: encode(params, pre, keys, w[k - 1], k) for k in params.users}
+messages = {k: encode(pre, keys, w[k - 1], k) for k in params.users}
 for k, msg in messages.items():
     print(f"user {k} broadcasts X{k} = {int(msg.payload[0])}")
 
 for k in params.users:
     others = [messages[u] for u in params.users if u != k]
-    others_sum = recover(params, pre, keys, k, others)
+    others_sum = recover(pre, keys, k, others)
     total = (others_sum + w[k - 1]) % 2
     print(f"user {k} recovers others-sum {int(others_sum[0])}, "
           f"global sum {int(total[0])}")
 
 print()
 print("same thing through the round simulator, transcript form:")
-print(run_round(params, pre, w, seed=0).to_text())
+print(run_round(pre, w, seed=0).to_text())

@@ -16,7 +16,7 @@ pre = build_precoder(params, seed=0)
 report = audit(pre)
 print("audit passes:", report.all_ok)
 
-transcript = run_round(params, pre, "random", seed=42)
+transcript = run_round(pre, "random", seed=42)
 print("round verdict:", "pass" if transcript.verdict else "fail")
 print("one recovered global sum:", transcript.recovered[0].tolist())
 print()

@@ -19,7 +19,7 @@ lay = infocalc.layout_for(pre)
 print(f"source: {lay.N} symbols over F_{params.q} -> "
       f"{params.q ** lay.N} realizations to enumerate")
 
-msgs = {k: infocalc.observe_message(lay, pre, k) for k in params.users}
+msgs = {k: infocalc.observe_message(pre, k) for k in params.users}
 ins = {k: infocalc.observe_input(lay, k) for k in params.users}
 total = infocalc.observe_total(lay)
 

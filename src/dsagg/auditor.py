@@ -91,13 +91,12 @@ def submatrix_hhat(precoder: Precoder, k: int, colluders: Sequence[int]) -> Matr
     """
     cset = _validate_collusion(precoder, k, colluders)
     p = precoder.params
+    L, L_S = precoder.L, precoder.L_S
     survivors = [u for u in p.users if u != k and u not in cset]
-    surviving = precoder.key_columns(
-        g for g in p.groups if all(u in survivors for u in g))
-    L = precoder.L
+    surviving = p.key_columns((g for g in p.groups if all(u in survivors for u in g)), L_S)
     out = np.zeros((len(survivors) * L, surviving.size), dtype=np.int64)
     for r, u in enumerate(survivors):
-        held = precoder.key_columns(p.held(u))
+        held = p.key_columns(p.held(u), L_S)
         keep = np.isin(held, surviving)
         out[r * L : (r + 1) * L, np.searchsorted(surviving, held[keep])] = (
             precoder.row(u).data[:, keep])
@@ -273,7 +272,7 @@ class _AuditContext:
         p = precoder.params
         self.precoder = precoder
         self.layout = layout_for(precoder)
-        self.messages = {k: observe_message(self.layout, precoder, k) for k in p.users}
+        self.messages = {k: observe_message(precoder, k) for k in p.users}
         self.inputs = {k: observe_input(self.layout, k) for k in p.users}
         self.bundles = {k: observe_key_bundle(self.layout, k) for k in p.users}
         self.total = observe_total(self.layout)
@@ -339,13 +338,12 @@ def audit_recovery(precoder: Precoder | _AuditContext, seed: int = 0,
     spot: dict[int, bool] = {k: True for k in p.users}
     rng = np.random.Generator(np.random.PCG64(seed))
     for _ in range(samples):
-        keys = sample_keys(p, rng.integers(0, 2**63 - 1))
+        keys = sample_keys(precoder, rng.integers(0, 2**63 - 1))
         inputs = rng.integers(0, p.q, size=(p.K, precoder.L), dtype=np.int64)
         expected = inputs.sum(axis=0) % p.q
-        sent = {k: encode(p, precoder, keys, inputs[k - 1], k) for k in p.users}
+        sent = {k: encode(precoder, keys, inputs[k - 1], k) for k in p.users}
         for k in p.users:
-            got = recover(p, precoder, keys, k,
-                          [sent[u] for u in p.users if u != k])
+            got = recover(precoder, keys, k, [sent[u] for u in p.users if u != k])
             full = (got + inputs[k - 1]) % p.q
             if not np.array_equal(full, expected):
                 spot[k] = False

@@ -35,7 +35,7 @@ from .scheme import (
     save_scheme,
     scheme_to_text,
 )
-from .sim import make_inputs, run_round
+from .sim import run_round
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -206,8 +206,7 @@ def _cmd_simulate(args) -> int:
                 f"input file must hold {params.K * params.L} values, got {len(values)}"
             )
         source = np.array(values, dtype=np.int64).reshape(params.K, params.L)
-        source = make_inputs(params, source, None)
-    transcript = run_round(params, precoder, source, seed=args.seed)
+    transcript = run_round(precoder, source, seed=args.seed)
     _write(transcript.to_text(), args.out)
     return EXIT_OK if transcript.verdict else EXIT_CHECKS_FAILED
 
@@ -228,7 +227,7 @@ def _cmd_oracle(args) -> int:
         return EXIT_INFEASIBLE
     _check_precoder_size(params)
     budget = infocalc.DEFAULT_BUDGET
-    N = params.K * params.L + math.comb(params.K, params.G) * params.L_S
+    N = infocalc.layout_for(params).N
     # q >= 2, so q**N exceeds the budget once N reaches its bit length;
     # testing that first keeps q**N from being computed for a huge N.
     if N >= budget.bit_length() or params.q ** N > budget:

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -34,7 +33,7 @@ import numpy as np
 
 from .gf import PrimeField
 from .linalg import Matrix, _safe_dot
-from .scheme import GroupKeySet, Precoder, SchemeParams, groups_of
+from .scheme import GroupKeySet, Precoder, SchemeParams
 
 DEFAULT_BUDGET = 2**24
 
@@ -66,47 +65,46 @@ class SourceLayout:
     The source stacks, in order: one length-L segment per user input
     (users 1..K), then one length-L_S segment per group key in lexicographic
     group order. Segments are contiguous, non-overlapping, and cover [0, N).
+    Users and groups come from ``params``; L and L_S may differ from its own.
     """
 
-    field: PrimeField
-    K: int
+    params: SchemeParams
     L: int
-    G: int
     L_S: int
 
-    @cached_property
-    def groups(self) -> tuple[tuple[int, ...], ...]:
-        return groups_of(self.K, self.G)
+    @property
+    def field(self) -> PrimeField:
+        return self.params.field
 
     @property
     def N(self) -> int:
-        return self.K * self.L + len(self.groups) * self.L_S
+        return self.params.K * self.L + math.comb(self.params.K, self.params.G) * self.L_S
 
     def input_slice(self, k: int) -> slice:
-        if not 1 <= k <= self.K:
-            raise KeyError(f"user {k} outside [1..{self.K}]")
-        return slice((k - 1) * self.L, k * self.L)
+        start = self.params.user_index(k) * self.L
+        return slice(start, start + self.L)
+
+    def key_columns(self, groups: Sequence[Sequence[int]]) -> np.ndarray:
+        """Source coordinates of the listed groups' keys, in that order."""
+        return self.params.K * self.L + self.params.key_columns(groups, self.L_S)
 
     def key_slice(self, group: Sequence[int]) -> slice:
-        g = tuple(group)
-        idx = self.groups.index(g)
-        base = self.K * self.L + idx * self.L_S
-        return slice(base, base + self.L_S)
+        cols = self.key_columns([group])
+        start = int(cols[0]) if cols.size else self.N  # keys of no symbols
+        return slice(start, start + self.L_S)
 
     @property
     def segments(self) -> tuple[tuple[str, int], ...]:
         """(name, length) pairs in source order."""
-        names = [(f"W{k}", self.L) for k in range(1, self.K + 1)]
-        names += [("S{" + ",".join(map(str, g)) + "}", self.L_S) for g in self.groups]
+        names = [(f"W{k}", self.L) for k in self.params.users]
+        names += [("S{" + ",".join(map(str, g)) + "}", self.L_S) for g in self.params.groups]
         return tuple(names)
 
 
 def layout_for(source: SchemeParams | Precoder) -> SourceLayout:
     """The source layout matching a parameter set or a concrete precoder."""
-    if isinstance(source, Precoder):
-        p = source.params
-        return SourceLayout(p.field, p.K, source.L, p.G, source.L_S)
-    return SourceLayout(source.field, source.K, source.L, source.G, source.L_S)
+    params = source.params if isinstance(source, Precoder) else source
+    return SourceLayout(params, source.L, source.L_S)
 
 
 # -- observables ----------------------------------------------------------------
@@ -141,33 +139,24 @@ def observe_input(layout: SourceLayout, k: int) -> LinearObservable:
 
 def observe_total(layout: SourceLayout) -> LinearObservable:
     """The global input sum."""
-    data = np.zeros((layout.L, layout.N), dtype=np.int64)
-    eye = np.eye(layout.L, dtype=np.int64)
-    for k in range(1, layout.K + 1):
-        data[:, layout.input_slice(k)] = eye
+    data = sum(observe_input(layout, k).matrix.data for k in layout.params.users)
     return LinearObservable("sum(W)", Matrix(layout.field, data), layout)
 
 
 def observe_key_bundle(layout: SourceLayout, k: int) -> LinearObservable:
-    """Everything user k stores: all group keys whose group contains k."""
-    holding = [g for g in layout.groups if k in g]
-    data = np.zeros((len(holding) * layout.L_S, layout.N), dtype=np.int64)
-    eye = np.eye(layout.L_S, dtype=np.int64)
-    for i, g in enumerate(holding):
-        data[i * layout.L_S : (i + 1) * layout.L_S, layout.key_slice(g)] = eye
+    """Everything user k stores: its group keys, in ``params.held(k)`` order."""
+    cols = layout.key_columns(layout.params.held(k))
+    data = np.zeros((cols.size, layout.N), dtype=np.int64)
+    data[np.arange(cols.size), cols] = 1
     return LinearObservable(f"Z{k}", Matrix(layout.field, data), layout)
 
 
-def observe_message(layout: SourceLayout, precoder: Precoder, k: int) -> LinearObservable:
+def observe_message(precoder: Precoder, k: int) -> LinearObservable:
     """User k's broadcast: its input plus its key mask."""
-    p = precoder.params
-    if (p.K, precoder.L, p.G, precoder.L_S, p.field) != (
-        layout.K, layout.L, layout.G, layout.L_S, layout.field,
-    ):
-        raise LayoutMismatchError("precoder shape does not match layout")
+    layout = layout_for(precoder)
     data = np.zeros((layout.L, layout.N), dtype=np.int64)
     data[:, layout.input_slice(k)] = np.eye(layout.L, dtype=np.int64)
-    data[:, layout.K * layout.L + precoder.key_columns(p.held(k))] = precoder.row(k).data
+    data[:, layout.key_columns(precoder.params.held(k))] = precoder.row(k).data
     return LinearObservable(f"X{k}", Matrix(layout.field, data), layout)
 
 
@@ -412,17 +401,12 @@ def brute_force_mi(a: Sequence[LinearObservable],
 
 def source_vector(layout: SourceLayout, inputs: np.ndarray, keys: GroupKeySet) -> np.ndarray:
     """Pack per-user inputs (K x L) and a key set into one source vector."""
-    u = np.zeros(layout.N, dtype=np.int64)
     inputs = layout.field.reduce(inputs)
-    if inputs.shape != (layout.K, layout.L):
+    if inputs.shape != (layout.params.K, layout.L):
         raise LayoutMismatchError(
-            f"inputs must be {layout.K} x {layout.L}, got {inputs.shape}"
+            f"inputs must be {layout.params.K} x {layout.L}, got {inputs.shape}"
         )
-    for k in range(1, layout.K + 1):
-        u[layout.input_slice(k)] = inputs[k - 1]
-    for g in layout.groups:
-        key = keys.key(g)
-        if key.shape != (layout.L_S,):
-            raise LayoutMismatchError(f"key for {g} has shape {key.shape}")
-        u[layout.key_slice(g)] = key
-    return u
+    if (keys.params, keys.L_S) != (layout.params, layout.L_S):
+        raise LayoutMismatchError(
+            f"keys of {keys.L_S} symbols for {keys.params} do not fit the layout")
+    return np.concatenate([inputs.ravel(), keys.vector])

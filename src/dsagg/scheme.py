@@ -229,18 +229,37 @@ class SchemeParams:
         return groups_of(self.K, self.G)
 
     @cached_property
-    def group_index(self) -> dict[tuple[int, ...], int]:
-        """Position of each group in ``groups``."""
+    def _group_ids(self) -> dict[tuple[int, ...], int]:
         return {g: i for i, g in enumerate(self.groups)}
+
+    def group_index(self, group: Sequence[int]) -> int:
+        """Position of ``group`` in ``groups``; KeyError if it is not one."""
+        try:
+            return self._group_ids[tuple(group)]
+        except KeyError:
+            raise KeyError(f"{tuple(group)} is not a size-{self.G} group of "
+                           f"[1..{self.K}]") from None
 
     @cached_property
     def _held(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
         return tuple(tuple(g for g in self.groups if k in g) for k in self.users)
 
+    def user_index(self, k: int) -> int:
+        """0-based position of user k; KeyError unless 1 <= k <= K."""
+        if not 1 <= k <= self.K:
+            raise KeyError(f"user {k} outside [1..{self.K}]")
+        return k - 1
+
     def held(self, k: int) -> tuple[tuple[int, ...], ...]:
         """The groups holding user k in lexicographic order: the order of
         k's blocks in the precoder's stored form."""
-        return self._held[k - 1]
+        return self._held[self.user_index(k)]
+
+    def key_columns(self, groups: Iterable[Sequence[int]], L_S: int) -> np.ndarray:
+        """Positions of the listed groups' key symbols among all C(K, G)
+        keys of L_S symbols, stacked in lexicographic group order."""
+        ids = np.array([self.group_index(g) for g in groups], dtype=np.int64)
+        return (ids[:, None] * L_S + np.arange(L_S)).ravel()
 
 
 # -- precoder --------------------------------------------------------------
@@ -308,20 +327,12 @@ class Precoder:
 
     def row(self, k: int) -> Matrix:
         """User k's stored blocks side by side, in ``params.held(k)`` order."""
-        return self._rows[k - 1]
-
-    def key_columns(self, groups: Iterable[Sequence[int]]) -> np.ndarray:
-        """Positions of the listed groups' key symbols among all
-        C(K, G) * L_S, which stack the group keys in lexicographic order."""
-        index = self.params.group_index
-        ids = np.array([index[tuple(g)] for g in groups], dtype=np.int64)
-        return (ids[:, None] * self.L_S + np.arange(self.L_S)).ravel()
+        return self._rows[self.params.user_index(k)]
 
     def block(self, k: int, group: Sequence[int]) -> Matrix:
         """The coefficient block of user k for ``group`` (zero if k is outside)."""
         g = tuple(group)
-        if g not in self.params.group_index:
-            raise KeyError(f"{g} is not a size-{self.params.G} group of [1..{self.params.K}]")
+        self.params.group_index(g)  # KeyError for a group that does not exist
         if k not in g:
             return Matrix.zeros(self.params.field, self.L, self.L_S)
         start = self.params.held(k).index(g) * self.L_S
@@ -331,13 +342,16 @@ class Precoder:
         """Whether every group's blocks sum to the zero matrix."""
         total = np.zeros((self.L, len(self.groups) * self.L_S), dtype=np.int64)
         for k in self.params.users:
-            total[:, self.key_columns(self.params.held(k))] += self.row(k).data
+            total[:, self.params.key_columns(self.params.held(k), self.L_S)] += self.row(k).data
         return not (total % self.params.q).any()
 
     def mask(self, k: int, keys: "GroupKeySet") -> np.ndarray:
         """Sum of this user's key contributions: sum over groups holding k."""
-        held = np.concatenate([keys.key(g) for g in self.params.held(k)])
-        return self.row(k).matvec(held)
+        p = self.params
+        if (keys.params, keys.L_S) != (p, self.L_S):
+            raise DimensionMismatchError(f"keys of {keys.L_S} symbols for {keys.params} "
+                                         f"do not fit a precoder with L_S={self.L_S} for {p}")
+        return self.row(k).matvec(keys.vector[p.key_columns(p.held(k), self.L_S)])
 
     def replace_block(self, k: int, group: Sequence[int], mat: Matrix) -> "Precoder":
         """A copy with one block swapped (used by damage/mutation tests)."""
@@ -515,42 +529,46 @@ FIXTURES = {"example1": fixture_example1, "example2": fixture_example2}
 
 
 class GroupKeySet:
-    """One sampled key vector of length L_S per G-subset of users."""
+    """One sampled key of L_S symbols per G-subset of users, held as one
+    read-only vector in lexicographic group order, as in the uniform source."""
 
-    __slots__ = ("params", "_keys")
+    __slots__ = ("params", "L_S", "vector", "_table")
 
     def __init__(self, params: SchemeParams, keys: Mapping[tuple[int, ...], np.ndarray]):
-        store: dict[tuple[int, ...], np.ndarray] = {}
-        if set(map(tuple, keys.keys())) != set(params.groups):
+        keys = {tuple(g): params.field.reduce(v) for g, v in keys.items()}
+        if set(keys) != set(params.groups):
             raise ValueError("key map must cover exactly the G-subsets of [1..K]")
-        for g, v in keys.items():
-            arr = params.field.reduce(v)
-            arr.setflags(write=False)
-            store[tuple(g)] = arr
+        shapes = {v.shape for v in keys.values()}
+        if len(shapes) != 1 or len(next(iter(shapes))) != 1:
+            raise DimensionMismatchError(
+                f"keys must be vectors of one common length, got shapes {sorted(shapes)}")
+        table = np.stack([keys[g] for g in params.groups])
+        table.setflags(write=False)
         object.__setattr__(self, "params", params)
-        object.__setattr__(self, "_keys", store)
+        object.__setattr__(self, "L_S", table.shape[1])
+        object.__setattr__(self, "vector", table.reshape(-1))
+        object.__setattr__(self, "_table", table)
 
     def __setattr__(self, name, value):
         raise AttributeError("GroupKeySet is immutable")
 
     def key(self, group: Sequence[int]) -> np.ndarray:
-        return self._keys[tuple(group)]
+        return self._table[self.params.group_index(group)]
 
     def __len__(self) -> int:
-        return len(self._keys)
+        return len(self._table)
 
     def items(self):
-        return self._keys.items()
+        return zip(self.params.groups, self._table)
 
 
-def sample_keys(params: SchemeParams, seed) -> GroupKeySet:
-    """Draw all C(K, G) group keys i.i.d. uniform, deterministically in seed."""
+def sample_keys(precoder: Precoder, seed) -> GroupKeySet:
+    """Draw all C(K, G) group keys of the precoder's L_S symbols i.i.d. uniform,
+    deterministically in seed; one draw per key, which fixes the key stream."""
+    p = precoder.params
     rng = np.random.Generator(np.random.PCG64(seed))
-    keys = {
-        g: rng.integers(0, params.q, size=params.L_S, dtype=np.int64)
-        for g in params.groups
-    }
-    return GroupKeySet(params, keys)
+    return GroupKeySet(p, {g: rng.integers(0, p.q, size=precoder.L_S, dtype=np.int64)
+                           for g in p.groups})
 
 
 @dataclass(frozen=True)
@@ -566,19 +584,18 @@ class Message:
         object.__setattr__(self, "payload", arr)
 
 
-def encode(params: SchemeParams, precoder: Precoder, keys: GroupKeySet,
-           w: np.ndarray, k: int) -> Message:
+def encode(precoder: Precoder, keys: GroupKeySet, w: np.ndarray, k: int) -> Message:
     """User k's broadcast: its input plus its key mask."""
-    w = params.field.reduce(w)
+    w = precoder.params.field.reduce(w)
     if w.shape != (precoder.L,):
         raise DimensionMismatchError(
             f"input for user {k} must have length {precoder.L}, got {w.shape}"
         )
-    payload = (w + precoder.mask(k, keys)) % params.q
+    payload = (w + precoder.mask(k, keys)) % precoder.params.q
     return Message(k, payload)
 
 
-def recover(params: SchemeParams, precoder: Precoder, keys: GroupKeySet,
+def recover(precoder: Precoder, keys: GroupKeySet,
             k: int, received: Iterable[Message]) -> np.ndarray:
     """The sum of the other users' inputs, as seen by user k.
 
@@ -586,9 +603,11 @@ def recover(params: SchemeParams, precoder: Precoder, keys: GroupKeySet,
     within each group the other members' blocks sum to the negation of k's.
     The caller adds its own input to obtain the global sum.
     """
+    p = precoder.params
+    mask = precoder.mask(k, keys)
     msgs = list(received)
     senders = sorted(m.user for m in msgs)
-    expected = [u for u in params.users if u != k]
+    expected = [u for u in p.users if u != k]
     if senders != expected:
         raise MissingMessageError(
             f"user {k} expected one message from each of {expected}, got {senders}"
@@ -599,8 +618,8 @@ def recover(params: SchemeParams, precoder: Precoder, keys: GroupKeySet,
             raise DimensionMismatchError(
                 f"message from user {msg.user} has length {msg.payload.shape}"
             )
-        total = (total + msg.payload) % params.q
-    return (total + precoder.mask(k, keys)) % params.q
+        total = (total + msg.payload) % p.q
+    return (total + mask) % p.q
 
 
 # -- scheme file format ---------------------------------------------------

@@ -49,46 +49,44 @@ class Transcript:
         return "\n".join(lines) + "\n"
 
 
-def make_inputs(params: SchemeParams, source, seed) -> np.ndarray:
+def make_inputs(precoder: Precoder, source, seed) -> np.ndarray:
     """Materialize the K x L input table from a source selector.
 
     ``source`` is "random" (seeded uniform), "zero", or an explicit
     array-like; the scheme must work for any of them, so nothing here
     assumes uniformity.
     """
+    p, shape = precoder.params, (precoder.params.K, precoder.L)
     if isinstance(source, str):
         if source == "zero":
-            return np.zeros((params.K, params.L), dtype=np.int64)
+            return np.zeros(shape, dtype=np.int64)
         if source == "random":
             rng = np.random.Generator(np.random.PCG64(seed))
-            return rng.integers(0, params.q, size=(params.K, params.L), dtype=np.int64)
+            return rng.integers(0, p.q, size=shape, dtype=np.int64)
         raise ValueError(f"unknown input source {source!r}")
-    arr = params.field.reduce(source)
-    if arr.shape != (params.K, params.L):
-        raise ValueError(f"inputs must be {params.K} x {params.L}, got {arr.shape}")
+    arr = p.field.reduce(source)
+    if arr.shape != shape:
+        raise ValueError(f"inputs must be {shape[0]} x {shape[1]}, got {arr.shape}")
     return arr
 
 
-def run_round(params: SchemeParams, precoder: Precoder,
-              input_source="random", seed: int = 0) -> Transcript:
+def run_round(precoder: Precoder, input_source="random", seed: int = 0) -> Transcript:
     """Deal keys, broadcast every message, and decode at every user.
 
     Key and input randomness are derived from disjoint children of the seed,
     so transcripts are reproducible and keys never correlate with inputs.
     """
-    if precoder.params != params:
-        raise ValueError("precoder was built for different parameters")
+    params = precoder.params
     key_ss, input_ss = np.random.SeedSequence(seed).spawn(2)
-    keys = sample_keys(params, key_ss)
-    inputs = make_inputs(params, input_source, input_ss)
+    keys = sample_keys(precoder, key_ss)
+    inputs = make_inputs(precoder, input_source, input_ss)
 
-    sent = {k: encode(params, precoder, keys, inputs[k - 1], k) for k in params.users}
+    sent = {k: encode(precoder, keys, inputs[k - 1], k) for k in params.users}
     messages = np.vstack([sent[k].payload for k in params.users])
 
     recovered = np.zeros_like(inputs)
     for k in params.users:
-        others_sum = recover(params, precoder, keys, k,
-                             [sent[u] for u in params.users if u != k])
+        others_sum = recover(precoder, keys, k, [sent[u] for u in params.users if u != k])
         recovered[k - 1] = (others_sum + inputs[k - 1]) % params.q
 
     truth = inputs.sum(axis=0) % params.q
@@ -140,7 +138,7 @@ def run_grid(K_range, T_range, G_range, q: int, m: int = 1, seed: int = 0,
                 try:
                     precoder = build_precoder(params, seed=seed, max_retries=max_retries)
                     report = audit(precoder, seed=seed)
-                    transcript = run_round(params, precoder, "random", seed)
+                    transcript = run_round(precoder, "random", seed)
                     cells.append(GridCell(
                         K, T, G, True, None, True, report.all_ok, transcript.verdict,
                         Fraction(precoder.L_S, precoder.L), region.r_s_star))

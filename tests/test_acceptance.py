@@ -93,9 +93,9 @@ def test_criterion_2_three_user_scheme_reproduction():
                 (1, 3): np.array([bits[4]]),
                 (2, 3): np.array([bits[5]]),
             })
-            msgs = {k: encode(p, pre, keys, w[k - 1], k) for k in p.users}
+            msgs = {k: encode(pre, keys, w[k - 1], k) for k in p.users}
             for k in p.users:
-                got = recover(p, pre, keys, k, [msgs[u] for u in p.users if u != k])
+                got = recover(pre, keys, k, [msgs[u] for u in p.users if u != k])
                 assert np.array_equal(got, (w.sum(axis=0) - w[k - 1]) % 2)
 
         # exact security for all three users
@@ -122,11 +122,11 @@ def test_criterion_3_five_user_fixture_reproduction():
         # seeded recovery identity
         rng = np.random.default_rng(0)
         for trial in range(3):
-            keys = dsagg.sample_keys(p, trial)
+            keys = dsagg.sample_keys(pre, trial)
             w = rng.integers(0, 5, size=(5, 3))
-            msgs = {k: encode(p, pre, keys, w[k - 1], k) for k in p.users}
+            msgs = {k: encode(pre, keys, w[k - 1], k) for k in p.users}
             for k in p.users:
-                got = recover(p, pre, keys, k, [msgs[u] for u in p.users if u != k])
+                got = recover(pre, keys, k, [msgs[u] for u in p.users if u != k])
                 assert np.array_equal(got, (w.sum(axis=0) - w[k - 1]) % 5)
 
         # exact MI zero on all 25 (user, collusion set) pairs
@@ -156,7 +156,7 @@ def test_criterion_5_oracle_equivalence():
             lay = infocalc.layout_for(pre)
             assert q ** lay.N <= 2**20
 
-            msgs = {k: infocalc.observe_message(lay, pre, k) for k in params.users}
+            msgs = {k: infocalc.observe_message(pre, k) for k in params.users}
             ins = {k: infocalc.observe_input(lay, k) for k in params.users}
             total = infocalc.observe_total(lay)
 
@@ -261,7 +261,7 @@ def test_criterion_9_structured_inputs_keep_working():
     with criterion(9, "recovery and masking independent of input shape", 1.0):
         pre = fixture_example2()
         p = pre.params
-        keys = dsagg.sample_keys(p, 12)
+        keys = dsagg.sample_keys(pre, 12)
 
         structured = {
             "all-equal": np.full((5, 3), 4, dtype=np.int64),
@@ -269,9 +269,9 @@ def test_criterion_9_structured_inputs_keep_working():
             "constant": np.tile(np.array([1, 2, 3]), (5, 1)),
         }
         for name, w in structured.items():
-            msgs = {k: encode(p, pre, keys, w[k - 1], k) for k in p.users}
+            msgs = {k: encode(pre, keys, w[k - 1], k) for k in p.users}
             for k in p.users:
-                got = recover(p, pre, keys, k, [msgs[u] for u in p.users if u != k])
+                got = recover(pre, keys, k, [msgs[u] for u in p.users if u != k])
                 assert np.array_equal(got, (w.sum(axis=0) - w[k - 1]) % 5), name
 
         # the mask a user applies never depends on its input: encoding is an
@@ -279,8 +279,8 @@ def test_criterion_9_structured_inputs_keep_working():
         zero = np.zeros(3, dtype=np.int64)
         for name, w in structured.items():
             for k in p.users:
-                with_input = encode(p, pre, keys, w[k - 1], k).payload
-                mask_only = encode(p, pre, keys, zero, k).payload
+                with_input = encode(pre, keys, w[k - 1], k).payload
+                mask_only = encode(pre, keys, zero, k).payload
                 assert np.array_equal((with_input - mask_only) % 5, w[k - 1] % 5)
 
         # and that certificate holds for every (user, collusion set)

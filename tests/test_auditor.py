@@ -257,6 +257,19 @@ def test_rank_cache_never_outlives_its_precoder():
         audit_security(fixture_example2(), cache={})
 
 
+def test_audit_of_an_undersized_precoder_reports_every_failure():
+    # Keys are drawn at the precoder's L_S = 1, not the parameters' 2, so the
+    # recovery spot check runs and the report carries the failures.
+    report = audit(random_precoder(SchemeParams(K=5, T=1, G=2, q=101), 0, L_S=1))
+    assert not report.all_ok
+    assert all(c.ok for c in report.recovery)
+    assert len(report.security) == 25
+    assert not any(c.rank.ok for c in report.security)
+    assert all(c.mi > 0 for c in report.security)
+    assert report.security_consistent
+    assert not report.rates.ok
+
+
 def test_audit_rates_undersized_scheme_outside_region():
     params = SchemeParams(K=5, T=1, G=2, q=101)
     rates = audit_rates(random_precoder(params, seed=0, L=3, L_S=1))

@@ -214,8 +214,8 @@ def refuse_to_enumerate(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("groups enumerated or scheme built before the size check")
 
-    for mod, name in ((dsagg.scheme, "groups_of"), (dsagg.infocalc, "groups_of"),
-                      (dsagg.cli, "build_precoder"), (dsagg.cli, "reference_precoder")):
+    for mod, name in ((dsagg.scheme, "groups_of"), (dsagg.cli, "build_precoder"),
+                      (dsagg.cli, "reference_precoder")):
         monkeypatch.setattr(mod, name, refuse)
 
 

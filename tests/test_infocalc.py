@@ -58,6 +58,8 @@ def test_layout_segments_cover_source():
     assert lay.key_slice((1, 2)) == slice(15, 17)
     assert lay.segments[0] == ("W1", 3)
     assert lay.segments[5] == ("S{1,2}", 2)
+    keyless = SourceLayout(lay.params, 3, 0)
+    assert keyless.key_slice((4, 5)) == slice(15, 15) and keyless.N == 15
 
 
 def test_observable_validation():
@@ -102,14 +104,14 @@ def test_entropy_of_surviving_key_mixes_is_six():
 def test_conditional_entropy_examples():
     pre = fixture_example2()
     lay = layout_for(pre)
-    x1 = observe_message(lay, pre, 1)
+    x1 = observe_message(pre, 1)
     w1 = observe_input(lay, 1)
     z1 = observe_key_bundle(lay, 1)
     # a message is a deterministic function of its sender's input and keys
     assert conditional_entropy([x1], [w1, z1]) == 0
     assert conditional_entropy([w1], [w1]) == 0
 
-    received = [observe_message(lay, pre, k) for k in (2, 3, 4, 5)]
+    received = [observe_message(pre, k) for k in (2, 3, 4, 5)]
     cond = [observe_total(lay), w1, z1,
             observe_input(lay, 2), observe_key_bundle(lay, 2)]
     assert conditional_entropy(received, cond) == 6
@@ -118,7 +120,7 @@ def test_conditional_entropy_examples():
 def test_mutual_information_examples():
     pre1 = fixture_example1()
     lay = layout_for(pre1)
-    msgs = {k: observe_message(lay, pre1, k) for k in (1, 2, 3)}
+    msgs = {k: observe_message(pre1, k) for k in (1, 2, 3)}
     ins = {k: observe_input(lay, k) for k in (1, 2, 3)}
     view = [observe_total(lay), ins[1], observe_key_bundle(lay, 1)]
     assert mutual_information([msgs[2], msgs[3]], [ins[2], ins[3]], view) == 0
@@ -126,7 +128,7 @@ def test_mutual_information_examples():
 
     pre2 = fixture_example2()
     lay2 = layout_for(pre2)
-    msgs2 = [observe_message(lay2, pre2, k) for k in (2, 3, 4, 5)]
+    msgs2 = [observe_message(pre2, k) for k in (2, 3, 4, 5)]
     ins2 = [observe_input(lay2, k) for k in (2, 3, 4, 5)]
     view2 = [observe_total(lay2), observe_input(lay2, 1), observe_key_bundle(lay2, 1),
              observe_input(lay2, 2), observe_key_bundle(lay2, 2)]
@@ -195,7 +197,7 @@ def test_mi_nonnegative_and_rank_identity():
 def single_segment_layout(field, n):
     """A layout whose source is one n-symbol segment (one group of all
     three users, no inputs), so observables can have any width."""
-    return SourceLayout(field, 3, 0, 3, n)
+    return SourceLayout(SchemeParams(K=3, T=0, G=3, q=field.q), 0, n)
 
 
 @st.composite
@@ -247,7 +249,7 @@ def test_peel_follows_rows_that_become_unit():
     pre = fixture_example2()
     lay = layout_for(pre)
     stack = np.vstack([observe_key_bundle(lay, 1).matrix.data,
-                       observe_message(lay, pre, 1).matrix.data])
+                       observe_message(pre, 1).matrix.data])
     peeled, rest = _peel_unit_rows(stack)
     assert peeled == Matrix(lay.field, stack).rank() == 8 + 3
     assert rest.shape[0] == 0
@@ -302,7 +304,7 @@ def three_user_instance(q):
 @pytest.mark.parametrize("q", [2, 3])
 def test_oracle_agrees_on_security_and_recovery_queries(q):
     params, pre, lay = three_user_instance(q)
-    msgs = {k: observe_message(lay, pre, k) for k in params.users}
+    msgs = {k: observe_message(pre, k) for k in params.users}
     ins = {k: observe_input(lay, k) for k in params.users}
     total = observe_total(lay)
     for k in params.users:
@@ -337,15 +339,15 @@ def test_oracle_on_unmasked_scheme_sees_full_leak():
     params = SchemeParams(K=3, T=0, G=2, q=2)
     pre = zero_precoder(params)
     lay = layout_for(pre)
-    x2 = [observe_message(lay, pre, 2)]
+    x2 = [observe_message(pre, 2)]
     w2 = [observe_input(lay, 2)]
     assert mutual_information(x2, w2) == 1
     assert brute_force_mi(x2, w2) == 1
 
 
 def test_oracle_entropy_of_message():
-    _, pre, lay = three_user_instance(2)
-    x1 = [observe_message(lay, pre, 1)]
+    _, pre, _ = three_user_instance(2)
+    x1 = [observe_message(pre, 1)]
     assert entropy(x1) == 1
     assert brute_force_entropy(x1) == 1
 
@@ -366,7 +368,7 @@ def oracle_queries(draw):
     """(a, b, c) drawn from one layout's inputs, key bundles, total and
     random dense or sparse observables; a and b are never empty."""
     q, K, G, L, L_S = draw(st.sampled_from(ORACLE_SHAPES))
-    lay = SourceLayout(PrimeField(q), K, L, G, L_S)
+    lay = SourceLayout(SchemeParams(K=K, T=0, G=G, q=q), L, L_S)
     pool = [observe_total(lay)]
     pool += [observe_input(lay, k) for k in range(1, K + 1)]
     pool += [observe_key_bundle(lay, k) for k in range(1, K + 1)]
@@ -409,7 +411,7 @@ def test_source_vector_evaluates_observables():
     pre = fixture_example2()
     params = pre.params
     lay = layout_for(pre)
-    keys = sample_keys(params, 4)
+    keys = sample_keys(pre, 4)
     rng = np.random.default_rng(8)
     w = rng.integers(0, 5, size=(5, 3))
     u = source_vector(lay, w, keys)
@@ -417,6 +419,6 @@ def test_source_vector_evaluates_observables():
     from dsagg.scheme import encode
 
     for k in params.users:
-        obs = observe_message(lay, pre, k)
-        assert np.array_equal(obs.evaluate(u), encode(params, pre, keys, w[k - 1], k).payload)
+        obs = observe_message(pre, k)
+        assert np.array_equal(obs.evaluate(u), encode(pre, keys, w[k - 1], k).payload)
     assert np.array_equal(observe_total(lay).evaluate(u), w.sum(axis=0) % 5)

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import dsagg.scheme
 from dsagg.auditor import collusion_sets, rank_certificate_ok, submatrix_hhat
-from dsagg.infocalc import layout_for, observe_message, source_vector
+from dsagg.infocalc import layout_for, observe_key_bundle, observe_message, source_vector
 from dsagg.linalg import DimensionMismatchError, Matrix
 from dsagg.scheme import (
     ConstructionFailedError,
@@ -176,17 +176,18 @@ def test_fixture_example1_signs():
 
 def test_sample_keys_counts_and_determinism():
     p3 = SchemeParams(K=3, T=0, G=2, q=5)
-    assert len(sample_keys(p3, 0)) == 3
+    assert len(sample_keys(reference_precoder(p3), 0)) == 3
 
-    p5 = SchemeParams(K=5, T=1, G=2, q=5)
-    keys = sample_keys(p5, 0)
+    pre = fixture_example2()
+    p5 = pre.params
+    keys = sample_keys(pre, 0)
     assert len(keys) == 10
     for g, v in keys.items():
         assert v.shape == (2,)
 
-    again = sample_keys(p5, 0)
+    again = sample_keys(pre, 0)
     assert all(np.array_equal(keys.key(g), again.key(g)) for g in p5.groups)
-    other = sample_keys(p5, 1)
+    other = sample_keys(pre, 1)
     assert any(not np.array_equal(keys.key(g), other.key(g)) for g in p5.groups)
 
 
@@ -200,7 +201,7 @@ def test_encode_three_user_example():
     p = pre.params
     keys = {(1, 2): [1], (1, 3): [0], (2, 3): [0]}
     ks = GroupKeySet(p, {g: np.array(v) for g, v in keys.items()})
-    msg = encode(p, pre, ks, np.array([1]), 1)
+    msg = encode(pre, ks, np.array([1]), 1)
     assert msg.payload.tolist() == [0]
 
 
@@ -209,7 +210,7 @@ def test_encode_with_zero_keys_is_identity():
     p = pre.params
     ks = GroupKeySet(p, {g: np.zeros(2, dtype=np.int64) for g in p.groups})
     w = np.array([1, 2, 3])
-    assert encode(p, pre, ks, w, 2).payload.tolist() == [1, 2, 3]
+    assert encode(pre, ks, w, 2).payload.tolist() == [1, 2, 3]
 
 
 def test_encode_fixture_single_key_column():
@@ -218,14 +219,54 @@ def test_encode_fixture_single_key_column():
     keys = {g: np.zeros(2, dtype=np.int64) for g in p.groups}
     keys[(1, 2)] = np.array([1, 0])
     ks = GroupKeySet(p, keys)
-    msg = encode(p, pre, ks, np.zeros(3, dtype=np.int64), 1)
+    msg = encode(pre, ks, np.zeros(3, dtype=np.int64), 1)
     assert msg.payload.tolist() == [2, 4, 2]
 
 
 def test_encode_length_check():
     pre = fixture_example2()
     with pytest.raises(DimensionMismatchError):
-        encode(pre.params, pre, sample_keys(pre.params, 0), np.zeros(2), 1)
+        encode(pre, sample_keys(pre, 0), np.zeros(2), 1)
+
+
+@pytest.mark.parametrize("k", [0, -1, 6])
+def test_user_outside_one_to_K_raises_key_error(k):
+    # Indexing k - 1 used to wrap: user 0 was encoded with user 5's mask.
+    pre = fixture_example2()
+    keys = sample_keys(pre, 0)
+    with pytest.raises(KeyError, match=f"user {k} outside"):
+        encode(pre, keys, np.zeros(3, dtype=np.int64), k)
+    with pytest.raises(KeyError, match=f"user {k} outside"):
+        recover(pre, keys, k, [])
+    with pytest.raises(KeyError, match=f"user {k} outside"):
+        observe_key_bundle(layout_for(pre), k)
+
+
+def test_group_outside_the_scheme_raises_key_error_naming_it():
+    pre = fixture_example2()
+    for lookup in (layout_for(pre).key_slice, sample_keys(pre, 0).key,
+                   lambda g: pre.block(1, g)):
+        with pytest.raises(KeyError, match=r"\(1, 6\) is not a size-2 group"):
+            lookup((1, 6))
+
+
+def test_key_sets_of_the_wrong_shape_are_refused(monkeypatch):
+    pre = reference_precoder(SchemeParams(K=3, T=0, G=2, q=5))  # L = L_S = 1
+    p = pre.params
+    for ragged in ({(1, 2): [1, 2], (1, 3): [], (2, 3): [4]},
+                   {g: [[1]] for g in p.groups}):
+        with pytest.raises(DimensionMismatchError):
+            GroupKeySet(p, ragged)
+
+    def no_product(*args):
+        raise AssertionError("mask computed a product with a mismatched key set")
+
+    monkeypatch.setattr(Matrix, "matvec", no_product)
+    long_keys = GroupKeySet(p, {g: [1, 2] for g in p.groups})
+    other_field = GroupKeySet(SchemeParams(K=3, T=0, G=2, q=7), {g: [1] for g in p.groups})
+    for keys in (long_keys, other_field):
+        with pytest.raises(DimensionMismatchError):
+            encode(pre, keys, np.zeros(1, dtype=np.int64), 1)
 
 
 def test_recover_three_user_exhaustive():
@@ -239,9 +280,9 @@ def test_recover_three_user_exhaustive():
             (1, 3): np.array([bits[4]]),
             (2, 3): np.array([bits[5]]),
         })
-        msgs = {k: encode(p, pre, ks, w[k - 1], k) for k in p.users}
+        msgs = {k: encode(pre, ks, w[k - 1], k) for k in p.users}
         for k in p.users:
-            got = recover(p, pre, ks, k, [msgs[u] for u in p.users if u != k])
+            got = recover(pre, ks, k, [msgs[u] for u in p.users if u != k])
             expected = (w.sum(axis=0) - w[k - 1]) % 2
             assert np.array_equal(got, expected)
 
@@ -250,8 +291,8 @@ def test_recover_all_zero():
     pre = fixture_example2()
     p = pre.params
     ks = GroupKeySet(p, {g: np.zeros(2, dtype=np.int64) for g in p.groups})
-    msgs = {k: encode(p, pre, ks, np.zeros(3, dtype=np.int64), k) for k in p.users}
-    got = recover(p, pre, ks, 1, [msgs[u] for u in (2, 3, 4, 5)])
+    msgs = {k: encode(pre, ks, np.zeros(3, dtype=np.int64), k) for k in p.users}
+    got = recover(pre, ks, 1, [msgs[u] for u in (2, 3, 4, 5)])
     assert got.tolist() == [0, 0, 0]
 
 
@@ -261,23 +302,23 @@ def test_recover_fixture_matches_direct_sum():
     p = pre.params
     rng = np.random.default_rng(99)
     for trial in range(5):
-        keys = sample_keys(p, trial)
+        keys = sample_keys(pre, trial)
         w = rng.integers(0, 5, size=(5, 3))
-        msgs = {k: encode(p, pre, keys, w[k - 1], k) for k in p.users}
+        msgs = {k: encode(pre, keys, w[k - 1], k) for k in p.users}
         for k in p.users:
-            got = recover(p, pre, keys, k, [msgs[u] for u in p.users if u != k])
+            got = recover(pre, keys, k, [msgs[u] for u in p.users if u != k])
             assert np.array_equal(got, (w.sum(axis=0) - w[k - 1]) % 5)
 
 
 def test_recover_message_set_validation():
     pre = fixture_example2()
     p = pre.params
-    keys = sample_keys(p, 0)
-    msgs = {k: encode(p, pre, keys, np.zeros(3, dtype=np.int64), k) for k in p.users}
+    keys = sample_keys(pre, 0)
+    msgs = {k: encode(pre, keys, np.zeros(3, dtype=np.int64), k) for k in p.users}
     with pytest.raises(MissingMessageError):
-        recover(p, pre, keys, 1, [msgs[2], msgs[3], msgs[4]])  # one missing
+        recover(pre, keys, 1, [msgs[2], msgs[3], msgs[4]])  # one missing
     with pytest.raises(MissingMessageError):
-        recover(p, pre, keys, 1, [msgs[1], msgs[2], msgs[3], msgs[4]])  # own message
+        recover(pre, keys, 1, [msgs[1], msgs[2], msgs[3], msgs[4]])  # own message
 
 
 def test_recovery_identity_for_unchecked_random_precoders():
@@ -288,7 +329,7 @@ def test_recovery_identity_for_unchecked_random_precoders():
     for K, T, G in feasible_triples(8):
         p = SchemeParams(K=K, T=T, G=G, q=7)
         pre = random_precoder(p, seed=int(rng.integers(0, 100)))
-        keys = sample_keys(p, 17)
+        keys = sample_keys(pre, 17)
         structured = [
             np.ones((K, p.L), dtype=np.int64),                       # all-equal
             np.eye(K, p.L, dtype=np.int64),                          # one-hot
@@ -296,9 +337,9 @@ def test_recovery_identity_for_unchecked_random_precoders():
         ]
         for w in structured:
             w = w % 7
-            msgs = {k: encode(p, pre, keys, w[k - 1], k) for k in p.users}
+            msgs = {k: encode(pre, keys, w[k - 1], k) for k in p.users}
             for k in p.users:
-                got = recover(p, pre, keys, k, [msgs[u] for u in p.users if u != k])
+                got = recover(pre, keys, k, [msgs[u] for u in p.users if u != k])
                 assert np.array_equal(got, (w.sum(axis=0) - w[k - 1]) % 7)
 
 
@@ -478,8 +519,8 @@ def test_stored_form_agrees_with_its_blocks(drawn):
     lay = layout_for(pre)
     source = source_vector(lay, inputs, keys)
     for k in p.users:
-        sent = encode(p, pre, keys, inputs[k - 1], k)
-        assert np.array_equal(observe_message(lay, pre, k).evaluate(source), sent.payload)
+        sent = encode(pre, keys, inputs[k - 1], k)
+        assert np.array_equal(observe_message(pre, k).evaluate(source), sent.payload)
 
     for k in p.users:
         for cset in collusion_sets(p.K, k, p.T):

@@ -5,7 +5,8 @@ import pytest
 
 from dsagg import infocalc
 from dsagg.auditor import audit_security
-from dsagg.scheme import SchemeParams, build_precoder, fixture_example1, fixture_example2
+from dsagg.scheme import (SchemeParams, build_precoder, fixture_example1, fixture_example2,
+                          random_precoder, reference_precoder)
 from dsagg.sim import make_inputs, run_grid, run_round
 
 
@@ -15,14 +16,14 @@ from dsagg.sim import make_inputs, run_grid, run_round
 
 def test_round_all_zero_inputs():
     pre = fixture_example1()
-    tr = run_round(pre.params, pre, "zero", seed=0)
+    tr = run_round(pre, "zero", seed=0)
     assert tr.verdict
     assert not tr.recovered.any()
 
 
 def test_round_fixture_matches_direct_sum():
     pre = fixture_example2()
-    tr = run_round(pre.params, pre, "random", seed=11)
+    tr = run_round(pre, "random", seed=11)
     truth = tr.inputs.sum(axis=0) % 5
     assert tr.verdict
     for row in tr.recovered:
@@ -33,27 +34,28 @@ def test_round_structured_inputs():
     params = SchemeParams(K=3, T=0, G=2, q=7)
     pre = build_precoder(params, seed=0)
     w = np.array([[1], [2], [3]])
-    tr = run_round(params, pre, w, seed=0)
+    tr = run_round(pre, w, seed=0)
     assert tr.verdict
     assert tr.recovered.ravel().tolist() == [6, 6, 6]
 
 
-def test_round_rejects_mismatched_precoder():
-    pre = fixture_example1()
-    other = SchemeParams(K=3, T=0, G=2, q=5)
-    with pytest.raises(ValueError):
-        run_round(other, pre, "zero", 0)
-
-
 def test_make_inputs_sources():
-    params = SchemeParams(K=3, T=0, G=2, q=5)
-    assert not make_inputs(params, "zero", 0).any()
-    a = make_inputs(params, "random", 3)
-    assert np.array_equal(a, make_inputs(params, "random", 3))
+    pre = reference_precoder(SchemeParams(K=3, T=0, G=2, q=5))
+    assert not make_inputs(pre, "zero", 0).any()
+    a = make_inputs(pre, "random", 3)
+    assert np.array_equal(a, make_inputs(pre, "random", 3))
     with pytest.raises(ValueError):
-        make_inputs(params, "bogus", 0)
+        make_inputs(pre, "bogus", 0)
     with pytest.raises(ValueError):
-        make_inputs(params, np.zeros((2, 1)), 0)
+        make_inputs(pre, np.zeros((2, 1)), 0)
+
+
+def test_round_sizes_inputs_and_keys_from_the_precoder():
+    # The parameters derive L = 6 and L_S = 3; the precoder's blocks are 3 x 1.
+    pre = random_precoder(SchemeParams(K=6, T=1, G=2, q=101), 0, L=3, L_S=1)
+    tr = run_round(pre, "random", seed=2)
+    assert tr.inputs.shape == tr.messages.shape == (6, 3)
+    assert tr.verdict
 
 
 # ---------------------------------------------------------------------------
@@ -62,16 +64,16 @@ def test_make_inputs_sources():
 
 def test_transcript_deterministic_and_versioned():
     pre = fixture_example2()
-    a = run_round(pre.params, pre, "random", seed=5).to_text()
-    b = run_round(pre.params, pre, "random", seed=5).to_text()
+    a = run_round(pre, "random", seed=5).to_text()
+    b = run_round(pre, "random", seed=5).to_text()
     assert a == b
     assert a.splitlines()[0] == "DSAT1 5 1 2 5 1 5"
-    assert a != run_round(pre.params, pre, "random", seed=6).to_text()
+    assert a != run_round(pre, "random", seed=6).to_text()
 
 
 def test_transcript_layout():
     pre = fixture_example1()
-    lines = run_round(pre.params, pre, "zero", seed=0).to_text().splitlines()
+    lines = run_round(pre, "zero", seed=0).to_text().splitlines()
     tags = [line.split()[0] for line in lines]
     assert tags == ["DSAT1"] + ["W"] * 3 + ["X"] * 3 + ["R"] * 3 + ["VERDICT"]
     assert lines[-1] == "VERDICT pass"
@@ -83,7 +85,7 @@ def test_simulator_and_auditor_views_agree():
     for pre, expect_secure in ((fixture_example2(), True),):
         params = pre.params
         lay = infocalc.layout_for(pre)
-        msgs = {k: infocalc.observe_message(lay, pre, k) for k in params.users}
+        msgs = {k: infocalc.observe_message(pre, k) for k in params.users}
         ins = {k: infocalc.observe_input(lay, k) for k in params.users}
         audit_checks = {(c.k, c.colluders): c.ok for c in audit_security(pre)}
         for k in params.users:
@@ -132,6 +134,6 @@ def test_failed_verdict_is_recorded_not_raised():
 
     pre = fixture_example2()
     broken = pre.replace_block(1, (1, 2), Matrix.zeros(pre.params.field, 3, 2))
-    tr = run_round(broken.params, broken, "random", seed=1)
+    tr = run_round(broken, "random", seed=1)
     assert not tr.verdict
     assert tr.to_text().strip().endswith("VERDICT fail")
