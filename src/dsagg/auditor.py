@@ -35,7 +35,6 @@ from .scheme import (
     SchemeParams,
     capacity,
     encode,
-    groups_of,
     recover,
     sample_keys,
 )
@@ -467,9 +466,7 @@ def audit_infeasibility(K: int, T: int, G: int, q: int = 2,
     if region.infeasibility_reason is InfeasibilityReason.GROUP_SIZE_ONE:
         params = SchemeParams(K=K, T=T, G=1, q=q, m=1)
         if candidate is None:
-            blocks = {(g[0], g): Matrix.zeros(params.field, 1, 1)
-                      for g in groups_of(K, 1)}
-            candidate = Precoder(params, blocks, L=1, L_S=1)
+            candidate = Precoder(params, np.zeros((K, 1, 1, 1), dtype=np.int64))
         if not candidate.zero_sum_ok():
             detail = ("zero-sum fails: with singleton groups each block must "
                       "itself be zero, so this candidate cannot even cancel "

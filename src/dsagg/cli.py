@@ -200,7 +200,7 @@ def _cmd_simulate(args) -> int:
         source = args.inputs
     else:
         with open(args.inputs, "r", encoding="ascii") as fh:
-            values = [int(t) for t in fh.read().split()]
+            values = [int(t) % params.q for t in fh.read().split()]
         if len(values) != params.K * params.L:
             raise ParamsOutOfModelError(
                 f"input file must hold {params.K * params.L} values, got {len(values)}"

@@ -56,8 +56,17 @@ class PrimeField:
             raise ValueError(f"modulus {self.q} is not prime")
 
     def reduce(self, values) -> np.ndarray:
-        """Return ``values`` as an int64 array reduced into [0, q)."""
-        return np.asarray(values, dtype=np.int64) % self.q
+        """Return ``values`` as a new int64 array reduced exactly into [0, q).
+        Non-integers, and floats of 2**53 or more, raise ValueError."""
+        arr = np.asarray(values)
+        if arr.dtype.kind == "u":
+            arr = arr.astype(np.uint64, copy=False) % self.q
+        elif arr.dtype.kind == "f":
+            if not (np.abs(arr) < 2**53).all() or (arr != np.trunc(arr)).any():
+                raise ValueError("field elements must be whole numbers below 2**53")
+        elif arr.dtype.kind not in "bi":
+            raise ValueError(f"{arr.dtype} values are not field elements")
+        return arr.astype(np.int64, copy=False) % self.q
 
     def __repr__(self) -> str:
         return f"PrimeField({self.q})"

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gf import FieldMismatchError, PrimeField
+from .gf import PrimeField
 
 
 class DimensionMismatchError(ValueError):
@@ -63,10 +63,9 @@ class Matrix:
     __slots__ = ("field", "data")
 
     def __init__(self, field: PrimeField, data) -> None:
-        arr = np.array(data, dtype=np.int64)
+        arr = field.reduce(data)
         if arr.ndim != 2:
             raise DimensionMismatchError(f"matrix data must be 2-D, got {arr.ndim}-D")
-        arr %= field.q
         arr.setflags(write=False)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "data", arr)
@@ -95,27 +94,6 @@ class Matrix:
         return self.data.shape
 
     # -- arithmetic ------------------------------------------------------
-
-    def _check_field(self, other: "Matrix") -> None:
-        if self.field != other.field:
-            raise FieldMismatchError(
-                f"mixed fields F_{self.field.q} and F_{other.field.q}"
-            )
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        self._check_field(other)
-        if self.shape != other.shape:
-            raise DimensionMismatchError(f"{self.shape} + {other.shape}")
-        return Matrix(self.field, self.data + other.data)
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        self._check_field(other)
-        if self.shape != other.shape:
-            raise DimensionMismatchError(f"{self.shape} - {other.shape}")
-        return Matrix(self.field, self.data - other.data)
-
-    def __neg__(self) -> "Matrix":
-        return Matrix(self.field, -self.data)
 
     def matvec(self, vec) -> np.ndarray:
         """Matrix-vector product; returns a 1-D int64 array in [0, q)."""
@@ -149,8 +127,7 @@ class Matrix:
     def to_text(self) -> str:
         """Serialize as a 'rows cols' header plus row-major decimal entries."""
         lines = [f"{self.rows} {self.cols}"]
-        for row in self.data:
-            lines.append(" ".join(str(int(v)) for v in row))
+        lines += (" ".join(map(str, row)) for row in self.data.tolist())
         return "\n".join(lines) + "\n"
 
 

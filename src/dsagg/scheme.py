@@ -25,8 +25,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .gf import PrimeField
-from .linalg import DimensionMismatchError, Matrix, random_matrix
+from .gf import FieldMismatchError, PrimeField
+from .linalg import DimensionMismatchError, Matrix
 
 SCHEME_MAGIC = "DSA1"
 
@@ -265,53 +265,42 @@ class SchemeParams:
 # -- precoder --------------------------------------------------------------
 
 
+def _block_slots(params: SchemeParams, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where user k's blocks sit in a precoder's block array: the indices of
+    the groups holding k and k's position in each, in ``held(k)`` order."""
+    held = params.held(k)
+    return (np.array([params.group_index(g) for g in held], dtype=np.intp),
+            np.array([g.index(k) for g in held], dtype=np.intp))
+
+
 class Precoder:
     """The per-user, per-group key coefficient blocks of a linear scheme.
 
     The block of user k for a group holding k is the L x L_S matrix applied
     to that group's key inside k's message; users outside a group implicitly
-    carry the zero block. Each user's blocks are stored side by side, in the
+    carry the zero block. A precoder is built from one integer array of
+    shape (C(K, G), G, L, L_S) in scheme-file order: groups in lexicographic
+    order, members ascending. L and L_S are read from that shape and may
+    deliberately differ from the parameter-derived lengths (e.g. to study
+    undersized keys). Each user's blocks are stored side by side, in the
     order of ``params.held(k)``, as one L x C(K-1, G-1)*L_S matrix: user k's
-    mask is that matrix times k's held keys stacked in the same order. Block
-    sizes may deliberately differ from the parameter-derived lengths (e.g.
-    to study undersized keys), so L and L_S are stored explicitly. Instances
-    are immutable after construction and safe to audit from concurrent
-    workers.
+    mask is that matrix times k's held keys stacked in the same order.
+    Instances are immutable after construction and safe to audit from
+    concurrent workers.
     """
 
     __slots__ = ("params", "L", "L_S", "_rows")
 
-    def __init__(
-        self,
-        params: SchemeParams,
-        blocks: Mapping[tuple[int, tuple[int, ...]], Matrix],
-        L: int | None = None,
-        L_S: int | None = None,
-    ) -> None:
-        if L is None:
-            L = params.L
-        if L_S is None:
-            L_S = params.L_S
-        store: dict[tuple[int, tuple[int, ...]], Matrix] = {}
-        expected = {(k, g) for g in params.groups for k in g}
-        got = {(k, tuple(g)) for (k, g) in blocks.keys()}
-        if got != expected:
-            missing = sorted(expected - got)[:3]
-            extra = sorted(got - expected)[:3]
-            raise ValueError(f"bad block map (missing {missing}, extra {extra})")
-        for (k, g), mat in blocks.items():
-            g = tuple(g)
-            if mat.field != params.field:
-                raise ValueError(f"block ({k}, {g}) lives in F_{mat.field.q}, "
-                                 f"expected F_{params.q}")
-            if mat.shape != (L, L_S):
-                raise DimensionMismatchError(
-                    f"block ({k}, {g}) has shape {mat.shape}, expected {(L, L_S)}"
-                )
-            store[(k, g)] = mat
+    def __init__(self, params: SchemeParams, blocks: np.ndarray) -> None:
+        blocks = np.asarray(blocks)
+        expected = (len(params.groups), params.G)
+        if blocks.ndim != 4 or blocks.shape[:2] != expected:
+            raise DimensionMismatchError(
+                f"block array has shape {blocks.shape}, expected {expected} + (L, L_S)")
+        L, L_S = blocks.shape[2:]
         rows = tuple(
-            Matrix(params.field, np.hstack([store[(k, g)].data for g in params.held(k)]))
-            for k in params.users
+            Matrix(params.field, blocks[ids, pos].transpose(1, 0, 2).reshape(L, len(ids) * L_S))
+            for ids, pos in (_block_slots(params, k) for k in params.users)
         )
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "L", L)
@@ -329,21 +318,29 @@ class Precoder:
         """User k's stored blocks side by side, in ``params.held(k)`` order."""
         return self._rows[self.params.user_index(k)]
 
+    def blocks(self) -> np.ndarray:
+        """A fresh (C(K, G), G, L, L_S) array of every block in scheme-file
+        order: the array this precoder can be rebuilt from."""
+        p = self.params
+        out = np.empty((len(p.groups), p.G, self.L, self.L_S), dtype=np.int64)
+        for k in p.users:
+            ids, pos = _block_slots(p, k)
+            out[ids, pos] = self.row(k).data.reshape(self.L, len(ids), self.L_S).transpose(1, 0, 2)
+        return out
+
     def block(self, k: int, group: Sequence[int]) -> Matrix:
         """The coefficient block of user k for ``group`` (zero if k is outside)."""
         g = tuple(group)
         self.params.group_index(g)  # KeyError for a group that does not exist
+        row = self.row(k)  # KeyError for a user outside 1..K
         if k not in g:
             return Matrix.zeros(self.params.field, self.L, self.L_S)
         start = self.params.held(k).index(g) * self.L_S
-        return Matrix(self.params.field, self.row(k).data[:, start : start + self.L_S])
+        return Matrix(self.params.field, row.data[:, start : start + self.L_S])
 
     def zero_sum_ok(self) -> bool:
         """Whether every group's blocks sum to the zero matrix."""
-        total = np.zeros((self.L, len(self.groups) * self.L_S), dtype=np.int64)
-        for k in self.params.users:
-            total[:, self.params.key_columns(self.params.held(k), self.L_S)] += self.row(k).data
-        return not (total % self.params.q).any()
+        return not (self.blocks().sum(axis=1) % self.params.q).any()
 
     def mask(self, k: int, keys: "GroupKeySet") -> np.ndarray:
         """Sum of this user's key contributions: sum over groups holding k."""
@@ -356,11 +353,16 @@ class Precoder:
     def replace_block(self, k: int, group: Sequence[int], mat: Matrix) -> "Precoder":
         """A copy with one block swapped (used by damage/mutation tests)."""
         g = tuple(group)
-        blocks = {(u, h): self.block(u, h) for h in self.groups for u in h}
-        if (k, g) not in blocks:
+        i = self.params.group_index(g)
+        if k not in g:
             raise KeyError(f"user {k} carries no block for {g}")
-        blocks[(k, g)] = mat
-        return Precoder(self.params, blocks, self.L, self.L_S)
+        if mat.field != self.params.field:
+            raise FieldMismatchError(f"block over F_{mat.field.q}, expected F_{self.params.q}")
+        if mat.shape != (self.L, self.L_S):
+            raise DimensionMismatchError(f"block is {mat.shape}, expected {(self.L, self.L_S)}")
+        blocks = self.blocks()
+        blocks[i, g.index(k)] = mat.data
+        return Precoder(self.params, blocks)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Precoder):
@@ -369,36 +371,18 @@ class Precoder:
                 and self.L_S == other.L_S and self._rows == other._rows)
 
 
-def random_zero_sum_blocks(
-    params: SchemeParams,
-    rng: np.random.Generator,
-    L: int | None = None,
-    L_S: int | None = None,
-) -> dict[tuple[int, tuple[int, ...]], Matrix]:
-    """Draw one zero-sum block family: for each group, the G-1 lowest-index
-    members get i.i.d. uniform blocks and the highest-index member absorbs
-    the negated sum."""
-    if L is None:
-        L = params.L
-    if L_S is None:
-        L_S = params.L_S
-    field = params.field
-    blocks: dict[tuple[int, tuple[int, ...]], Matrix] = {}
-    for g in params.groups:
-        acc = Matrix.zeros(field, L, L_S)
-        for k in g[:-1]:
-            h = random_matrix(L, L_S, field, rng=rng)
-            blocks[(k, g)] = h
-            acc = acc + h
-        blocks[(g[-1], g)] = -acc
-    return blocks
-
-
 def random_precoder(params: SchemeParams, seed: int,
                     L: int | None = None, L_S: int | None = None) -> Precoder:
-    """One seeded zero-sum draw with no rank verification."""
+    """One seeded zero-sum draw with no rank verification: in each group
+    the G-1 lowest-index members get i.i.d. uniform blocks and the
+    highest-index member absorbs the negated sum."""
+    L = params.L if L is None else L
+    L_S = params.L_S if L_S is None else L_S
     rng = np.random.Generator(np.random.PCG64(seed))
-    return Precoder(params, random_zero_sum_blocks(params, rng, L, L_S), L, L_S)
+    blocks = np.empty((len(params.groups), params.G, L, L_S), dtype=np.int64)
+    blocks[:, :-1] = rng.integers(0, params.q, size=blocks[:, :-1].shape, dtype=np.int64)
+    blocks[:, -1] = -blocks[:, :-1].sum(axis=1)
+    return Precoder(params, blocks)
 
 
 def build_precoder(params: SchemeParams, seed: int = 0, max_retries: int = 16) -> Precoder:
@@ -445,15 +429,12 @@ def reference_precoder(params: SchemeParams) -> Precoder:
     """
     if not params.feasible:
         raise InfeasibleSchemeError("reference construction needs a feasible triple")
-    field = params.field
     m = params.m
+    n = len(params.groups)
     eye = np.eye(m, dtype=np.int64)
-    blocks: dict[tuple[int, tuple[int, ...]], Matrix] = {}
 
     if params.G == 2 and params.K - params.T - 1 == 2:
-        for g in params.groups:
-            blocks[(g[0], g)] = Matrix(field, eye)
-            blocks[(g[1], g)] = Matrix(field, -eye)
+        blocks = np.tile([eye, -eye], (n, 1, 1, 1))
     elif (params.K, params.T, params.G) == (4, 0, 2):
         patterns = (
             np.array([[1, 0], [0, 1], [0, 0]], dtype=np.int64),
@@ -461,16 +442,12 @@ def reference_precoder(params: SchemeParams) -> Precoder:
             np.array([[1, 0], [0, 0], [0, 1]], dtype=np.int64),
         )
         matching_class = {(1, 2): 0, (3, 4): 0, (1, 3): 1, (2, 4): 1, (1, 4): 2, (2, 3): 2}
-        for g in params.groups:
-            mat = np.kron(patterns[matching_class[g]], eye)
-            blocks[(g[0], g)] = Matrix(field, mat)
-            blocks[(g[1], g)] = Matrix(field, -mat)
+        mats = np.stack([np.kron(patterns[matching_class[g]], eye) for g in params.groups])
+        blocks = np.stack([mats, -mats], axis=1)
     elif (params.K, params.T, params.G) == (4, 0, 3):
         zero = np.zeros((m, m), dtype=np.int64)
-        for g in params.groups:
-            blocks[(g[0], g)] = Matrix(field, np.hstack([eye, zero]))
-            blocks[(g[1], g)] = Matrix(field, np.hstack([zero, eye]))
-            blocks[(g[2], g)] = Matrix(field, -np.hstack([eye, eye]))
+        blocks = np.tile([np.hstack([eye, zero]), np.hstack([zero, eye]),
+                          -np.hstack([eye, eye])], (n, 1, 1, 1))
     else:
         raise ValueError(
             f"no deterministic reference construction for "
@@ -513,13 +490,8 @@ def fixture_example2() -> Precoder:
     the higher-index user carries -H.
     """
     params = SchemeParams(K=5, T=1, G=2, q=5, m=1)
-    field = params.field
-    blocks: dict[tuple[int, tuple[int, ...]], Matrix] = {}
-    for g, rows in _EXAMPLE2_PAIR_BLOCKS.items():
-        h = Matrix(field, rows)
-        blocks[(g[0], g)] = h
-        blocks[(g[1], g)] = -h
-    return Precoder(params, blocks)
+    h = np.array([_EXAMPLE2_PAIR_BLOCKS[g] for g in params.groups], dtype=np.int64)
+    return Precoder(params, np.stack([h, -h], axis=1))
 
 
 FIXTURES = {"example1": fixture_example1, "example2": fixture_example2}
@@ -637,9 +609,7 @@ def scheme_to_text(precoder: Precoder) -> str:
         raise ValueError(f"blocks are {precoder.L}x{precoder.L_S}; a scheme file "
                          f"for these parameters holds {p.L}x{p.L_S} blocks")
     parts = [f"{SCHEME_MAGIC} {p.K} {p.T} {p.G} {p.q} {p.m}\n"]
-    for g in precoder.groups:
-        for k in g:
-            parts.append(precoder.block(k, g).to_text())
+    parts += (Matrix(p.field, b).to_text() for b in precoder.blocks().reshape(-1, p.L, p.L_S))
     return "".join(parts)
 
 
@@ -651,7 +621,7 @@ def scheme_from_text(text: str) -> Precoder:
     return Precoder(params, blocks)
 
 
-def _parse_scheme(text: str) -> tuple[SchemeParams, dict[tuple[int, tuple[int, ...]], Matrix]]:
+def _parse_scheme(text: str) -> tuple[SchemeParams, np.ndarray]:
     lines = text.splitlines()
     if not lines:
         raise SchemeFormatError("empty scheme file", 1)
@@ -677,7 +647,7 @@ def _parse_scheme(text: str) -> tuple[SchemeParams, dict[tuple[int, tuple[int, .
 
     pos = 1  # 0-based index of the next unread line
 
-    def read_block() -> Matrix:
+    def read_block() -> list[list[int]]:
         nonlocal pos
         head = lines[pos].split()
         if len(head) != 2 or head != [str(L), str(L_S)]:
@@ -697,12 +667,11 @@ def _parse_scheme(text: str) -> tuple[SchemeParams, dict[tuple[int, tuple[int, .
                     raise SchemeFormatError(f"entry {v} outside [0, {q})", pos + 1)
             rows.append(vals)
             pos += 1
-        return Matrix(params.field, np.array(rows, dtype=np.int64).reshape(L, L_S))
+        return rows
 
-    blocks: dict[tuple[int, tuple[int, ...]], Matrix] = {}
-    for g in params.groups:
-        for k in g:
-            blocks[(k, g)] = read_block()
+    blocks = np.empty((math.comb(K, G), G, L, L_S), dtype=np.int64)
+    for block in blocks.reshape(-1, L, L_S):  # a view, so each block is filled in place
+        block[...] = read_block()
     if pos != len(lines):
         extra = next((i for i in range(pos, len(lines)) if lines[i].strip()), None)
         if extra is not None:
@@ -717,5 +686,12 @@ def save_scheme(precoder: Precoder, path: str | os.PathLike) -> None:
 
 
 def load_scheme(path: str | os.PathLike) -> Precoder:
-    with open(path, "r", encoding="ascii") as fh:
-        return scheme_from_text(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        line = len((data[:exc.start] + b"x").decode("ascii").splitlines())
+        raise SchemeFormatError(f"non-ASCII byte 0x{data[exc.start]:02x}", line) from None
+    del data  # the file's bytes are not needed while the text is parsed
+    return scheme_from_text(text)

@@ -1,6 +1,7 @@
 import itertools
 import re
 
+import numpy as np
 import pytest
 
 from dsagg.auditor import (
@@ -32,9 +33,7 @@ from dsagg.scheme import (
 def zero_precoder(params, L=None, L_S=None):
     L = params.L if L is None else L
     L_S = params.L_S if L_S is None else L_S
-    blocks = {(k, g): Matrix.zeros(params.field, L, L_S)
-              for g in params.groups for k in g}
-    return Precoder(params, blocks, L, L_S)
+    return Precoder(params, np.zeros((len(params.groups), params.G, L, L_S), dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -321,9 +320,7 @@ def test_infeasibility_group_size_one_exhaustive_candidates():
     # zero-sum cancellation outright, and the only zero-sum candidate leaks.
     params = SchemeParams(K=4, T=0, G=1, q=2)
     for pattern in itertools.product((0, 1), repeat=4):
-        blocks = {(g[0], g): Matrix(params.field, [[pattern[g[0] - 1]]])
-                  for g in params.groups}
-        candidate = Precoder(params, blocks, L=1, L_S=1)
+        candidate = Precoder(params, np.reshape(pattern, (4, 1, 1, 1)))
         exp = audit_infeasibility(4, 0, 1, q=2, candidate=candidate)
         if any(pattern):
             assert "zero-sum fails" in exp.detail

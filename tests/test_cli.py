@@ -143,6 +143,14 @@ def test_audit_format_error_exit_3(tmp_path, capsys):
     assert "line" in err
 
 
+def test_non_ascii_scheme_file_exit_3_naming_its_line(tmp_path, capsys):
+    bad = tmp_path / "bad.dsa"
+    bad.write_bytes(b"DSA1 3 0 2 101 1\n1 1\n5\xe9\n")
+    code, _, err = run_cli(capsys, "audit", str(bad))
+    assert code == 3
+    assert "line 3: non-ASCII byte 0xe9" in err
+
+
 def test_short_scheme_file_exit_3_before_enumerating_groups(tmp_path, capsys, monkeypatch):
     def refuse(K, G):
         raise AssertionError("groups enumerated before the length check")
@@ -178,12 +186,15 @@ def test_simulate_with_input_file(tmp_path, capsys):
     run_cli(capsys, "build", "-K", "3", "-T", "0", "-G", "2",
             "--q", "7", "--seed", "0", "--out", str(scheme))
     inputs = tmp_path / "w.txt"
-    inputs.write_text("1\n2\n3\n")
-    code, out, _ = run_cli(capsys, "simulate", str(scheme),
-                           "--inputs", str(inputs))
-    assert code == 0
-    assert all(line.split()[2] == "6" for line in out.splitlines()
-               if line.startswith("R "))
+    # Entries past int64 reduce mod q exactly, as negative ones do.
+    big = 99999999999999999999999
+    for text, total in (("1\n2\n3\n", 6), (f"1 2 {big}", (3 + big) % 7), ("-1 2 -3", 5)):
+        inputs.write_text(text)
+        code, out, _ = run_cli(capsys, "simulate", str(scheme),
+                               "--inputs", str(inputs))
+        assert code == 0
+        assert all(line.split()[2] == str(total) for line in out.splitlines()
+                   if line.startswith("R "))
 
 
 def test_build_fixture_params_must_match(capsys):

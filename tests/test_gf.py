@@ -3,6 +3,7 @@ import pytest
 
 from dsagg.gf import FieldMismatchError, PrimeField, is_prime
 from dsagg.linalg import Matrix
+from dsagg.scheme import encode, fixture_example2, sample_keys
 
 PRIMES_TO_97 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
                 53, 59, 61, 67, 71, 73, 79, 83, 89, 97]
@@ -31,35 +32,35 @@ def test_is_prime_small():
 
 
 # ---------------------------------------------------------------------------
-# arithmetic: the field reduces, matrices over it add, negate and multiply
+# arithmetic: the field reduces, matrices over it multiply vectors
 # ---------------------------------------------------------------------------
 
-def scalar(f, v):
-    return Matrix(f, [[v]])
+def add(f, a, b):
+    return int(Matrix(f, [[1, 1]]).matvec([a, b])[0])
 
 
-def value(m):
-    return int(m.data[0, 0])
+def neg(f, a):
+    return int(f.reduce(-a))
 
 
 def product(f, a, b):
-    return int(scalar(f, a).matvec([b])[0])
+    return int(Matrix(f, [[a]]).matvec([b])[0])
 
 
 def test_add_examples():
-    assert value(scalar(PrimeField(5), 3) + scalar(PrimeField(5), 4)) == 2
-    assert value(scalar(PrimeField(2), 1) + scalar(PrimeField(2), 1)) == 0
+    assert add(PrimeField(5), 3, 4) == 2
+    assert add(PrimeField(2), 1, 1) == 0
 
 
 def test_additive_identity_exhaustive_q7():
     f = PrimeField(7)
     for x in range(7):
-        assert value(scalar(f, x) + Matrix.zeros(f, 1, 1)) == x
+        assert add(f, x, 0) == x
 
 
 def test_mul_neg_inv_examples():
     assert product(PrimeField(5), 2, 3) == 1  # 3 is the inverse of 2
-    assert value(-scalar(PrimeField(5), 1)) == 4
+    assert neg(PrimeField(5), 1) == 4
     assert product(PrimeField(3), 2, 2) == 1
 
 
@@ -79,7 +80,24 @@ def test_inverse_exhaustive(q):
 def test_element_range_invariant():
     f = PrimeField(5)
     assert f.reduce([7, -1, 5]).tolist() == [2, 4, 0]
-    assert value(-scalar(f, 1)) == 4
+    assert neg(f, 1) == 4
+
+
+def test_reduce_is_exact_or_refuses():
+    f = PrimeField(5)
+    # Fractions used to be truncated toward zero, and a uint64 above 2**63
+    # wrapped to a negative int64 before the reduction.
+    for bad in ([1.7, 4.99], [np.nan], [np.inf], [2.0**60], [[1.5, 2.9]]):
+        with pytest.raises(ValueError):
+            f.reduce(bad)
+    with pytest.raises(ValueError):
+        Matrix(f, [[1.5, 2.9]])
+    pre = fixture_example2()
+    with pytest.raises(ValueError):
+        encode(pre, sample_keys(pre, 0), [0.5, 1.5, 2.5], 1)
+    assert f.reduce(np.array([2**63], dtype=np.uint64)).tolist() == [3]
+    assert f.reduce(np.eye(2)).tolist() == [[1, 0], [0, 1]]  # whole floats still work
+    assert f.reduce(np.zeros(2)).dtype == np.int64
 
 
 # ---------------------------------------------------------------------------
@@ -91,26 +109,20 @@ def test_field_axioms_random(q):
     f = PrimeField(q)
     rng = np.random.default_rng(1234)
 
-    def add(a, b):
-        return value(scalar(f, a) + scalar(f, b))
-
     def mul(a, b):
         return product(f, a, b)
 
     for _ in range(100):
         a, b, c = (int(v) for v in rng.integers(0, q, size=3))
-        assert add(a, b) == add(b, a)
+        assert add(f, a, b) == add(f, b, a)
         assert mul(a, b) == mul(b, a)
-        assert add(add(a, b), c) == add(a, add(b, c))
+        assert add(f, add(f, a, b), c) == add(f, a, add(f, b, c))
         assert mul(mul(a, b), c) == mul(a, mul(b, c))
-        assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
-        assert add(a, value(-scalar(f, a))) == 0
+        assert mul(a, add(f, b, c)) == add(f, mul(a, b), mul(a, c))
+        assert add(f, a, neg(f, a)) == 0
 
 
 def test_mismatched_fields_rejected():
-    a = scalar(PrimeField(5), 1)
-    b = scalar(PrimeField(7), 1)
+    pre = fixture_example2()  # over F_5
     with pytest.raises(FieldMismatchError):
-        a + b
-    with pytest.raises(FieldMismatchError):
-        a - b
+        pre.replace_block(1, (1, 2), Matrix(PrimeField(7), np.ones((3, 2), dtype=np.int64)))

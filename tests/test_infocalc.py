@@ -40,9 +40,8 @@ from dsagg.scheme import (
 
 
 def zero_precoder(params):
-    blocks = {(k, g): Matrix.zeros(params.field, params.L, params.L_S)
-              for g in params.groups for k in g}
-    return Precoder(params, blocks)
+    shape = (len(params.groups), params.G, params.L, params.L_S)
+    return Precoder(params, np.zeros(shape, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +80,8 @@ def test_entropy_drops_dependent_rows():
     lay = layout_for(fixture_example1())  # L = 1
     w1 = observe_input(lay, 1)
     w2 = observe_input(lay, 2)
-    w1_plus_w2 = LinearObservable("W1+W2", w1.matrix + w2.matrix, lay)
+    w1_plus_w2 = LinearObservable("W1+W2", Matrix(lay.field, w1.matrix.data + w2.matrix.data),
+                                  lay)
     assert entropy([w1_plus_w2, w1, w2]) == 2
 
 

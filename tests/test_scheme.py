@@ -152,11 +152,11 @@ def test_fixture_example2_block_values():
     assert pre.block(4, (4, 5)).data[2].tolist() == [2, 0]
     # higher-index member carries the negated block
     h = pre.block(1, (1, 2))
-    assert pre.block(2, (1, 2)) == -h
+    assert pre.block(2, (1, 2)) == Matrix(pre.params.field, -h.data)
     # zero-sum per group
     assert pre.zero_sum_ok()
-    total = pre.block(1, (1, 2)) + pre.block(2, (1, 2))
-    assert not total.data.any()
+    total = pre.block(1, (1, 2)).data + pre.block(2, (1, 2)).data
+    assert not (total % pre.params.q).any()
     # users outside a group carry the zero block
     assert not pre.block(3, (1, 2)).data.any()
 
@@ -229,7 +229,7 @@ def test_encode_length_check():
         encode(pre, sample_keys(pre, 0), np.zeros(2), 1)
 
 
-@pytest.mark.parametrize("k", [0, -1, 6])
+@pytest.mark.parametrize("k", [0, -1, 6, 99])
 def test_user_outside_one_to_K_raises_key_error(k):
     # Indexing k - 1 used to wrap: user 0 was encoded with user 5's mask.
     pre = fixture_example2()
@@ -240,6 +240,8 @@ def test_user_outside_one_to_K_raises_key_error(k):
         recover(pre, keys, k, [])
     with pytest.raises(KeyError, match=f"user {k} outside"):
         observe_key_bundle(layout_for(pre), k)
+    with pytest.raises(KeyError, match=f"user {k} outside"):
+        pre.block(k, (1, 2))
 
 
 def test_group_outside_the_scheme_raises_key_error_naming_it():
@@ -399,22 +401,24 @@ def test_reference_precoder_domain_is_explicit():
 # precoder contracts
 # ---------------------------------------------------------------------------
 
-def test_precoder_rejects_incomplete_block_maps():
-    p = SchemeParams(K=3, T=0, G=2, q=5)
-    blocks = {(k, g): Matrix.zeros(p.field, p.L, p.L_S)
-              for g in p.groups for k in g}
-    del blocks[(1, (1, 2))]
-    with pytest.raises(ValueError):
-        Precoder(p, blocks)
-
-
 def test_precoder_rejects_wrong_shapes():
+    # The array is (C(3,2), 2, L, L_S) = (3, 2, L, L_S); a missing block is a
+    # wrong shape.
     p = SchemeParams(K=3, T=0, G=2, q=5)
-    blocks = {(k, g): Matrix.zeros(p.field, p.L, p.L_S)
-              for g in p.groups for k in g}
-    blocks[(1, (1, 2))] = Matrix.zeros(p.field, p.L + 1, p.L_S)
-    with pytest.raises(DimensionMismatchError):
-        Precoder(p, blocks)
+    for shape in ((2, 2, 1, 1), (3, 1, 1, 1), (4, 2, 1, 1), (3, 2, 1), (3, 2, 1, 1, 1)):
+        with pytest.raises(DimensionMismatchError):
+            Precoder(p, np.zeros(shape, dtype=np.int64))
+
+
+def test_replace_block_refuses_blocks_that_do_not_fit():
+    # A 1x2 block must not be broadcast into a 3x2 slot. Blocks from another
+    # field are refused too (test_gf.test_mismatched_fields_rejected).
+    pre = fixture_example2()
+    for rows, cols in ((1, 2), (3, 1), (3, 3)):
+        with pytest.raises(DimensionMismatchError):
+            pre.replace_block(1, (1, 2), Matrix.zeros(pre.params.field, rows, cols))
+    with pytest.raises(KeyError):
+        pre.replace_block(3, (1, 2), Matrix.zeros(pre.params.field, 3, 2))
 
 
 def test_precoder_block_lookup():
@@ -510,8 +514,11 @@ def small_precoders(draw):
 def test_stored_form_agrees_with_its_blocks(drawn):
     pre, seed = drawn
     p = pre.params
-    blocks = {(k, g): pre.block(k, g) for g in p.groups for k in g}
-    assert Precoder(p, blocks, pre.L, pre.L_S) == pre
+    blocks = pre.blocks()
+    assert Precoder(p, blocks) == pre
+    for i, g in enumerate(p.groups):
+        for j, k in enumerate(g):
+            assert np.array_equal(blocks[i, j], pre.block(k, g).data)
 
     rng = np.random.Generator(np.random.PCG64(seed))
     keys = GroupKeySet(p, {g: rng.integers(0, p.q, size=pre.L_S) for g in p.groups})
