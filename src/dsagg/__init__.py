@@ -75,7 +75,7 @@ from .auditor import (
     rank_condition,
     submatrix_hhat,
 )
-from .sim import GridCell, Transcript, make_inputs, run_grid, run_round
+from .sim import Transcript, make_inputs, run_round
 
 __version__ = "0.1.0"
 

@@ -7,6 +7,17 @@ to the surviving users and their exclusively-held keys must reach rank
 (K - |C| - 2) * L. The auditor never assumes that equivalence: every check
 computes both the exact mutual information and the rank, records both, and
 reports disagreement as a failure of the auditor itself.
+
+Both quantities depend on the coalition D = {k} ∪ C alone. Every message is
+X_u = W_u + H_u Z_u, so the colluders' messages and inputs are functions of
+the pooled material (W_D, Z_D), and with S the users outside D
+
+    I(X_others; W_others | ΣW, W_D, Z_D) = I(X_S; W_S | ΣW, W_D, Z_D).
+
+The surviving-key submatrix is built from S alone. So the audit and the
+rank certificate compute one MI and one rank per coalition and share them
+among the |D| (user, collusion set) pairs that form it;
+``rank_condition(precoder, k, C)`` stays the per-pair reference.
 """
 
 from __future__ import annotations
@@ -123,11 +134,17 @@ def rank_condition(precoder: Precoder, k: int, colluders: Sequence[int]) -> Rank
 
 
 def rank_certificate_ok(precoder: Precoder) -> bool:
-    """Whether the rank condition holds for every user and collusion set."""
+    """Whether the rank condition holds for every user and collusion set.
+
+    Checked once per coalition D = {k} ∪ C, which fixes the submatrix and
+    its required rank. Largest coalitions go first: their submatrices are
+    the smallest, the cheapest to rank and the likeliest to fail over a
+    small field, so a failing draw is rejected sooner.
+    """
     p = precoder.params
-    for k in p.users:
-        for cset in collusion_sets(p.K, k, p.T):
-            if not rank_condition(precoder, k, cset).ok:
+    for size in range(p.T + 1, 0, -1):
+        for coalition in itertools.combinations(p.users, size):
+            if not rank_condition(precoder, coalition[0], coalition[1:]).ok:
                 return False
     return True
 
@@ -284,14 +301,14 @@ class _AuditContext:
         """The inputs and keys of ``users``, in that order."""
         return [o for u in users for o in (self.inputs[u], self.bundles[u])]
 
-    def security_terms(self, k: int, cset: Sequence[int]) -> tuple[list, list, list]:
-        """(a, b, view) with I(a; b | view) the security MI of user k
-        colluding with cset: what the received messages reveal about the
-        other users' inputs beyond the global sum, k's own input and keys,
-        and the colluders' inputs and keys."""
-        others = self.others(k)
-        return ([self.messages[u] for u in others], [self.inputs[u] for u in others],
-                [self.total] + self.material((k, *cset)))
+    def security_terms(self, coalition: Sequence[int]) -> tuple[list, list, list]:
+        """(a, b, view) with I(a; b | view) the security MI of the sorted
+        ``coalition``: what the messages of the users outside it reveal about
+        their inputs beyond the global sum and the coalition's inputs and
+        keys. It equals the MI of any member k colluding with the rest."""
+        outside = [u for u in self.precoder.params.users if u not in coalition]
+        return ([self.messages[u] for u in outside], [self.inputs[u] for u in outside],
+                [self.total] + self.material(coalition))
 
     def recovery_view(self, k: int) -> list[LinearObservable]:
         """What user k decodes from: the received messages, its own input
@@ -313,16 +330,27 @@ def audit_security(precoder: Precoder | _AuditContext) -> list[SecurityCheck]:
 
     The MI probed is: what the received messages reveal about the other
     users' inputs beyond the global sum, the receiver's own material, and
-    the colluders' material. Entries are emitted in (user, set size,
-    lexicographic) order so reports diff cleanly across runs.
+    the colluders' material. Both it and the rank depend only on the
+    coalition {k} ∪ C (module docstring), so each is computed once per
+    coalition and reported for every pair that forms it. Entries are
+    emitted in (user, set size, lexicographic) order so reports diff
+    cleanly across runs.
     """
     ctx = _context(precoder)
     p = ctx.precoder.params
+    per_coalition: dict[tuple[int, ...], tuple[int, RankCheck]] = {}
     checks: list[SecurityCheck] = []
     for k in p.users:
         for cset in collusion_sets(p.K, k, p.T):
-            mi = infocalc.mutual_information(*ctx.security_terms(k, cset), cache=ctx.cache)
-            checks.append(SecurityCheck(k, cset, mi, rank_condition(ctx.precoder, k, cset)))
+            coalition = tuple(sorted((k, *cset)))
+            if coalition not in per_coalition:
+                mi = infocalc.mutual_information(*ctx.security_terms(coalition),
+                                                 cache=ctx.cache)
+                per_coalition[coalition] = (
+                    mi, rank_condition(ctx.precoder, coalition[0], coalition[1:]))
+            mi, shared = per_coalition[coalition]
+            rank = RankCheck(k, cset, shared.required, shared.achieved)
+            checks.append(SecurityCheck(k, cset, mi, rank))
     return checks
 
 
@@ -474,7 +502,7 @@ def audit_infeasibility(K: int, T: int, G: int, q: int = 2,
             return InfeasibilityExplanation(K, T, G,
                                             InfeasibilityReason.GROUP_SIZE_ONE, detail)
         ctx = _AuditContext(candidate)
-        leaks = [(k, infocalc.mutual_information(*ctx.security_terms(k, ()), cache=ctx.cache))
+        leaks = [(k, infocalc.mutual_information(*ctx.security_terms((k,)), cache=ctx.cache))
                  for k in candidate.params.users]
         detail = ("singleton groups force all-zero masks; every user's "
                   "received messages leak the others' inputs beyond the sum")

@@ -253,7 +253,7 @@ def _cmd_oracle(args) -> int:
                      f"{'MATCH' if match else 'MISMATCH'}")
 
     for k in params.users:
-        a, b, view = ctx.security_terms(k, ())
+        a, b, view = ctx.security_terms((k,))
         record("security_mi", k,
                infocalc.mutual_information(a, b, view),
                infocalc.brute_force_mi(a, b, view))

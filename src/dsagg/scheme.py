@@ -18,6 +18,7 @@ import enum
 import itertools
 import math
 import os
+import re
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 from fractions import Fraction
@@ -29,6 +30,10 @@ from .gf import FieldMismatchError, PrimeField
 from .linalg import DimensionMismatchError, Matrix
 
 SCHEME_MAGIC = "DSA1"
+
+# Whitespace-separated plain decimals, the only number form a scheme file
+# holds: no sign, underscore or leading zero, so each scheme has one text.
+_DECIMALS = re.compile(r"(?:\s*(?:[1-9][0-9]*|0)(?![0-9]))*\s*")
 
 
 class ParamsOutOfModelError(ValueError):
@@ -631,9 +636,11 @@ def _parse_scheme(text: str) -> tuple[SchemeParams, np.ndarray]:
             f"header must be '{SCHEME_MAGIC} K T G q m'", 1
         )
     try:
+        if not _DECIMALS.fullmatch(" ".join(header[1:])):
+            raise ValueError
         K, T, G, q, m = (int(t) for t in header[1:])
     except ValueError:
-        raise SchemeFormatError("non-integer header field", 1) from None
+        raise SchemeFormatError("header fields must be plain decimal integers", 1) from None
     try:
         params = SchemeParams(K=K, T=T, G=G, q=q, m=m)
         L, L_S = params.L, params.L_S
@@ -659,9 +666,12 @@ def _parse_scheme(text: str) -> tuple[SchemeParams, np.ndarray]:
             if len(row) != L_S:
                 raise SchemeFormatError(f"expected {L_S} entries per row", pos + 1)
             try:
+                if not _DECIMALS.fullmatch(lines[pos]):
+                    raise ValueError
                 vals = [int(t) for t in row]
             except ValueError:
-                raise SchemeFormatError("non-integer matrix entry", pos + 1) from None
+                raise SchemeFormatError("matrix entries must be plain decimal integers",
+                                        pos + 1) from None
             for v in vals:
                 if not 0 <= v < q:
                     raise SchemeFormatError(f"entry {v} outside [0, {q})", pos + 1)

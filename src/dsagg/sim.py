@@ -9,20 +9,10 @@ precoder, seed, and input source always produce a byte-identical transcript.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .scheme import (
-    ConstructionFailedError,
-    Precoder,
-    SchemeParams,
-    build_precoder,
-    capacity,
-    encode,
-    recover,
-    sample_keys,
-)
+from .scheme import Precoder, SchemeParams, encode, recover, sample_keys
 
 TRANSCRIPT_MAGIC = "DSAT1"
 
@@ -92,57 +82,3 @@ def run_round(precoder: Precoder, input_source="random", seed: int = 0) -> Trans
     truth = inputs.sum(axis=0) % params.q
     verdict = all(np.array_equal(recovered[k - 1], truth) for k in params.users)
     return Transcript(params, seed, inputs, messages, recovered, verdict)
-
-
-# -- batch harness ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GridCell:
-    """Outcome of one (K, T, G) cell of a parameter sweep."""
-
-    K: int
-    T: int
-    G: int
-    feasible: bool
-    reason: str | None
-    built: bool
-    audit_ok: bool
-    verdict: bool
-    r_s_achieved: Fraction | None
-    r_s_star: Fraction | None
-    error: str | None = None
-
-
-def run_grid(K_range, T_range, G_range, q: int, m: int = 1, seed: int = 0,
-             max_retries: int = 16) -> list[GridCell]:
-    """Sweep the parameter grid: capacity, then build + audit + simulate on
-    every feasible cell. Per-cell failures are recorded, never raised."""
-    from .auditor import audit  # deferred: auditor imports scheme
-
-    cells: list[GridCell] = []
-    for K in K_range:
-        for T in T_range:
-            if not 0 <= T <= K - 3:
-                continue
-            for G in G_range:
-                if not 1 <= G <= K:
-                    continue
-                region = capacity(K, T, G)
-                if not region.feasible:
-                    cells.append(GridCell(K, T, G, False,
-                                          region.infeasibility_reason.value,
-                                          False, False, False, None, None))
-                    continue
-                params = SchemeParams(K=K, T=T, G=G, q=q, m=m)
-                try:
-                    precoder = build_precoder(params, seed=seed, max_retries=max_retries)
-                    report = audit(precoder, seed=seed)
-                    transcript = run_round(precoder, "random", seed)
-                    cells.append(GridCell(
-                        K, T, G, True, None, True, report.all_ok, transcript.verdict,
-                        Fraction(precoder.L_S, precoder.L), region.r_s_star))
-                except ConstructionFailedError as exc:
-                    cells.append(GridCell(K, T, G, True, None, False, False, False,
-                                          None, region.r_s_star, error=str(exc)))
-    return cells

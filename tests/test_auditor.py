@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from dsagg import infocalc
 from dsagg.auditor import (
     InvalidCollusionSetError,
     NotInfeasibleRegimeError,
@@ -15,6 +16,7 @@ from dsagg.auditor import (
     audit_security,
     collusion_sets,
     expected_check_count,
+    rank_certificate_ok,
     rank_condition,
     submatrix_hhat,
 )
@@ -27,6 +29,7 @@ from dsagg.scheme import (
     fixture_example1,
     fixture_example2,
     random_precoder,
+    reference_precoder,
 )
 
 
@@ -166,6 +169,85 @@ def test_security_equivalence_on_small_field_failures():
             assert c.consistent
             found_failure = found_failure or not c.ok
     assert found_failure
+
+
+# ---------------------------------------------------------------------------
+# per-coalition values against the per-pair reference
+# ---------------------------------------------------------------------------
+
+def pair_security_terms(precoder, k, cset):
+    """The security MI's terms in pair form: every other user's message and
+    input, given the global sum and the material of k and its colluders."""
+    layout = infocalc.layout_for(precoder)
+    others = [u for u in precoder.params.users if u != k]
+    view = [infocalc.observe_total(layout)]
+    for u in (k, *cset):
+        view += [infocalc.observe_input(layout, u), infocalc.observe_key_bundle(layout, u)]
+    return ([infocalc.observe_message(precoder, u) for u in others],
+            [infocalc.observe_input(layout, u) for u in others], view)
+
+
+@pytest.fixture(scope="module")
+def coalition_precoders():
+    p612 = SchemeParams(K=6, T=1, G=2, q=101)
+    built = build_precoder(p612, seed=0)
+    zero = Matrix.zeros(p612.field, p612.L, p612.L_S)
+    return {
+        "(6,1,2)": built,
+        "(7,3,3)": build_precoder(SchemeParams(K=7, T=3, G=3, q=101), seed=0),
+        "zeroed block": built.replace_block(1, (1, 2), zero),
+        "undersized": random_precoder(p612, seed=0, L_S=p612.L_S - 1),
+    }
+
+
+@pytest.mark.parametrize("name", ["(6,1,2)", "(7,3,3)", "zeroed block", "undersized"])
+def test_coalition_values_equal_every_pair(coalition_precoders, name):
+    pre = coalition_precoders[name]
+    p = pre.params
+    checks = audit_security(pre)
+    pairs = [(k, cset) for k in p.users for cset in collusion_sets(p.K, k, p.T)]
+    assert [(c.k, c.colluders) for c in checks] == pairs
+    for c in checks:
+        assert c.rank == rank_condition(pre, c.k, c.colluders)
+        assert c.mi == infocalc.mutual_information(*pair_security_terms(pre, c.k, c.colluders))
+    if name in ("zeroed block", "undersized"):
+        assert any(not c.ok for c in checks)
+    else:
+        assert all(c.ok for c in checks)
+
+
+# q=3 runs on the damaged precoder only: each enumeration there takes about
+# a second, and the damaged one is where pairs leak.
+@pytest.mark.parametrize("q,damaged", [(2, False), (2, True), (3, True)])
+def test_coalition_mi_matches_pair_enumeration(q, damaged):
+    # The enumeration oracle shares no code with the rank path: it checks
+    # the coalition identity itself, on the pair form's own observables.
+    params = SchemeParams(K=4, T=1, G=2, q=q)
+    pre = reference_precoder(params)
+    if damaged:
+        pre = pre.replace_block(1, (1, 2), Matrix.zeros(params.field, pre.L, pre.L_S))
+    checks = audit_security(pre)
+    assert len(checks) == 16
+    for c in checks:
+        assert c.mi == infocalc.brute_force_mi(*pair_security_terms(pre, c.k, c.colluders))
+    assert any(c.mi > 0 for c in checks) == damaged
+
+
+def test_rank_certificate_agrees_with_every_pair(coalition_precoders):
+    def every_pair_ok(pre):
+        p = pre.params
+        return all(rank_condition(pre, k, cset).ok
+                   for k in p.users for cset in collusion_sets(p.K, k, p.T))
+
+    # Over F_2 every one of these (5,1,2) draws fails: most at both
+    # coalition sizes, seeds 16 and 19 only at the largest. The built
+    # precoders pass.
+    params = SchemeParams(K=5, T=1, G=2, q=2)
+    precoders = [random_precoder(params, seed=s) for s in range(20)]
+    precoders += coalition_precoders.values()
+    verdicts = [rank_certificate_ok(pre) for pre in precoders]
+    assert verdicts == [every_pair_ok(pre) for pre in precoders]
+    assert True in verdicts and False in verdicts
 
 
 # ---------------------------------------------------------------------------

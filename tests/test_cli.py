@@ -6,7 +6,7 @@ import dsagg.cli
 import dsagg.infocalc
 import dsagg.scheme
 from dsagg.cli import main
-from dsagg.scheme import load_scheme, scheme_to_text
+from dsagg.scheme import fixture_example2, load_scheme, scheme_to_text
 
 
 def run_cli(capsys, *argv):
@@ -126,8 +126,6 @@ def test_audit_flags_damage(tmp_path, capsys):
 
 
 def load_scheme_text_mutated() -> str:
-    from dsagg.scheme import fixture_example2
-
     text = scheme_to_text(fixture_example2())
     lines = text.splitlines()
     # zero out the first data row of the first block (line 3)
@@ -141,6 +139,16 @@ def test_audit_format_error_exit_3(tmp_path, capsys):
     code, _, err = run_cli(capsys, "audit", str(bad))
     assert code == 3
     assert "line" in err
+
+
+def test_audit_signed_entry_exit_3(tmp_path, capsys):
+    lines = scheme_to_text(fixture_example2()).splitlines()
+    lines[2] = "+" + lines[2]
+    bad = tmp_path / "bad.dsa"
+    bad.write_text("\n".join(lines) + "\n")
+    code, _, err = run_cli(capsys, "audit", str(bad))
+    assert code == 3
+    assert "line 3: matrix entries must be plain decimal integers" in err
 
 
 def test_non_ascii_scheme_file_exit_3_naming_its_line(tmp_path, capsys):

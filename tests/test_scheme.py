@@ -472,6 +472,22 @@ def test_scheme_format_errors_carry_line_numbers():
     assert info.value.line == len(good) + 1
 
 
+@pytest.mark.parametrize("row,field,token", [
+    (2, 0, "+0_1"), (2, 0, "01"), (2, 0, "+1"), (2, 0, "1_0"),
+    (0, 1, "+3"), (0, 3, "02"),
+])
+def test_scheme_numbers_must_be_plain_decimals(row, field, token):
+    # Each token is a number int() accepts, in range for F_11, that the
+    # writer never emits; one scheme must have exactly one file.
+    lines = scheme_to_text(reference_precoder(SchemeParams(K=3, T=0, G=2, q=11))).splitlines()
+    fields = lines[row].split()
+    fields[field] = token
+    lines[row] = " ".join(fields)
+    with pytest.raises(SchemeFormatError) as info:
+        scheme_from_text("\n".join(lines) + "\n")
+    assert info.value.line == row + 1
+
+
 def test_loader_checks_length_before_enumerating_groups(monkeypatch):
     # A one-line file claiming C(20, 10) groups of 10 blocks of C(19, 10)
     # rows each must be refused before any group is enumerated.

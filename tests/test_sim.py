@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from dsagg import infocalc
-from dsagg.auditor import audit_security
-from dsagg.scheme import (SchemeParams, build_precoder, fixture_example1, fixture_example2,
-                          random_precoder, reference_precoder)
-from dsagg.sim import make_inputs, run_grid, run_round
+from dsagg.auditor import audit, audit_rates, audit_security
+from dsagg.scheme import (ConstructionFailedError, SchemeParams, build_precoder, capacity,
+                          fixture_example1, fixture_example2, random_precoder,
+                          reference_precoder)
+from dsagg.sim import make_inputs, run_round
 
 
 # ---------------------------------------------------------------------------
@@ -98,34 +99,38 @@ def test_simulator_and_auditor_views_agree():
 
 
 # ---------------------------------------------------------------------------
-# grid harness
+# the small grid at q = 11: capacity, build, audit and one round per cell
 # ---------------------------------------------------------------------------
 
 def test_grid_matches_capacity_boundary():
-    cells = run_grid(range(3, 7), range(0, 4), range(1, 7), q=11, seed=0)
-    for cell in cells:
-        should_be_infeasible = cell.G == 1 or cell.G >= cell.K - cell.T
-        assert cell.feasible == (not should_be_infeasible)
-        if cell.feasible:
-            assert cell.built and cell.audit_ok and cell.verdict, cell
-            assert cell.error is None
-        else:
-            assert cell.reason in ("group_size_one", "group_too_large")
+    # K in 3..6, every T in 0..K-3 and every G in 1..K.
+    for K in range(3, 7):
+        for T in range(0, K - 2):
+            for G in range(1, K + 1):
+                region = capacity(K, T, G)
+                should_be_infeasible = G == 1 or G >= K - T
+                assert region.feasible == (not should_be_infeasible)
+                if not region.feasible:
+                    assert region.infeasibility_reason.value in ("group_size_one",
+                                                                 "group_too_large")
+                    continue
+                pre = build_precoder(SchemeParams(K=K, T=T, G=G, q=11), seed=0)
+                assert audit(pre, seed=0).all_ok, (K, T, G)
+                assert run_round(pre, "random", 0).verdict, (K, T, G)
 
 
-def test_grid_reports_achieved_rates():
-    cells = run_grid([3], [0], [2], q=11, seed=0)
-    (cell,) = cells
-    assert cell.r_s_achieved == cell.r_s_star == Fraction(1)
+def test_three_user_scheme_achieves_optimal_rates():
+    rates = audit_rates(build_precoder(SchemeParams(K=3, T=0, G=2, q=11), seed=0))
+    assert rates.r_s == rates.r_s_star == Fraction(1)
+    assert rates.tight
 
 
-def test_grid_records_construction_failure_without_aborting():
+def test_small_field_build_failure_reports_seed_range():
     # On F_2 the (5,1,2) certificate virtually never holds in a short retry
-    # window; the cell must report the failure and the sweep must continue.
-    cells = run_grid([5], [1], [2, 3], q=2, seed=0, max_retries=2)
-    by_g = {c.G: c for c in cells}
-    assert not by_g[2].built and by_g[2].error is not None
-    assert by_g[3].feasible  # later cells still evaluated
+    # window.
+    with pytest.raises(ConstructionFailedError) as info:
+        build_precoder(SchemeParams(K=5, T=1, G=2, q=2), seed=0, max_retries=2)
+    assert info.value.seed_range == (0, 1)
 
 
 def test_failed_verdict_is_recorded_not_raised():
