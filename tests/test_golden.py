@@ -1,0 +1,86 @@
+"""Golden outputs: sha256 digests of reports, transcripts and CLI/demo stdout.
+
+These outputs must stay byte-identical across refactors. The digests cover
+cases the benchmark's own digests do not: a failing audit (recovery
+spot-check FAIL lines), an undersized precoder, zero inputs, the oracle at
+small q and a demo's stdout. A digest that changes means an output changed;
+compare the old and new text before recording a new digest.
+"""
+
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from dsagg.auditor import audit
+from dsagg.cli import main
+from dsagg.linalg import Matrix
+from dsagg.scheme import SchemeParams, fixture_example1, fixture_example2, random_precoder
+from dsagg.sim import run_round
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def sha(text: str) -> str:
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
+def damaged_example2():
+    pre = fixture_example2()
+    return pre.replace_block(1, (1, 2), Matrix(pre.params.field, np.zeros((3, 2), dtype=np.int64)))
+
+
+def undersized_6_1_2():
+    return random_precoder(SchemeParams(6, 1, 2, q=101), 0, L=3, L_S=1)
+
+
+AUDITS = {
+    "example2_zeroed_block": (damaged_example2,
+                              "12604458057aa5b669e848ef2e1ebb3c4ea108edf7688ce17133d5f098b76512"),
+    "random_6_1_2_undersized": (undersized_6_1_2,
+                                "eb730fa06986d4541912707774983545c4c986b42752bb9f27f48134e05a5c8a"),
+}
+
+ROUNDS = {
+    ("example1", "random"): "e03947921cb6a6affdaeec1c38bafc44892d6814ee0ff1d66c20dbf8b41767e7",
+    ("example1", "zero"): "75910cad0a646f68c125aa25a982eea6e30189def70d13f0d51711cf0a4aa9b1",
+    ("example2", "random"): "4df1347111a3d1371ac7c80e4857c31ab70b441295b47ac7fc036a20465182e9",
+    ("example2", "zero"): "e7bcf68c7614f65ecafbec551b8a4c2f481595f0b9dcdffa00387be6f5d31527",
+}
+
+ORACLE = {
+    "2": "cdd39f5ecc570b5c4c3da61a4b68fae90ae367be3d9702e391ee8b249e47eb60",
+    "3": "686b633f2b59628be0130ae94d78345f882176c18dbf0e8bd42aa50394122626",
+}
+
+DEMO_02 = "0d23a9e6a5b8a70dbc20dfcead2b3f63ac74fc96d2e9b4c6fed7ba45d3a32256"
+
+
+@pytest.mark.parametrize("name", sorted(AUDITS))
+def test_audit_report_digest(name):
+    make, digest = AUDITS[name]
+    assert sha("\n".join(audit(make()).to_lines()) + "\n") == digest
+
+
+@pytest.mark.parametrize("fixture, source", sorted(ROUNDS))
+def test_round_transcript_digest(fixture, source):
+    pre = {"example1": fixture_example1, "example2": fixture_example2}[fixture]()
+    assert sha(run_round(pre, source, seed=3).to_text()) == ROUNDS[fixture, source]
+
+
+@pytest.mark.parametrize("q", sorted(ORACLE))
+def test_oracle_stdout_digest(q, capsys):
+    assert main(["oracle", "-K", "3", "-T", "0", "-G", "2", "--q", q]) == 0
+    assert sha(capsys.readouterr().out) == ORACLE[q]
+
+
+def test_demo_02_stdout_digest(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, str(ROOT / "demos" / "02_three_user_round.py")],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert sha(done.stdout) == DEMO_02
