@@ -13,24 +13,19 @@ pre = fixture_example1()
 params = pre.params
 
 w = np.array([[1], [0], [1]])
-keys = GroupKeySet(params, {
-    (1, 2): np.array([1]),
-    (1, 3): np.array([0]),
-    (2, 3): np.array([1]),
-})
+keys = GroupKeySet(params, [[1], [0], [1]])  # one row per pair, lexicographic
 
 print("inputs :", w.ravel().tolist())
-print("keys   :", {g: int(v[0]) for g, v in keys.items()})
+print("keys   :", {g: int(v[0]) for g, v in zip(params.groups, keys.table)})
 
-messages = {k: encode(pre, keys, w[k - 1], k) for k in params.users}
-for k, msg in messages.items():
-    print(f"user {k} broadcasts X{k} = {int(msg.payload[0])}")
-
+messages = encode(pre, keys, w)  # row k-1 is user k's broadcast
 for k in params.users:
-    others = [messages[u] for u in params.users if u != k]
-    others_sum = recover(pre, keys, k, others)
-    total = (others_sum + w[k - 1]) % 2
-    print(f"user {k} recovers others-sum {int(others_sum[0])}, "
+    print(f"user {k} broadcasts X{k} = {int(messages[k - 1, 0])}")
+
+others_sums = recover(pre, keys, messages)  # row k-1 is what user k decodes
+for k in params.users:
+    total = (others_sums[k - 1] + w[k - 1]) % 2
+    print(f"user {k} recovers others-sum {int(others_sums[k - 1, 0])}, "
           f"global sum {int(total[0])}")
 
 print()

@@ -15,8 +15,6 @@ from .scheme import (
     GroupSizeReport,
     InfeasibilityReason,
     InfeasibleSchemeError,
-    Message,
-    MissingMessageError,
     ParamsOutOfModelError,
     Precoder,
     RateRegion,

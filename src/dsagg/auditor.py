@@ -101,16 +101,14 @@ def submatrix_hhat(precoder: Precoder, k: int, colluders: Sequence[int]) -> Matr
     """
     cset = _validate_collusion(precoder, k, colluders)
     p = precoder.params
-    L, L_S = precoder.L, precoder.L_S
     survivors = [u for u in p.users if u != k and u not in cset]
-    surviving = p.key_columns((g for g in p.groups if all(u in survivors for u in g)), L_S)
-    out = np.zeros((len(survivors) * L, surviving.size), dtype=np.int64)
-    for r, u in enumerate(survivors):
-        held = p.key_columns(p.held(u), L_S)
-        keep = np.isin(held, surviving)
-        out[r * L : (r + 1) * L, np.searchsorted(surviving, held[keep])] = (
-            precoder.row(u).data[:, keep])
-    return Matrix(p.field, out)
+    row_of = np.full(p.K + 1, -1, dtype=np.intp)  # survivor u's row block, or -1
+    row_of[survivors] = np.arange(len(survivors))
+    rows = row_of[p.members]
+    inside = np.flatnonzero((rows >= 0).all(axis=1))  # the surviving groups
+    out = np.zeros((len(survivors), precoder.L, inside.size, precoder.L_S), dtype=np.int64)
+    out[rows[inside], :, np.arange(inside.size)[:, None], :] = precoder.blocks[inside]
+    return Matrix(p.field, out.reshape(len(survivors) * precoder.L, inside.size * precoder.L_S))
 
 
 @dataclass(frozen=True)
@@ -362,24 +360,19 @@ def audit_recovery(precoder: Precoder | _AuditContext, seed: int = 0,
     precoder = ctx.precoder
     p = precoder.params
 
-    spot: dict[int, bool] = {k: True for k in p.users}
+    spot = np.ones(p.K, dtype=bool)
     rng = np.random.Generator(np.random.PCG64(seed))
     for _ in range(samples):
         keys = sample_keys(precoder, rng.integers(0, 2**63 - 1))
         inputs = rng.integers(0, p.q, size=(p.K, precoder.L), dtype=np.int64)
-        expected = inputs.sum(axis=0) % p.q
-        sent = {k: encode(precoder, keys, inputs[k - 1], k) for k in p.users}
-        for k in p.users:
-            got = recover(precoder, keys, k, [sent[u] for u in p.users if u != k])
-            full = (got + inputs[k - 1]) % p.q
-            if not np.array_equal(full, expected):
-                spot[k] = False
+        decoded = (recover(precoder, keys, encode(precoder, keys, inputs)) + inputs) % p.q
+        spot &= (decoded == inputs.sum(axis=0) % p.q).all(axis=1)
 
     checks = []
     for k in p.users:
         residual = infocalc.conditional_entropy([ctx.total], ctx.recovery_view(k),
                                                 cache=ctx.cache)
-        checks.append(RecoveryCheck(k, residual, spot[k]))
+        checks.append(RecoveryCheck(k, residual, bool(spot[k - 1])))
     return checks
 
 
@@ -486,10 +479,18 @@ def audit_infeasibility(K: int, T: int, G: int, q: int = 2,
     to be positive for every user. For G >= K - T a counting argument is
     verified exhaustively: every group meets every coalition of T + 1 users,
     so such a coalition reads every key in the system.
+
+    Raises ValueError for a candidate whose (K, T, G, q) differ from the
+    arguments.
     """
     region = capacity(K, T, G)
     if region.feasible:
         raise NotInfeasibleRegimeError(f"(K={K}, T={T}, G={G}) is feasible")
+    if candidate is not None:
+        c = candidate.params
+        if (c.K, c.T, c.G, c.q) != (K, T, G, q):
+            raise ValueError(f"candidate is a (K={c.K}, T={c.T}, G={c.G}, q={c.q}) scheme, "
+                             f"not (K={K}, T={T}, G={G}, q={q})")
 
     if region.infeasibility_reason is InfeasibilityReason.GROUP_SIZE_ONE:
         params = SchemeParams(K=K, T=T, G=1, q=q, m=1)

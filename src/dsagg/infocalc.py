@@ -86,19 +86,8 @@ class SourceLayout:
 
     def key_columns(self, groups: Sequence[Sequence[int]]) -> np.ndarray:
         """Source coordinates of the listed groups' keys, in that order."""
-        return self.params.K * self.L + self.params.key_columns(groups, self.L_S)
-
-    def key_slice(self, group: Sequence[int]) -> slice:
-        cols = self.key_columns([group])
-        start = int(cols[0]) if cols.size else self.N  # keys of no symbols
-        return slice(start, start + self.L_S)
-
-    @property
-    def segments(self) -> tuple[tuple[str, int], ...]:
-        """(name, length) pairs in source order."""
-        names = [(f"W{k}", self.L) for k in self.params.users]
-        names += [("S{" + ",".join(map(str, g)) + "}", self.L_S) for g in self.params.groups]
-        return tuple(names)
+        ids = np.array([self.params.group_index(g) for g in groups], dtype=np.int64)
+        return self.params.K * self.L + (ids[:, None] * self.L_S + np.arange(self.L_S)).ravel()
 
 
 def layout_for(source: SchemeParams | Precoder) -> SourceLayout:
@@ -156,7 +145,9 @@ def observe_message(precoder: Precoder, k: int) -> LinearObservable:
     layout = layout_for(precoder)
     data = np.zeros((layout.L, layout.N), dtype=np.int64)
     data[:, layout.input_slice(k)] = np.eye(layout.L, dtype=np.int64)
-    data[:, layout.key_columns(precoder.params.held(k))] = precoder.row(k).data
+    ids, seats = np.nonzero(precoder.params.members == k)  # k's groups, lexicographic
+    data[:, layout.key_columns(precoder.params.held(k))] = (
+        precoder.blocks[ids, seats].transpose(1, 0, 2).reshape(layout.L, ids.size * layout.L_S))
     return LinearObservable(f"X{k}", Matrix(layout.field, data), layout)
 
 
@@ -296,15 +287,33 @@ def _enumerate_atoms(layout: SourceLayout, stacked: np.ndarray,
             digits[:, j] = rem % q
             rem = rem // q
         values = _safe_dot(digits, transposed, q)
-        uniq, counts = np.unique(values, axis=0, return_counts=True)
-        atom_parts.append(uniq)
+        _, first, counts = np.unique(_row_codes(values, q), return_index=True,
+                                     return_counts=True)
+        atom_parts.append(values[first])
         count_parts.append(counts)
     all_atoms = np.vstack(atom_parts)
     all_counts = np.concatenate(count_parts)
-    atoms, inverse = np.unique(all_atoms, axis=0, return_inverse=True)
-    counts = np.zeros(atoms.shape[0], dtype=np.int64)
-    np.add.at(counts, inverse.ravel(), all_counts)
-    return atoms, counts, total
+    _, first, inverse = np.unique(_row_codes(all_atoms, q), return_index=True,
+                                  return_inverse=True)
+    counts = np.zeros(first.size, dtype=np.int64)
+    np.add.at(counts, inverse, all_counts)
+    return all_atoms[first], counts, total
+
+
+def _row_codes(rows: np.ndarray, q: int) -> np.ndarray:
+    """One int64 per row of values in [0, q): equal exactly for equal rows
+    and ordered as the rows are, lexicographically. Each code is the row
+    read as base-q digits, re-ranked densely before another digit could
+    carry it past 2**62."""
+    code = np.zeros(rows.shape[0], dtype=np.int64)
+    bound = 1  # every code is below this
+    for column in rows.T:
+        if bound * q > 2**62:
+            _, code = np.unique(code, return_inverse=True)
+            bound = code.size  # dense ranks are below the row count
+        code = code * q + column
+        bound *= q
+    return code
 
 
 def _power_of_q_exponent(x: int, q: int) -> int:
@@ -317,13 +326,11 @@ def _power_of_q_exponent(x: int, q: int) -> int:
     return e
 
 
-def _marginal_ids(atoms: np.ndarray, cols: Sequence[int],
-                  counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _marginal_ids(atoms: np.ndarray, cols: Sequence[int], counts: np.ndarray,
+                  q: int) -> tuple[np.ndarray, np.ndarray]:
     """Group atoms by the projection onto ``cols``; returns (group id per
     atom, total count per group)."""
-    sub = atoms[:, list(cols)]
-    _, inverse = np.unique(sub, axis=0, return_inverse=True)
-    inverse = inverse.ravel()
+    _, inverse = np.unique(_row_codes(atoms[:, list(cols)], q), return_inverse=True)
     sums = np.zeros(int(inverse.max()) + 1 if inverse.size else 1, dtype=np.int64)
     np.add.at(sums, inverse, counts)
     return inverse, sums
@@ -372,9 +379,9 @@ def brute_force_mi(a: Sequence[LinearObservable],
     ac_cols = list(range(ra)) + list(range(ra + rb, n_cols))
     bc_cols = list(range(ra, n_cols))
     c_cols = list(range(ra + rb, n_cols))
-    ac_id, ac_sum = _marginal_ids(atoms, ac_cols, counts)
-    bc_id, bc_sum = _marginal_ids(atoms, bc_cols, counts)
-    c_id, c_sum = _marginal_ids(atoms, c_cols, counts)
+    ac_id, ac_sum = _marginal_ids(atoms, ac_cols, counts, q)
+    bc_id, bc_sum = _marginal_ids(atoms, bc_cols, counts, q)
+    c_id, c_sum = _marginal_ids(atoms, c_cols, counts, q)
 
     weighted = 0
     for i in range(atoms.shape[0]):

@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -57,10 +57,6 @@ class ConstructionFailedError(RuntimeError):
             f"no rank-valid precoder found for seeds {first_seed}..{last_seed}; "
             "try a larger field or block scale"
         )
-
-
-class MissingMessageError(ValueError):
-    """Recovery needs exactly one message from every other user."""
 
 
 class SchemeFormatError(ValueError):
@@ -257,25 +253,19 @@ class SchemeParams:
 
     def held(self, k: int) -> tuple[tuple[int, ...], ...]:
         """The groups holding user k in lexicographic order: the order of
-        k's blocks in the precoder's stored form."""
+        the keys user k stores."""
         return self._held[self.user_index(k)]
 
-    def key_columns(self, groups: Iterable[Sequence[int]], L_S: int) -> np.ndarray:
-        """Positions of the listed groups' key symbols among all C(K, G)
-        keys of L_S symbols, stacked in lexicographic group order."""
-        ids = np.array([self.group_index(g) for g in groups], dtype=np.int64)
-        return (ids[:, None] * L_S + np.arange(L_S)).ravel()
+    @cached_property
+    def members(self) -> np.ndarray:
+        """``groups`` as a read-only (C(K, G), G) array of users, members
+        ascending: the first two axes of a precoder's block array."""
+        arr = np.array(self.groups, dtype=np.intp).reshape(len(self.groups), self.G)
+        arr.setflags(write=False)
+        return arr
 
 
 # -- precoder --------------------------------------------------------------
-
-
-def _block_slots(params: SchemeParams, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Where user k's blocks sit in a precoder's block array: the indices of
-    the groups holding k and k's position in each, in ``held(k)`` order."""
-    held = params.held(k)
-    return (np.array([params.group_index(g) for g in held], dtype=np.intp),
-            np.array([g.index(k) for g in held], dtype=np.intp))
 
 
 class Precoder:
@@ -283,18 +273,15 @@ class Precoder:
 
     The block of user k for a group holding k is the L x L_S matrix applied
     to that group's key inside k's message; users outside a group implicitly
-    carry the zero block. A precoder is built from one integer array of
-    shape (C(K, G), G, L, L_S) in scheme-file order: groups in lexicographic
-    order, members ascending. L and L_S are read from that shape and may
-    deliberately differ from the parameter-derived lengths (e.g. to study
-    undersized keys). Each user's blocks are stored side by side, in the
-    order of ``params.held(k)``, as one L x C(K-1, G-1)*L_S matrix: user k's
-    mask is that matrix times k's held keys stacked in the same order.
-    Instances are immutable after construction and safe to audit from
-    concurrent workers.
+    carry the zero block. The precoder is stored as one read-only integer
+    array ``blocks`` of shape (C(K, G), G, L, L_S) in scheme-file order:
+    groups in lexicographic order, members ascending (``params.members``).
+    L and L_S are read from that shape and may deliberately differ from the
+    parameter-derived lengths (e.g. to study undersized keys). Instances are
+    immutable after construction and safe to audit from concurrent workers.
     """
 
-    __slots__ = ("params", "L", "L_S", "_rows")
+    __slots__ = ("params", "L", "L_S", "blocks")
 
     def __init__(self, params: SchemeParams, blocks: np.ndarray) -> None:
         blocks = np.asarray(blocks)
@@ -302,15 +289,12 @@ class Precoder:
         if blocks.ndim != 4 or blocks.shape[:2] != expected:
             raise DimensionMismatchError(
                 f"block array has shape {blocks.shape}, expected {expected} + (L, L_S)")
-        L, L_S = blocks.shape[2:]
-        rows = tuple(
-            Matrix(params.field, blocks[ids, pos].transpose(1, 0, 2).reshape(L, len(ids) * L_S))
-            for ids, pos in (_block_slots(params, k) for k in params.users)
-        )
+        blocks = params.field.reduce(blocks)
+        blocks.setflags(write=False)
         object.__setattr__(self, "params", params)
-        object.__setattr__(self, "L", L)
-        object.__setattr__(self, "L_S", L_S)
-        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "L", blocks.shape[2])
+        object.__setattr__(self, "L_S", blocks.shape[3])
+        object.__setattr__(self, "blocks", blocks)
 
     def __setattr__(self, name, value):
         raise AttributeError("Precoder is immutable")
@@ -319,41 +303,34 @@ class Precoder:
     def groups(self) -> tuple[tuple[int, ...], ...]:
         return self.params.groups
 
-    def row(self, k: int) -> Matrix:
-        """User k's stored blocks side by side, in ``params.held(k)`` order."""
-        return self._rows[self.params.user_index(k)]
-
-    def blocks(self) -> np.ndarray:
-        """A fresh (C(K, G), G, L, L_S) array of every block in scheme-file
-        order: the array this precoder can be rebuilt from."""
-        p = self.params
-        out = np.empty((len(p.groups), p.G, self.L, self.L_S), dtype=np.int64)
-        for k in p.users:
-            ids, pos = _block_slots(p, k)
-            out[ids, pos] = self.row(k).data.reshape(self.L, len(ids), self.L_S).transpose(1, 0, 2)
-        return out
-
     def block(self, k: int, group: Sequence[int]) -> Matrix:
         """The coefficient block of user k for ``group`` (zero if k is outside)."""
         g = tuple(group)
-        self.params.group_index(g)  # KeyError for a group that does not exist
-        row = self.row(k)  # KeyError for a user outside 1..K
+        i = self.params.group_index(g)  # KeyError for a group that does not exist
+        self.params.user_index(k)  # KeyError for a user outside 1..K
         if k not in g:
             return Matrix.zeros(self.params.field, self.L, self.L_S)
-        start = self.params.held(k).index(g) * self.L_S
-        return Matrix(self.params.field, row.data[:, start : start + self.L_S])
+        return Matrix(self.params.field, self.blocks[i, g.index(k)])
 
     def zero_sum_ok(self) -> bool:
         """Whether every group's blocks sum to the zero matrix."""
-        return not (self.blocks().sum(axis=1) % self.params.q).any()
+        return not (self.blocks.sum(axis=1) % self.params.q).any()
 
-    def mask(self, k: int, keys: "GroupKeySet") -> np.ndarray:
-        """Sum of this user's key contributions: sum over groups holding k."""
+    def masks(self, keys: "GroupKeySet") -> np.ndarray:
+        """Every user's key mask as a K x L array: row k-1 is the sum over
+        the groups g holding k of H_{k,g} S_g."""
         p = self.params
         if (keys.params, keys.L_S) != (p, self.L_S):
             raise DimensionMismatchError(f"keys of {keys.L_S} symbols for {keys.params} "
                                          f"do not fit a precoder with L_S={self.L_S} for {p}")
-        return self.row(k).matvec(keys.vector[p.key_columns(p.held(k), self.L_S)])
+        # Each product is below q**2 <= 2**62 and is reduced before it is
+        # added, so no sum of L_S of them overflows int64.
+        per_seat = np.zeros(self.blocks.shape[:3], dtype=np.int64)
+        for s in range(self.L_S):
+            per_seat += self.blocks[..., s] * keys.table[:, None, None, s] % p.q
+        out = np.zeros((p.K, self.L), dtype=np.int64)
+        np.add.at(out, p.members - 1, per_seat % p.q)
+        return out % p.q
 
     def replace_block(self, k: int, group: Sequence[int], mat: Matrix) -> "Precoder":
         """A copy with one block swapped (used by damage/mutation tests)."""
@@ -365,15 +342,14 @@ class Precoder:
             raise FieldMismatchError(f"block over F_{mat.field.q}, expected F_{self.params.q}")
         if mat.shape != (self.L, self.L_S):
             raise DimensionMismatchError(f"block is {mat.shape}, expected {(self.L, self.L_S)}")
-        blocks = self.blocks()
+        blocks = self.blocks.copy()
         blocks[i, g.index(k)] = mat.data
         return Precoder(self.params, blocks)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Precoder):
             return NotImplemented
-        return (self.params == other.params and self.L == other.L
-                and self.L_S == other.L_S and self._rows == other._rows)
+        return self.params == other.params and np.array_equal(self.blocks, other.blocks)
 
 
 def random_precoder(params: SchemeParams, seed: int,
@@ -404,6 +380,8 @@ def build_precoder(params: SchemeParams, seed: int = 0, max_retries: int = 16) -
     """
     from .auditor import rank_certificate_ok  # local import to avoid a cycle
 
+    if max_retries < 1:
+        raise ValueError(f"max_retries must be at least 1, got {max_retries}")
     if not params.feasible:
         raise InfeasibleSchemeError(
             f"(K={params.K}, T={params.T}, G={params.G}) admits no scheme"
@@ -507,96 +485,62 @@ FIXTURES = {"example1": fixture_example1, "example2": fixture_example2}
 
 class GroupKeySet:
     """One sampled key of L_S symbols per G-subset of users, held as one
-    read-only vector in lexicographic group order, as in the uniform source."""
+    read-only (C(K, G), L_S) ``table`` in lexicographic group order;
+    ``vector`` is its flat view, the key part of the uniform source."""
 
-    __slots__ = ("params", "L_S", "vector", "_table")
+    __slots__ = ("params", "L_S", "table", "vector")
 
-    def __init__(self, params: SchemeParams, keys: Mapping[tuple[int, ...], np.ndarray]):
-        keys = {tuple(g): params.field.reduce(v) for g, v in keys.items()}
-        if set(keys) != set(params.groups):
-            raise ValueError("key map must cover exactly the G-subsets of [1..K]")
-        shapes = {v.shape for v in keys.values()}
-        if len(shapes) != 1 or len(next(iter(shapes))) != 1:
+    def __init__(self, params: SchemeParams, table: np.ndarray):
+        table = params.field.reduce(table)
+        if table.ndim != 2 or table.shape[0] != len(params.groups):
             raise DimensionMismatchError(
-                f"keys must be vectors of one common length, got shapes {sorted(shapes)}")
-        table = np.stack([keys[g] for g in params.groups])
+                f"key table has shape {table.shape}, expected ({len(params.groups)}, L_S)")
         table.setflags(write=False)
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "L_S", table.shape[1])
+        object.__setattr__(self, "table", table)
         object.__setattr__(self, "vector", table.reshape(-1))
-        object.__setattr__(self, "_table", table)
 
     def __setattr__(self, name, value):
         raise AttributeError("GroupKeySet is immutable")
 
-    def key(self, group: Sequence[int]) -> np.ndarray:
-        return self._table[self.params.group_index(group)]
-
-    def __len__(self) -> int:
-        return len(self._table)
-
-    def items(self):
-        return zip(self.params.groups, self._table)
-
 
 def sample_keys(precoder: Precoder, seed) -> GroupKeySet:
     """Draw all C(K, G) group keys of the precoder's L_S symbols i.i.d. uniform,
-    deterministically in seed; one draw per key, which fixes the key stream."""
+    deterministically in seed, in one draw of the whole table."""
     p = precoder.params
     rng = np.random.Generator(np.random.PCG64(seed))
-    return GroupKeySet(p, {g: rng.integers(0, p.q, size=precoder.L_S, dtype=np.int64)
-                           for g in p.groups})
+    return GroupKeySet(p, rng.integers(0, p.q, size=(len(p.groups), precoder.L_S),
+                                       dtype=np.int64))
 
 
-@dataclass(frozen=True)
-class Message:
-    """One user's broadcast payload of L symbols."""
-
-    user: int
-    payload: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.payload, dtype=np.int64)
-        arr.setflags(write=False)
-        object.__setattr__(self, "payload", arr)
-
-
-def encode(precoder: Precoder, keys: GroupKeySet, w: np.ndarray, k: int) -> Message:
-    """User k's broadcast: its input plus its key mask."""
-    w = precoder.params.field.reduce(w)
-    if w.shape != (precoder.L,):
+def _user_rows(precoder: Precoder, values, what: str) -> np.ndarray:
+    values = precoder.params.field.reduce(values)
+    if values.shape != (precoder.params.K, precoder.L):
         raise DimensionMismatchError(
-            f"input for user {k} must have length {precoder.L}, got {w.shape}"
-        )
-    payload = (w + precoder.mask(k, keys)) % precoder.params.q
-    return Message(k, payload)
+            f"{what} must be {precoder.params.K} x {precoder.L}, got {values.shape}")
+    return values
 
 
-def recover(precoder: Precoder, keys: GroupKeySet,
-            k: int, received: Iterable[Message]) -> np.ndarray:
-    """The sum of the other users' inputs, as seen by user k.
+def encode(precoder: Precoder, keys: GroupKeySet, inputs: np.ndarray) -> np.ndarray:
+    """Every user's broadcast as a K x L array: row k-1 is user k's input
+    plus its key mask."""
+    inputs = _user_rows(precoder, inputs, "inputs")
+    return (inputs + precoder.masks(keys)) % precoder.params.q
 
-    Adding the receiver's own key mask cancels every residual key term, since
-    within each group the other members' blocks sum to the negation of k's.
-    The caller adds its own input to obtain the global sum.
+
+def recover(precoder: Precoder, keys: GroupKeySet, messages: np.ndarray) -> np.ndarray:
+    """What every user decodes from the K x L broadcast ``messages``: row
+    k-1 is the sum of the other users' messages plus user k's own key mask.
+
+    For a zero-sum precoder that is the sum of the other users' inputs: in
+    each group the other members' blocks sum to the negation of k's, so the
+    mask cancels every residual key term. Each user adds its own input to
+    obtain the global sum.
     """
-    p = precoder.params
-    mask = precoder.mask(k, keys)
-    msgs = list(received)
-    senders = sorted(m.user for m in msgs)
-    expected = [u for u in p.users if u != k]
-    if senders != expected:
-        raise MissingMessageError(
-            f"user {k} expected one message from each of {expected}, got {senders}"
-        )
-    total = np.zeros(precoder.L, dtype=np.int64)
-    for msg in msgs:
-        if msg.payload.shape != (precoder.L,):
-            raise DimensionMismatchError(
-                f"message from user {msg.user} has length {msg.payload.shape}"
-            )
-        total = (total + msg.payload) % p.q
-    return (total + mask) % p.q
+    messages = _user_rows(precoder, messages, "messages")
+    q = precoder.params.q
+    return (messages.sum(axis=0) - messages + precoder.masks(keys)) % q
 
 
 # -- scheme file format ---------------------------------------------------
@@ -614,7 +558,7 @@ def scheme_to_text(precoder: Precoder) -> str:
         raise ValueError(f"blocks are {precoder.L}x{precoder.L_S}; a scheme file "
                          f"for these parameters holds {p.L}x{p.L_S} blocks")
     parts = [f"{SCHEME_MAGIC} {p.K} {p.T} {p.G} {p.q} {p.m}\n"]
-    parts += (Matrix(p.field, b).to_text() for b in precoder.blocks().reshape(-1, p.L, p.L_S))
+    parts += (Matrix(p.field, b).to_text() for b in precoder.blocks.reshape(-1, p.L, p.L_S))
     return "".join(parts)
 
 

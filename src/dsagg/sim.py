@@ -1,9 +1,10 @@
 """In-process broadcast-round simulator.
 
 One synchronous, error-free round: keys are dealt, every user encodes and
-broadcasts, every user decodes the others' sum and adds its own input. Users
-run sequentially for determinism; encoding is pure, so identical parameters,
-precoder, seed, and input source always produce a byte-identical transcript.
+broadcasts, every user decodes the others' sum and adds its own input. All
+users encode at once and decode at once, each step one array computation;
+encoding is pure, so identical parameters, precoder, seed, and input source
+always produce a byte-identical transcript.
 """
 
 from __future__ import annotations
@@ -70,15 +71,7 @@ def run_round(precoder: Precoder, input_source="random", seed: int = 0) -> Trans
     key_ss, input_ss = np.random.SeedSequence(seed).spawn(2)
     keys = sample_keys(precoder, key_ss)
     inputs = make_inputs(precoder, input_source, input_ss)
-
-    sent = {k: encode(precoder, keys, inputs[k - 1], k) for k in params.users}
-    messages = np.vstack([sent[k].payload for k in params.users])
-
-    recovered = np.zeros_like(inputs)
-    for k in params.users:
-        others_sum = recover(precoder, keys, k, [sent[u] for u in params.users if u != k])
-        recovered[k - 1] = (others_sum + inputs[k - 1]) % params.q
-
-    truth = inputs.sum(axis=0) % params.q
-    verdict = all(np.array_equal(recovered[k - 1], truth) for k in params.users)
+    messages = encode(precoder, keys, inputs)
+    recovered = (recover(precoder, keys, messages) + inputs) % params.q
+    verdict = bool((recovered == inputs.sum(axis=0) % params.q).all())
     return Transcript(params, seed, inputs, messages, recovered, verdict)

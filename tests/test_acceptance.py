@@ -88,15 +88,9 @@ def test_criterion_2_three_user_scheme_reproduction():
         # all 2^6 (input, key) realizations decode exactly
         for bits in itertools.product(range(2), repeat=6):
             w = np.array(bits[:3]).reshape(3, 1)
-            keys = GroupKeySet(p, {
-                (1, 2): np.array([bits[3]]),
-                (1, 3): np.array([bits[4]]),
-                (2, 3): np.array([bits[5]]),
-            })
-            msgs = {k: encode(pre, keys, w[k - 1], k) for k in p.users}
-            for k in p.users:
-                got = recover(pre, keys, k, [msgs[u] for u in p.users if u != k])
-                assert np.array_equal(got, (w.sum(axis=0) - w[k - 1]) % 2)
+            keys = GroupKeySet(p, np.array(bits[3:]).reshape(3, 1))  # (1,2), (1,3), (2,3)
+            got = recover(pre, keys, encode(pre, keys, w))
+            assert np.array_equal(got, (w.sum(axis=0) - w) % 2)
 
         # exact security for all three users
         checks = dsagg.audit_security(pre)
@@ -124,10 +118,8 @@ def test_criterion_3_five_user_fixture_reproduction():
         for trial in range(3):
             keys = dsagg.sample_keys(pre, trial)
             w = rng.integers(0, 5, size=(5, 3))
-            msgs = {k: encode(pre, keys, w[k - 1], k) for k in p.users}
-            for k in p.users:
-                got = recover(pre, keys, k, [msgs[u] for u in p.users if u != k])
-                assert np.array_equal(got, (w.sum(axis=0) - w[k - 1]) % 5)
+            got = recover(pre, keys, encode(pre, keys, w))
+            assert np.array_equal(got, (w.sum(axis=0) - w) % 5)
 
         # exact MI zero on all 25 (user, collusion set) pairs
         checks = dsagg.audit_security(pre)
@@ -269,19 +261,15 @@ def test_criterion_9_structured_inputs_keep_working():
             "constant": np.tile(np.array([1, 2, 3]), (5, 1)),
         }
         for name, w in structured.items():
-            msgs = {k: encode(pre, keys, w[k - 1], k) for k in p.users}
-            for k in p.users:
-                got = recover(pre, keys, k, [msgs[u] for u in p.users if u != k])
-                assert np.array_equal(got, (w.sum(axis=0) - w[k - 1]) % 5), name
+            got = recover(pre, keys, encode(pre, keys, w))
+            assert np.array_equal(got, (w.sum(axis=0) - w) % 5), name
 
         # the mask a user applies never depends on its input: encoding is an
         # affine shift, so the privacy certificate is input-independent
-        zero = np.zeros(3, dtype=np.int64)
+        mask_only = encode(pre, keys, np.zeros((5, 3), dtype=np.int64))
         for name, w in structured.items():
-            for k in p.users:
-                with_input = encode(pre, keys, w[k - 1], k).payload
-                mask_only = encode(pre, keys, zero, k).payload
-                assert np.array_equal((with_input - mask_only) % 5, w[k - 1] % 5)
+            with_input = encode(pre, keys, w)
+            assert np.array_equal((with_input - mask_only) % 5, w % 5), name
 
         # and that certificate holds for every (user, collusion set)
         for k in p.users:

@@ -410,6 +410,19 @@ def test_infeasibility_group_size_one_exhaustive_candidates():
             assert all(mi >= 1 for _, mi in exp.leak_by_user)
 
 
+def test_infeasibility_refuses_a_candidate_of_other_parameters():
+    # A (6,1,1) q=3 candidate used to be audited in place of the (4,0,1)
+    # q=2 scheme asked about, giving six leak_by_user entries for K=4.
+    for params in (SchemeParams(K=6, T=1, G=1, q=3), SchemeParams(K=4, T=1, G=1, q=2),
+                   SchemeParams(K=4, T=0, G=1, q=3)):
+        candidate = Precoder(params, np.zeros((params.K, 1, 1, 1), dtype=np.int64))
+        with pytest.raises(ValueError, match=r"\(K=4, T=0, G=1, q=2\)"):
+            audit_infeasibility(4, 0, 1, q=2, candidate=candidate)
+    with pytest.raises(ValueError, match=r"\(K=3, T=0, G=1, q=2\) scheme"):
+        audit_infeasibility(5, 2, 3, q=2, candidate=Precoder(
+            SchemeParams(K=3, T=0, G=1, q=2), np.zeros((3, 1, 1, 1), dtype=np.int64)))
+
+
 def test_infeasibility_group_too_large():
     exp = audit_infeasibility(5, 2, 3)
     assert exp.reason is InfeasibilityReason.GROUP_TOO_LARGE

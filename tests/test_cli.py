@@ -211,6 +211,14 @@ def test_build_fixture_params_must_match(capsys):
     assert code == 1 and "fixture" in err
 
 
+def test_build_max_retries_below_one_exit_1(capsys):
+    for retries in ("0", "-3"):
+        code, out, err = run_cli(capsys, "build", "-K", "5", "-T", "1", "-G", "2",
+                                 "--max-retries", retries)
+        assert code == 1 and out == ""
+        assert f"max_retries must be at least 1, got {retries}" in err
+
+
 def test_build_infeasible_exit_2(capsys):
     code, _, _ = run_cli(capsys, "build", "-K", "4", "-T", "0", "-G", "1", "--q", "5")
     assert code == 2

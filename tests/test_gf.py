@@ -94,7 +94,7 @@ def test_reduce_is_exact_or_refuses():
         Matrix(f, [[1.5, 2.9]])
     pre = fixture_example2()
     with pytest.raises(ValueError):
-        encode(pre, sample_keys(pre, 0), [0.5, 1.5, 2.5], 1)
+        encode(pre, sample_keys(pre, 0), np.full((5, 3), 0.5))
     assert f.reduce(np.array([2**63], dtype=np.uint64)).tolist() == [3]
     assert f.reduce(np.eye(2)).tolist() == [[1, 0], [0, 1]]  # whole floats still work
     assert f.reduce(np.zeros(2)).dtype == np.int64

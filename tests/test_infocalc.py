@@ -51,14 +51,17 @@ def zero_precoder(params):
 def test_layout_segments_cover_source():
     lay = layout_for(SchemeParams(K=5, T=1, G=2, q=5))
     assert lay.N == 5 * 3 + 10 * 2
-    assert len(lay.segments) == 15
-    assert sum(length for _, length in lay.segments) == lay.N
     assert lay.input_slice(1) == slice(0, 3)
-    assert lay.key_slice((1, 2)) == slice(15, 17)
-    assert lay.segments[0] == ("W1", 3)
-    assert lay.segments[5] == ("S{1,2}", 2)
+    assert lay.key_columns([(1, 2)]).tolist() == [15, 16]
+    assert lay.key_columns([(2, 3), (1, 2)]).tolist() == [23, 24, 15, 16]
     keyless = SourceLayout(lay.params, 3, 0)
-    assert keyless.key_slice((4, 5)) == slice(15, 15) and keyless.N == 15
+    assert keyless.key_columns([(4, 5)]).size == 0 and keyless.N == 15
+    # Inputs, then keys in group order, cover [0, N) once each.
+    for layout in (lay, keyless):
+        covered = [i for k in layout.params.users
+                   for i in range(layout.N)[layout.input_slice(k)]]
+        covered += layout.key_columns(layout.params.groups).tolist()
+        assert covered == list(range(layout.N))
 
 
 def test_observable_validation():
@@ -96,7 +99,7 @@ def test_entropy_of_surviving_key_mixes_is_six():
         data = np.zeros((3, lay.N), dtype=np.int64)
         for g in surviving:
             if u in g:
-                data[:, lay.key_slice(g)] = pre.block(u, g).data
+                data[:, lay.key_columns([g])] = pre.block(u, g).data
         mixes.append(LinearObservable(f"mix{u}", Matrix(lay.field, data), lay))
     assert entropy(mixes) == 6
 
@@ -138,7 +141,7 @@ def test_mutual_information_examples():
 def test_group_key_observable():
     lay = layout_for(fixture_example2())
     data = np.zeros((2, lay.N), dtype=np.int64)
-    data[:, lay.key_slice((1, 2))] = np.eye(2, dtype=np.int64)
+    data[:, lay.key_columns([(1, 2)])] = np.eye(2, dtype=np.int64)
     assert entropy([LinearObservable("S{1,2}", Matrix(lay.field, data), lay)]) == 2
     assert entropy([observe_key_bundle(lay, 1)]) == 4 * 2
 
@@ -333,6 +336,23 @@ def test_oracle_agrees_on_random_queries(q):
         assert brute_force_entropy(a) == Fraction(entropy(a))
 
 
+@pytest.mark.parametrize("q, rows", [(2, 70), (3, 45)])
+def test_oracle_agrees_on_stacks_whose_rows_pass_2_62(q, rows):
+    # q**rows > 2**64, so the oracle's one-integer row codes must re-rank
+    # part way through. W1 comes first and no other row reads it: at q=2 a
+    # code that wrapped would lose W1's digit and merge atoms that differ
+    # in it.
+    _, pre, lay = three_user_instance(q)
+    rng = np.random.Generator(np.random.PCG64(rows))
+    rest = random_matrix(rows, lay.N, lay.field, rng=rng).data.copy()
+    rest[:, lay.input_slice(1)] = 0
+    a = [observe_input(lay, 1)]
+    b = [LinearObservable("b", Matrix(lay.field, rest[: rows // 2]), lay)]
+    c = [LinearObservable("c", Matrix(lay.field, rest[rows // 2 :]), lay)]
+    assert brute_force_entropy(a + b + c) == Fraction(entropy(a + b + c))
+    assert brute_force_mi(a, b, c) == Fraction(mutual_information(a, b, c))
+
+
 def test_oracle_on_unmasked_scheme_sees_full_leak():
     # With all-zero coefficient blocks messages go out unmasked, so a
     # received message reveals its input completely.
@@ -418,7 +438,7 @@ def test_source_vector_evaluates_observables():
 
     from dsagg.scheme import encode
 
+    sent = encode(pre, keys, w)
     for k in params.users:
-        obs = observe_message(pre, k)
-        assert np.array_equal(obs.evaluate(u), encode(pre, keys, w[k - 1], k).payload)
+        assert np.array_equal(observe_message(pre, k).evaluate(u), sent[k - 1])
     assert np.array_equal(observe_total(lay).evaluate(u), w.sum(axis=0) % 5)

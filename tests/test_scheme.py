@@ -15,7 +15,6 @@ from dsagg.scheme import (
     GroupKeySet,
     InfeasibilityReason,
     InfeasibleSchemeError,
-    MissingMessageError,
     ParamsOutOfModelError,
     Precoder,
     SchemeFormatError,
@@ -176,19 +175,16 @@ def test_fixture_example1_signs():
 
 def test_sample_keys_counts_and_determinism():
     p3 = SchemeParams(K=3, T=0, G=2, q=5)
-    assert len(sample_keys(reference_precoder(p3), 0)) == 3
+    assert sample_keys(reference_precoder(p3), 0).table.shape == (3, 1)
 
     pre = fixture_example2()
-    p5 = pre.params
     keys = sample_keys(pre, 0)
-    assert len(keys) == 10
-    for g, v in keys.items():
-        assert v.shape == (2,)
+    assert keys.table.shape == (10, 2)
+    assert keys.vector.tolist() == keys.table.ravel().tolist()
+    assert not keys.table.flags.writeable and not keys.vector.flags.writeable
 
-    again = sample_keys(pre, 0)
-    assert all(np.array_equal(keys.key(g), again.key(g)) for g in p5.groups)
-    other = sample_keys(pre, 1)
-    assert any(not np.array_equal(keys.key(g), other.key(g)) for g in p5.groups)
+    assert np.array_equal(keys.table, sample_keys(pre, 0).table)
+    assert not np.array_equal(keys.table, sample_keys(pre, 1).table)
 
 
 # ---------------------------------------------------------------------------
@@ -198,46 +194,39 @@ def test_sample_keys_counts_and_determinism():
 def test_encode_three_user_example():
     # q=2, W_1=1, first key 1, second key 0: the mask flips the input bit.
     pre = fixture_example1()
-    p = pre.params
-    keys = {(1, 2): [1], (1, 3): [0], (2, 3): [0]}
-    ks = GroupKeySet(p, {g: np.array(v) for g, v in keys.items()})
-    msg = encode(pre, ks, np.array([1]), 1)
-    assert msg.payload.tolist() == [0]
+    ks = GroupKeySet(pre.params, [[1], [0], [0]])  # keys of (1,2), (1,3), (2,3)
+    assert encode(pre, ks, [[1], [0], [0]])[0].tolist() == [0]
 
 
 def test_encode_with_zero_keys_is_identity():
     pre = fixture_example2()
-    p = pre.params
-    ks = GroupKeySet(p, {g: np.zeros(2, dtype=np.int64) for g in p.groups})
-    w = np.array([1, 2, 3])
-    assert encode(pre, ks, w, 2).payload.tolist() == [1, 2, 3]
+    ks = GroupKeySet(pre.params, np.zeros((10, 2), dtype=np.int64))
+    w = np.arange(15).reshape(5, 3) % 5
+    assert encode(pre, ks, w).tolist() == w.tolist()
 
 
 def test_encode_fixture_single_key_column():
     pre = fixture_example2()
-    p = pre.params
-    keys = {g: np.zeros(2, dtype=np.int64) for g in p.groups}
-    keys[(1, 2)] = np.array([1, 0])
-    ks = GroupKeySet(p, keys)
-    msg = encode(pre, ks, np.zeros(3, dtype=np.int64), 1)
-    assert msg.payload.tolist() == [2, 4, 2]
+    table = np.zeros((10, 2), dtype=np.int64)
+    table[pre.params.group_index((1, 2))] = [1, 0]
+    msgs = encode(pre, GroupKeySet(pre.params, table), np.zeros((5, 3), dtype=np.int64))
+    assert msgs.tolist() == [[2, 4, 2], [3, 1, 3], [0, 0, 0], [0, 0, 0], [0, 0, 0]]
 
 
 def test_encode_length_check():
     pre = fixture_example2()
-    with pytest.raises(DimensionMismatchError):
-        encode(pre, sample_keys(pre, 0), np.zeros(2), 1)
+    keys = sample_keys(pre, 0)
+    for bad in (np.zeros((5, 2)), np.zeros(3), np.zeros((4, 3)), np.zeros((6, 3))):
+        with pytest.raises(DimensionMismatchError):
+            encode(pre, keys, bad)
+        with pytest.raises(DimensionMismatchError):
+            recover(pre, keys, bad)
 
 
 @pytest.mark.parametrize("k", [0, -1, 6, 99])
 def test_user_outside_one_to_K_raises_key_error(k):
     # Indexing k - 1 used to wrap: user 0 was encoded with user 5's mask.
     pre = fixture_example2()
-    keys = sample_keys(pre, 0)
-    with pytest.raises(KeyError, match=f"user {k} outside"):
-        encode(pre, keys, np.zeros(3, dtype=np.int64), k)
-    with pytest.raises(KeyError, match=f"user {k} outside"):
-        recover(pre, keys, k, [])
     with pytest.raises(KeyError, match=f"user {k} outside"):
         observe_key_bundle(layout_for(pre), k)
     with pytest.raises(KeyError, match=f"user {k} outside"):
@@ -246,81 +235,57 @@ def test_user_outside_one_to_K_raises_key_error(k):
 
 def test_group_outside_the_scheme_raises_key_error_naming_it():
     pre = fixture_example2()
-    for lookup in (layout_for(pre).key_slice, sample_keys(pre, 0).key,
+    for lookup in (lambda g: layout_for(pre).key_columns([g]), pre.params.group_index,
                    lambda g: pre.block(1, g)):
         with pytest.raises(KeyError, match=r"\(1, 6\) is not a size-2 group"):
             lookup((1, 6))
 
 
-def test_key_sets_of_the_wrong_shape_are_refused(monkeypatch):
+def test_key_sets_of_the_wrong_shape_are_refused():
     pre = reference_precoder(SchemeParams(K=3, T=0, G=2, q=5))  # L = L_S = 1
     p = pre.params
-    for ragged in ({(1, 2): [1, 2], (1, 3): [], (2, 3): [4]},
-                   {g: [[1]] for g in p.groups}):
+    for wrong in ([1, 2, 3], [[1], [2]], [[[1]], [[2]], [[3]]]):
         with pytest.raises(DimensionMismatchError):
-            GroupKeySet(p, ragged)
+            GroupKeySet(p, wrong)
+    with pytest.raises(ValueError):
+        GroupKeySet(p, [[1, 2], [], [4]])  # ragged
 
-    def no_product(*args):
-        raise AssertionError("mask computed a product with a mismatched key set")
-
-    monkeypatch.setattr(Matrix, "matvec", no_product)
-    long_keys = GroupKeySet(p, {g: [1, 2] for g in p.groups})
-    other_field = GroupKeySet(SchemeParams(K=3, T=0, G=2, q=7), {g: [1] for g in p.groups})
+    # Both would multiply without an error: the fit is checked first.
+    long_keys = GroupKeySet(p, [[1, 2]] * 3)
+    other_field = GroupKeySet(SchemeParams(K=3, T=0, G=2, q=7), [[1]] * 3)
     for keys in (long_keys, other_field):
         with pytest.raises(DimensionMismatchError):
-            encode(pre, keys, np.zeros(1, dtype=np.int64), 1)
+            encode(pre, keys, np.zeros((3, 1), dtype=np.int64))
+        with pytest.raises(DimensionMismatchError):
+            recover(pre, keys, np.zeros((3, 1), dtype=np.int64))
 
 
 def test_recover_three_user_exhaustive():
     # every user recovers the others' sum for all 2^6 realizations
     pre = fixture_example1()
-    p = pre.params
     for bits in itertools.product(range(2), repeat=6):
         w = np.array(bits[:3]).reshape(3, 1)
-        ks = GroupKeySet(p, {
-            (1, 2): np.array([bits[3]]),
-            (1, 3): np.array([bits[4]]),
-            (2, 3): np.array([bits[5]]),
-        })
-        msgs = {k: encode(pre, ks, w[k - 1], k) for k in p.users}
-        for k in p.users:
-            got = recover(pre, ks, k, [msgs[u] for u in p.users if u != k])
-            expected = (w.sum(axis=0) - w[k - 1]) % 2
-            assert np.array_equal(got, expected)
+        ks = GroupKeySet(pre.params, np.array(bits[3:]).reshape(3, 1))
+        got = recover(pre, ks, encode(pre, ks, w))
+        assert np.array_equal(got, (w.sum(axis=0) - w) % 2)
 
 
 def test_recover_all_zero():
     pre = fixture_example2()
-    p = pre.params
-    ks = GroupKeySet(p, {g: np.zeros(2, dtype=np.int64) for g in p.groups})
-    msgs = {k: encode(pre, ks, np.zeros(3, dtype=np.int64), k) for k in p.users}
-    got = recover(pre, ks, 1, [msgs[u] for u in (2, 3, 4, 5)])
-    assert got.tolist() == [0, 0, 0]
+    ks = GroupKeySet(pre.params, np.zeros((10, 2), dtype=np.int64))
+    zero = np.zeros((5, 3), dtype=np.int64)
+    assert recover(pre, ks, encode(pre, ks, zero)).tolist() == zero.tolist()
 
 
 def test_recover_fixture_matches_direct_sum():
     # independent oracle: sum the sampled inputs directly with numpy
     pre = fixture_example2()
-    p = pre.params
     rng = np.random.default_rng(99)
     for trial in range(5):
         keys = sample_keys(pre, trial)
         w = rng.integers(0, 5, size=(5, 3))
-        msgs = {k: encode(pre, keys, w[k - 1], k) for k in p.users}
-        for k in p.users:
-            got = recover(pre, keys, k, [msgs[u] for u in p.users if u != k])
-            assert np.array_equal(got, (w.sum(axis=0) - w[k - 1]) % 5)
-
-
-def test_recover_message_set_validation():
-    pre = fixture_example2()
-    p = pre.params
-    keys = sample_keys(pre, 0)
-    msgs = {k: encode(pre, keys, np.zeros(3, dtype=np.int64), k) for k in p.users}
-    with pytest.raises(MissingMessageError):
-        recover(pre, keys, 1, [msgs[2], msgs[3], msgs[4]])  # one missing
-    with pytest.raises(MissingMessageError):
-        recover(pre, keys, 1, [msgs[1], msgs[2], msgs[3], msgs[4]])  # own message
+        got = recover(pre, keys, encode(pre, keys, w))
+        assert np.array_equal(got, (w.sum(axis=0) - w) % 5)
 
 
 def test_recovery_identity_for_unchecked_random_precoders():
@@ -339,10 +304,8 @@ def test_recovery_identity_for_unchecked_random_precoders():
         ]
         for w in structured:
             w = w % 7
-            msgs = {k: encode(pre, keys, w[k - 1], k) for k in p.users}
-            for k in p.users:
-                got = recover(pre, keys, k, [msgs[u] for u in p.users if u != k])
-                assert np.array_equal(got, (w.sum(axis=0) - w[k - 1]) % 7)
+            got = recover(pre, keys, encode(pre, keys, w))
+            assert np.array_equal(got, (w.sum(axis=0) - w) % 7)
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +474,7 @@ def test_save_refuses_blocks_the_format_cannot_carry(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# stored form: one matrix per user, every view slices it
+# stored form: one block array, every view indexes it
 # ---------------------------------------------------------------------------
 
 @st.composite
@@ -530,20 +493,26 @@ def small_precoders(draw):
 def test_stored_form_agrees_with_its_blocks(drawn):
     pre, seed = drawn
     p = pre.params
-    blocks = pre.blocks()
+    blocks = pre.blocks
+    assert not blocks.flags.writeable
     assert Precoder(p, blocks) == pre
     for i, g in enumerate(p.groups):
         for j, k in enumerate(g):
             assert np.array_equal(blocks[i, j], pre.block(k, g).data)
 
     rng = np.random.Generator(np.random.PCG64(seed))
-    keys = GroupKeySet(p, {g: rng.integers(0, p.q, size=pre.L_S) for g in p.groups})
+    keys = GroupKeySet(p, rng.integers(0, p.q, size=(len(p.groups), pre.L_S)))
     inputs = rng.integers(0, p.q, size=(p.K, pre.L))
     lay = layout_for(pre)
     source = source_vector(lay, inputs, keys)
+    masks = pre.masks(keys)
+    sent = encode(pre, keys, inputs)
     for k in p.users:
-        sent = encode(pre, keys, inputs[k - 1], k)
-        assert np.array_equal(observe_message(pre, k).evaluate(source), sent.payload)
+        mask = np.zeros(pre.L, dtype=np.int64)
+        for g in p.held(k):
+            mask = (mask + pre.block(k, g).matvec(keys.table[p.group_index(g)])) % p.q
+        assert np.array_equal(masks[k - 1], mask)
+        assert np.array_equal(observe_message(pre, k).evaluate(source), sent[k - 1])
 
     for k in p.users:
         for cset in collusion_sets(p.K, k, p.T):

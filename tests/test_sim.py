@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import dsagg.scheme
 from dsagg import infocalc
 from dsagg.auditor import audit, audit_rates, audit_security
 from dsagg.scheme import (ConstructionFailedError, SchemeParams, build_precoder, capacity,
@@ -131,6 +132,16 @@ def test_small_field_build_failure_reports_seed_range():
     with pytest.raises(ConstructionFailedError) as info:
         build_precoder(SchemeParams(K=5, T=1, G=2, q=2), seed=0, max_retries=2)
     assert info.value.seed_range == (0, 1)
+
+
+@pytest.mark.parametrize("retries", [0, -1])
+def test_build_refuses_max_retries_below_one_before_drawing(retries, monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("a precoder was drawn")
+
+    monkeypatch.setattr(dsagg.scheme, "random_precoder", no_draw)
+    with pytest.raises(ValueError, match=f"max_retries must be at least 1, got {retries}"):
+        build_precoder(SchemeParams(K=5, T=1, G=2, q=101), seed=0, max_retries=retries)
 
 
 def test_failed_verdict_is_recorded_not_raised():
