@@ -18,11 +18,12 @@ keys = GroupKeySet(params, [[1], [0], [1]])  # one row per pair, lexicographic
 print("inputs :", w.ravel().tolist())
 print("keys   :", {g: int(v[0]) for g, v in zip(params.groups, keys.table)})
 
-messages = encode(pre, keys, w)  # row k-1 is user k's broadcast
+masks = pre.masks(keys)  # row k-1 is user k's key mask
+messages = encode(pre, masks, w)  # row k-1 is user k's broadcast
 for k in params.users:
     print(f"user {k} broadcasts X{k} = {int(messages[k - 1, 0])}")
 
-others_sums = recover(pre, keys, messages)  # row k-1 is what user k decodes
+others_sums = recover(pre, masks, messages)  # row k-1 is what user k decodes
 for k in params.users:
     total = (others_sums[k - 1] + w[k - 1]) % 2
     print(f"user {k} recovers others-sum {int(others_sums[k - 1, 0])}, "

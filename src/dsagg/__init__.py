@@ -53,7 +53,6 @@ from .infocalc import (
     observe_key_bundle,
     observe_message,
     observe_total,
-    source_vector,
 )
 from .auditor import (
     AuditReport,

@@ -33,7 +33,7 @@ import numpy as np
 
 from .gf import PrimeField
 from .linalg import Matrix, _safe_dot
-from .scheme import GroupKeySet, Precoder, SchemeParams
+from .scheme import Precoder, SchemeParams
 
 DEFAULT_BUDGET = 2**24
 
@@ -84,9 +84,10 @@ class SourceLayout:
         start = self.params.user_index(k) * self.L
         return slice(start, start + self.L)
 
-    def key_columns(self, groups: Sequence[Sequence[int]]) -> np.ndarray:
-        """Source coordinates of the listed groups' keys, in that order."""
-        ids = np.array([self.params.group_index(g) for g in groups], dtype=np.int64)
+    def key_columns(self, ids: Sequence[int]) -> np.ndarray:
+        """Source coordinates of the keys of the groups ``ids`` (positions in
+        ``params.groups``), in that order."""
+        ids = np.asarray(ids, dtype=np.int64).reshape(-1)
         return self.params.K * self.L + (ids[:, None] * self.L_S + np.arange(self.L_S)).ravel()
 
 
@@ -115,9 +116,6 @@ class LinearObservable:
                 f"observable has {self.matrix.cols} columns, layout needs {self.layout.N}"
             )
 
-    def evaluate(self, source_vector: np.ndarray) -> np.ndarray:
-        return self.matrix.matvec(source_vector)
-
 
 def observe_input(layout: SourceLayout, k: int) -> LinearObservable:
     """The raw input of user k."""
@@ -133,8 +131,10 @@ def observe_total(layout: SourceLayout) -> LinearObservable:
 
 
 def observe_key_bundle(layout: SourceLayout, k: int) -> LinearObservable:
-    """Everything user k stores: its group keys, in ``params.held(k)`` order."""
-    cols = layout.key_columns(layout.params.held(k))
+    """Everything user k stores: the keys of the groups holding k, in group
+    order."""
+    layout.params.user_index(k)  # KeyError for a user outside 1..K
+    cols = layout.key_columns(np.flatnonzero((layout.params.members == k).any(axis=1)))
     data = np.zeros((cols.size, layout.N), dtype=np.int64)
     data[np.arange(cols.size), cols] = 1
     return LinearObservable(f"Z{k}", Matrix(layout.field, data), layout)
@@ -143,11 +143,10 @@ def observe_key_bundle(layout: SourceLayout, k: int) -> LinearObservable:
 def observe_message(precoder: Precoder, k: int) -> LinearObservable:
     """User k's broadcast: its input plus its key mask."""
     layout = layout_for(precoder)
+    p = precoder.params
     data = np.zeros((layout.L, layout.N), dtype=np.int64)
     data[:, layout.input_slice(k)] = np.eye(layout.L, dtype=np.int64)
-    ids, seats = np.nonzero(precoder.params.members == k)  # k's groups, lexicographic
-    data[:, layout.key_columns(precoder.params.held(k))] = (
-        precoder.blocks[ids, seats].transpose(1, 0, 2).reshape(layout.L, ids.size * layout.L_S))
+    data[:, p.K * layout.L:] = precoder.key_map([k], range(len(p.groups)))  # the key segment
     return LinearObservable(f"X{k}", Matrix(layout.field, data), layout)
 
 
@@ -204,6 +203,10 @@ def _stacked_rank(obs: Sequence[LinearObservable], layout: SourceLayout,
     if cache is not None:
         ordered = tuple(sorted(obs, key=lambda o: o.label))
         key = tuple(o.label for o in ordered)
+        if len(set(key)) < len(key):
+            for a, b in zip(ordered, ordered[1:]):
+                if a.label == b.label and a is not b and a != b:
+                    raise ValueError(f"two different observables are labelled {a.label!r}")
         if key in cache:
             rank, stored = cache[key]
             for have, want in zip(stored, ordered):
@@ -227,8 +230,9 @@ def entropy(obs: Sequence[LinearObservable], cache: dict | None = None) -> int:
     """Joint entropy of the observables in q-ary units (an exact integer).
 
     Optional ``cache`` memoizes stacked ranks by sorted label tuple and
-    keeps the observables with each rank; a later query whose label names a
-    different observable raises ValueError instead of reusing the rank.
+    keeps the observables with each rank; a query whose label names a
+    different observable than the cache holds, or than another observable
+    of the same query, raises ValueError instead of sharing the rank.
     """
     layout = _common_layout([obs])
     return _stacked_rank(list(obs), layout, cache)
@@ -402,18 +406,3 @@ def brute_force_mi(a: Sequence[LinearObservable],
         weighted += n_abc * exponent
     return Fraction(weighted, total)
 
-
-# -- realization helpers -------------------------------------------------------
-
-
-def source_vector(layout: SourceLayout, inputs: np.ndarray, keys: GroupKeySet) -> np.ndarray:
-    """Pack per-user inputs (K x L) and a key set into one source vector."""
-    inputs = layout.field.reduce(inputs)
-    if inputs.shape != (layout.params.K, layout.L):
-        raise LayoutMismatchError(
-            f"inputs must be {layout.params.K} x {layout.L}, got {inputs.shape}"
-        )
-    if (keys.params, keys.L_S) != (layout.params, layout.L_S):
-        raise LayoutMismatchError(
-            f"keys of {keys.L_S} symbols for {keys.params} do not fit the layout")
-    return np.concatenate([inputs.ravel(), keys.vector])

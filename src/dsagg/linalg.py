@@ -93,17 +93,6 @@ class Matrix:
     def shape(self) -> tuple[int, int]:
         return self.data.shape
 
-    # -- arithmetic ------------------------------------------------------
-
-    def matvec(self, vec) -> np.ndarray:
-        """Matrix-vector product; returns a 1-D int64 array in [0, q)."""
-        v = self.field.reduce(vec)
-        if v.ndim != 1 or v.shape[0] != self.cols:
-            raise DimensionMismatchError(
-                f"matvec: {self.shape} with vector of length {v.shape}"
-            )
-        return _safe_dot(self.data, v[:, None], self.field.q)[:, 0]
-
     # -- reductions --------------------------------------------------------
 
     def rank(self) -> int:

@@ -241,20 +241,11 @@ class SchemeParams:
             raise KeyError(f"{tuple(group)} is not a size-{self.G} group of "
                            f"[1..{self.K}]") from None
 
-    @cached_property
-    def _held(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        return tuple(tuple(g for g in self.groups if k in g) for k in self.users)
-
     def user_index(self, k: int) -> int:
         """0-based position of user k; KeyError unless 1 <= k <= K."""
         if not 1 <= k <= self.K:
             raise KeyError(f"user {k} outside [1..{self.K}]")
         return k - 1
-
-    def held(self, k: int) -> tuple[tuple[int, ...], ...]:
-        """The groups holding user k in lexicographic order: the order of
-        the keys user k stores."""
-        return self._held[self.user_index(k)]
 
     @cached_property
     def members(self) -> np.ndarray:
@@ -299,22 +290,27 @@ class Precoder:
     def __setattr__(self, name, value):
         raise AttributeError("Precoder is immutable")
 
-    @property
-    def groups(self) -> tuple[tuple[int, ...], ...]:
-        return self.params.groups
-
     def block(self, k: int, group: Sequence[int]) -> Matrix:
         """The coefficient block of user k for ``group`` (zero if k is outside)."""
-        g = tuple(group)
-        i = self.params.group_index(g)  # KeyError for a group that does not exist
+        i = self.params.group_index(group)  # KeyError for a group that does not exist
         self.params.user_index(k)  # KeyError for a user outside 1..K
-        if k not in g:
-            return Matrix.zeros(self.params.field, self.L, self.L_S)
-        return Matrix(self.params.field, self.blocks[i, g.index(k)])
+        return Matrix(self.params.field, self.key_map([k], [i]))
 
     def zero_sum_ok(self) -> bool:
         """Whether every group's blocks sum to the zero matrix."""
         return not (self.blocks.sum(axis=1) % self.params.q).any()
+
+    def key_map(self, users: Sequence[int], ids: Sequence[int]) -> np.ndarray:
+        """The coefficients of ``users``' masks on the keys of the groups
+        ``ids`` (positions in ``params.groups``), both in the order given:
+        a (len(users) * L) x (len(ids) * L_S) array whose (i, j) block is
+        the block of users[i] for group ids[j], zero if it is outside."""
+        ids = np.asarray(ids, dtype=np.intp).reshape(-1)
+        # (user, group, seat) of every block that lands in the map
+        at, gi, seat = np.nonzero(self.params.members[ids] == np.reshape(users, (-1, 1, 1)))
+        out = np.zeros((len(users), self.L, ids.size, self.L_S), dtype=np.int64)
+        out[at, :, gi, :] = self.blocks[ids[gi], seat]
+        return out.reshape(len(users) * self.L, ids.size * self.L_S)
 
     def masks(self, keys: "GroupKeySet") -> np.ndarray:
         """Every user's key mask as a K x L array: row k-1 is the sum over
@@ -522,16 +518,17 @@ def _user_rows(precoder: Precoder, values, what: str) -> np.ndarray:
     return values
 
 
-def encode(precoder: Precoder, keys: GroupKeySet, inputs: np.ndarray) -> np.ndarray:
+def encode(precoder: Precoder, masks: np.ndarray, inputs: np.ndarray) -> np.ndarray:
     """Every user's broadcast as a K x L array: row k-1 is user k's input
-    plus its key mask."""
+    plus its key mask, row k-1 of ``masks`` (``precoder.masks(keys)``)."""
     inputs = _user_rows(precoder, inputs, "inputs")
-    return (inputs + precoder.masks(keys)) % precoder.params.q
+    return (inputs + _user_rows(precoder, masks, "masks")) % precoder.params.q
 
 
-def recover(precoder: Precoder, keys: GroupKeySet, messages: np.ndarray) -> np.ndarray:
+def recover(precoder: Precoder, masks: np.ndarray, messages: np.ndarray) -> np.ndarray:
     """What every user decodes from the K x L broadcast ``messages``: row
-    k-1 is the sum of the other users' messages plus user k's own key mask.
+    k-1 is the sum of the other users' messages plus user k's own key mask,
+    row k-1 of ``masks`` (``precoder.masks(keys)``).
 
     For a zero-sum precoder that is the sum of the other users' inputs: in
     each group the other members' blocks sum to the negation of k's, so the
@@ -539,8 +536,8 @@ def recover(precoder: Precoder, keys: GroupKeySet, messages: np.ndarray) -> np.n
     obtain the global sum.
     """
     messages = _user_rows(precoder, messages, "messages")
-    q = precoder.params.q
-    return (messages.sum(axis=0) - messages + precoder.masks(keys)) % q
+    masks = _user_rows(precoder, masks, "masks")
+    return (messages.sum(axis=0) - messages + masks) % precoder.params.q
 
 
 # -- scheme file format ---------------------------------------------------

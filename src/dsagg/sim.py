@@ -71,7 +71,8 @@ def run_round(precoder: Precoder, input_source="random", seed: int = 0) -> Trans
     key_ss, input_ss = np.random.SeedSequence(seed).spawn(2)
     keys = sample_keys(precoder, key_ss)
     inputs = make_inputs(precoder, input_source, input_ss)
-    messages = encode(precoder, keys, inputs)
-    recovered = (recover(precoder, keys, messages) + inputs) % params.q
+    masks = precoder.masks(keys)
+    messages = encode(precoder, masks, inputs)
+    recovered = (recover(precoder, masks, messages) + inputs) % params.q
     verdict = bool((recovered == inputs.sum(axis=0) % params.q).all())
     return Transcript(params, seed, inputs, messages, recovered, verdict)

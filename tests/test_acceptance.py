@@ -89,7 +89,8 @@ def test_criterion_2_three_user_scheme_reproduction():
         for bits in itertools.product(range(2), repeat=6):
             w = np.array(bits[:3]).reshape(3, 1)
             keys = GroupKeySet(p, np.array(bits[3:]).reshape(3, 1))  # (1,2), (1,3), (2,3)
-            got = recover(pre, keys, encode(pre, keys, w))
+            masks = pre.masks(keys)
+            got = recover(pre, masks, encode(pre, masks, w))
             assert np.array_equal(got, (w.sum(axis=0) - w) % 2)
 
         # exact security for all three users
@@ -116,9 +117,9 @@ def test_criterion_3_five_user_fixture_reproduction():
         # seeded recovery identity
         rng = np.random.default_rng(0)
         for trial in range(3):
-            keys = dsagg.sample_keys(pre, trial)
+            masks = pre.masks(dsagg.sample_keys(pre, trial))
             w = rng.integers(0, 5, size=(5, 3))
-            got = recover(pre, keys, encode(pre, keys, w))
+            got = recover(pre, masks, encode(pre, masks, w))
             assert np.array_equal(got, (w.sum(axis=0) - w) % 5)
 
         # exact MI zero on all 25 (user, collusion set) pairs
@@ -253,7 +254,7 @@ def test_criterion_9_structured_inputs_keep_working():
     with criterion(9, "recovery and masking independent of input shape", 1.0):
         pre = fixture_example2()
         p = pre.params
-        keys = dsagg.sample_keys(pre, 12)
+        masks = pre.masks(dsagg.sample_keys(pre, 12))
 
         structured = {
             "all-equal": np.full((5, 3), 4, dtype=np.int64),
@@ -261,14 +262,14 @@ def test_criterion_9_structured_inputs_keep_working():
             "constant": np.tile(np.array([1, 2, 3]), (5, 1)),
         }
         for name, w in structured.items():
-            got = recover(pre, keys, encode(pre, keys, w))
+            got = recover(pre, masks, encode(pre, masks, w))
             assert np.array_equal(got, (w.sum(axis=0) - w) % 5), name
 
         # the mask a user applies never depends on its input: encoding is an
         # affine shift, so the privacy certificate is input-independent
-        mask_only = encode(pre, keys, np.zeros((5, 3), dtype=np.int64))
+        mask_only = encode(pre, masks, np.zeros((5, 3), dtype=np.int64))
         for name, w in structured.items():
-            with_input = encode(pre, keys, w)
+            with_input = encode(pre, masks, w)
             assert np.array_equal((with_input - mask_only) % 5, w % 5), name
 
         # and that certificate holds for every (user, collusion set)

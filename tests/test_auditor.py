@@ -1,4 +1,5 @@
 import itertools
+import math
 import re
 
 import numpy as np
@@ -260,6 +261,14 @@ def test_audit_recovery_fixtures_clean():
         assert all(c.residual_entropy == 0 and c.spot_check_ok for c in checks)
 
 
+def test_each_spot_check_draw_computes_the_masks_once(monkeypatch):
+    calls = []
+    masks = Precoder.masks
+    monkeypatch.setattr(Precoder, "masks", lambda pre, keys: calls.append(1) or masks(pre, keys))
+    audit_recovery(fixture_example2())
+    assert len(calls) == 2  # two seeded draws
+
+
 def test_audit_recovery_detects_zero_sum_violation():
     pre = fixture_example2()
     bumped = pre.block(1, (1, 2)).data.copy()
@@ -374,14 +383,14 @@ def test_monotone_damage_no_silent_degradation():
     # Zeroing any single nonzero block must move at least one recorded
     # value; nothing may degrade silently.
     pre = fixture_example2()
-    base_recovery = [c.residual_entropy for c in audit_recovery(pre, samples=1)]
+    base_recovery = [c.residual_entropy for c in audit_recovery(pre)]
     base_security = [(c.mi, c.rank.achieved) for c in audit_security(pre)]
-    for g in pre.groups:
+    for g in pre.params.groups:
         for k in g:
             if not pre.block(k, g).data.any():
                 continue
             mutated = pre.replace_block(k, g, Matrix.zeros(pre.params.field, 3, 2))
-            rec = [c.residual_entropy for c in audit_recovery(mutated, samples=1)]
+            rec = [c.residual_entropy for c in audit_recovery(mutated)]
             sec = [(c.mi, c.rank.achieved) for c in audit_security(mutated)]
             assert rec != base_recovery or sec != base_security, (k, g)
 
@@ -430,6 +439,15 @@ def test_infeasibility_group_too_large():
 
     exp = audit_infeasibility(3, 0, 3)  # single key shared by everyone
     assert exp.reason is InfeasibilityReason.GROUP_TOO_LARGE
+
+
+def test_infeasibility_group_too_large_counts_once_for_all_coalitions():
+    # C(60, 30) coalitions of T + 1 = 30 users: far too many to walk, and
+    # each leaves the same 30 users outside, too few for a group of 40.
+    assert math.comb(60, 30) > 10**17
+    exp = audit_infeasibility(60, 29, 40)
+    assert exp.reason is InfeasibilityReason.GROUP_TOO_LARGE
+    assert "coalition of 30 users" in exp.detail
 
 
 def test_infeasibility_requires_infeasible_triple():

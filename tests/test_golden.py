@@ -3,7 +3,8 @@
 These outputs must stay byte-identical across refactors. The digests cover
 cases the benchmark's own digests do not: a failing audit (recovery
 spot-check FAIL lines), an undersized precoder, zero inputs, the oracle at
-small q and a demo's stdout. A digest that changes means an output changed;
+small q and the stdout of the demos that print blocks, H-hat, a damaged
+audit and hand-built views. A digest that changes means an output changed;
 compare the old and new text before recording a new digest.
 """
 
@@ -59,6 +60,13 @@ ORACLE = {
 
 DEMO_02 = "0d23a9e6a5b8a70dbc20dfcead2b3f63ac74fc96d2e9b4c6fed7ba45d3a32256"
 
+DEMOS = {
+    "03_fixture_walkthrough": "455ac20f1601b181641f70596d14e1a3be8e3be7a3446a8076579e3efd4aa82e",
+    "04_random_scheme_end_to_end":
+        "f40f363d70c822f39e7cffffc46bb68c74ce1a8c5ad74f58b2035620bfd8fc81",
+    "06_rank_vs_enumeration": "b85d0df7c82e763ecc1e48d51662d35a9800ed759e4fe30103fc44b48983525a",
+}
+
 
 @pytest.mark.parametrize("name", sorted(AUDITS))
 def test_audit_report_digest(name):
@@ -78,9 +86,18 @@ def test_oracle_stdout_digest(q, capsys):
     assert sha(capsys.readouterr().out) == ORACLE[q]
 
 
-def test_demo_02_stdout_digest(tmp_path):
+def demo_stdout(name: str, cwd: Path) -> str:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    done = subprocess.run([sys.executable, str(ROOT / "demos" / "02_three_user_round.py")],
-                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    done = subprocess.run([sys.executable, str(ROOT / "demos" / f"{name}.py")],
+                          cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert sha(done.stdout) == DEMO_02
+    return done.stdout
+
+
+def test_demo_02_stdout_digest(tmp_path):
+    assert sha(demo_stdout("02_three_user_round", tmp_path)) == DEMO_02
+
+
+@pytest.mark.parametrize("name", sorted(DEMOS))
+def test_demo_stdout_digest(name, tmp_path):
+    assert sha(demo_stdout(name, tmp_path)) == DEMOS[name]

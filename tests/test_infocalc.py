@@ -26,9 +26,8 @@ from dsagg.infocalc import (
     observe_key_bundle,
     observe_message,
     observe_total,
-    source_vector,
 )
-from dsagg.linalg import Matrix, random_matrix
+from dsagg.linalg import Matrix, _safe_dot, random_matrix
 from dsagg.scheme import (
     Precoder,
     SchemeParams,
@@ -37,6 +36,7 @@ from dsagg.scheme import (
     fixture_example2,
     sample_keys,
 )
+from dsagg.scheme import encode
 
 
 def zero_precoder(params):
@@ -50,17 +50,18 @@ def zero_precoder(params):
 
 def test_layout_segments_cover_source():
     lay = layout_for(SchemeParams(K=5, T=1, G=2, q=5))
+    ids = lay.params.group_index
     assert lay.N == 5 * 3 + 10 * 2
     assert lay.input_slice(1) == slice(0, 3)
-    assert lay.key_columns([(1, 2)]).tolist() == [15, 16]
-    assert lay.key_columns([(2, 3), (1, 2)]).tolist() == [23, 24, 15, 16]
+    assert lay.key_columns([ids((1, 2))]).tolist() == [15, 16]
+    assert lay.key_columns([ids((2, 3)), ids((1, 2))]).tolist() == [23, 24, 15, 16]
     keyless = SourceLayout(lay.params, 3, 0)
-    assert keyless.key_columns([(4, 5)]).size == 0 and keyless.N == 15
+    assert keyless.key_columns([ids((4, 5))]).size == 0 and keyless.N == 15
     # Inputs, then keys in group order, cover [0, N) once each.
     for layout in (lay, keyless):
         covered = [i for k in layout.params.users
                    for i in range(layout.N)[layout.input_slice(k)]]
-        covered += layout.key_columns(layout.params.groups).tolist()
+        covered += layout.key_columns(range(len(layout.params.groups))).tolist()
         assert covered == list(range(layout.N))
 
 
@@ -99,7 +100,7 @@ def test_entropy_of_surviving_key_mixes_is_six():
         data = np.zeros((3, lay.N), dtype=np.int64)
         for g in surviving:
             if u in g:
-                data[:, lay.key_columns([g])] = pre.block(u, g).data
+                data[:, lay.key_columns([pre.params.group_index(g)])] = pre.block(u, g).data
         mixes.append(LinearObservable(f"mix{u}", Matrix(lay.field, data), lay))
     assert entropy(mixes) == 6
 
@@ -141,7 +142,7 @@ def test_mutual_information_examples():
 def test_group_key_observable():
     lay = layout_for(fixture_example2())
     data = np.zeros((2, lay.N), dtype=np.int64)
-    data[:, lay.key_columns([(1, 2)])] = np.eye(2, dtype=np.int64)
+    data[:, lay.key_columns([lay.params.group_index((1, 2))])] = np.eye(2, dtype=np.int64)
     assert entropy([LinearObservable("S{1,2}", Matrix(lay.field, data), lay)]) == 2
     assert entropy([observe_key_bundle(lay, 1)]) == 4 * 2
 
@@ -288,6 +289,19 @@ def test_cache_refuses_a_different_observable_under_a_known_label():
                    cache=cache) == 1
 
 
+def test_cache_refuses_two_different_observables_under_one_label():
+    lay = layout_for(fixture_example1())
+    a1 = LinearObservable("A", observe_input(lay, 1).matrix, lay)
+    a2 = LinearObservable("A", observe_input(lay, 2).matrix, lay)
+    cache = {}
+    for query in ([a1, a2], [a2, a1]):
+        with pytest.raises(ValueError, match="'A'"):
+            entropy(query, cache=cache)
+    assert cache == {}
+    assert entropy([a1, a2]) == 2  # labels only matter to a cache
+    assert entropy([a1, a1], cache=cache) == 1
+
+
 # ---------------------------------------------------------------------------
 # enumeration oracle
 # ---------------------------------------------------------------------------
@@ -424,21 +438,21 @@ def test_rank_calculus_matches_oracle_nonnegative_and_chains(query):
 
 
 # ---------------------------------------------------------------------------
-# realization packing
+# observables of one realization
 # ---------------------------------------------------------------------------
 
-def test_source_vector_evaluates_observables():
+def test_observables_match_encode_on_a_realization():
     pre = fixture_example2()
     params = pre.params
     lay = layout_for(pre)
     keys = sample_keys(pre, 4)
     rng = np.random.default_rng(8)
     w = rng.integers(0, 5, size=(5, 3))
-    u = source_vector(lay, w, keys)
+    u = np.concatenate([w.ravel(), keys.vector])[:, None]  # inputs, then keys
 
-    from dsagg.scheme import encode
-
-    sent = encode(pre, keys, w)
+    sent = encode(pre, pre.masks(keys), w)
     for k in params.users:
-        assert np.array_equal(observe_message(pre, k).evaluate(u), sent[k - 1])
-    assert np.array_equal(observe_total(lay).evaluate(u), w.sum(axis=0) % 5)
+        assert np.array_equal(_safe_dot(observe_message(pre, k).matrix.data, u, 5)[:, 0],
+                              sent[k - 1])
+    assert np.array_equal(_safe_dot(observe_total(lay).matrix.data, u, 5)[:, 0],
+                          w.sum(axis=0) % 5)

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 import dsagg.scheme
 from dsagg.auditor import collusion_sets, rank_certificate_ok, submatrix_hhat
-from dsagg.infocalc import layout_for, observe_key_bundle, observe_message, source_vector
-from dsagg.linalg import DimensionMismatchError, Matrix
+from dsagg.infocalc import layout_for, observe_key_bundle, observe_message
+from dsagg.linalg import DimensionMismatchError, Matrix, _safe_dot
 from dsagg.scheme import (
     ConstructionFailedError,
     GroupKeySet,
@@ -164,7 +164,7 @@ def test_fixture_example1_signs():
     pre = fixture_example1()
     assert pre.params.q == 2
     assert pre.zero_sum_ok()
-    for g in pre.groups:
+    for g in pre.params.groups:
         assert pre.block(g[0], g).data.tolist() == [[1]]
         assert pre.block(g[1], g).data.tolist() == [[1]]  # -1 == 1 mod 2
 
@@ -195,32 +195,35 @@ def test_encode_three_user_example():
     # q=2, W_1=1, first key 1, second key 0: the mask flips the input bit.
     pre = fixture_example1()
     ks = GroupKeySet(pre.params, [[1], [0], [0]])  # keys of (1,2), (1,3), (2,3)
-    assert encode(pre, ks, [[1], [0], [0]])[0].tolist() == [0]
+    assert encode(pre, pre.masks(ks), [[1], [0], [0]])[0].tolist() == [0]
 
 
 def test_encode_with_zero_keys_is_identity():
     pre = fixture_example2()
     ks = GroupKeySet(pre.params, np.zeros((10, 2), dtype=np.int64))
     w = np.arange(15).reshape(5, 3) % 5
-    assert encode(pre, ks, w).tolist() == w.tolist()
+    assert encode(pre, pre.masks(ks), w).tolist() == w.tolist()
 
 
 def test_encode_fixture_single_key_column():
     pre = fixture_example2()
     table = np.zeros((10, 2), dtype=np.int64)
     table[pre.params.group_index((1, 2))] = [1, 0]
-    msgs = encode(pre, GroupKeySet(pre.params, table), np.zeros((5, 3), dtype=np.int64))
+    msgs = encode(pre, pre.masks(GroupKeySet(pre.params, table)),
+                  np.zeros((5, 3), dtype=np.int64))
     assert msgs.tolist() == [[2, 4, 2], [3, 1, 3], [0, 0, 0], [0, 0, 0], [0, 0, 0]]
 
 
 def test_encode_length_check():
     pre = fixture_example2()
-    keys = sample_keys(pre, 0)
+    masks = pre.masks(sample_keys(pre, 0))
+    fits = np.zeros((5, 3), dtype=np.int64)
     for bad in (np.zeros((5, 2)), np.zeros(3), np.zeros((4, 3)), np.zeros((6, 3))):
-        with pytest.raises(DimensionMismatchError):
-            encode(pre, keys, bad)
-        with pytest.raises(DimensionMismatchError):
-            recover(pre, keys, bad)
+        for step in (encode, recover):
+            with pytest.raises(DimensionMismatchError):
+                step(pre, masks, bad)
+            with pytest.raises(DimensionMismatchError):
+                step(pre, bad, fits)
 
 
 @pytest.mark.parametrize("k", [0, -1, 6, 99])
@@ -235,8 +238,7 @@ def test_user_outside_one_to_K_raises_key_error(k):
 
 def test_group_outside_the_scheme_raises_key_error_naming_it():
     pre = fixture_example2()
-    for lookup in (lambda g: layout_for(pre).key_columns([g]), pre.params.group_index,
-                   lambda g: pre.block(1, g)):
+    for lookup in (pre.params.group_index, lambda g: pre.block(1, g)):
         with pytest.raises(KeyError, match=r"\(1, 6\) is not a size-2 group"):
             lookup((1, 6))
 
@@ -255,9 +257,7 @@ def test_key_sets_of_the_wrong_shape_are_refused():
     other_field = GroupKeySet(SchemeParams(K=3, T=0, G=2, q=7), [[1]] * 3)
     for keys in (long_keys, other_field):
         with pytest.raises(DimensionMismatchError):
-            encode(pre, keys, np.zeros((3, 1), dtype=np.int64))
-        with pytest.raises(DimensionMismatchError):
-            recover(pre, keys, np.zeros((3, 1), dtype=np.int64))
+            pre.masks(keys)
 
 
 def test_recover_three_user_exhaustive():
@@ -265,16 +265,16 @@ def test_recover_three_user_exhaustive():
     pre = fixture_example1()
     for bits in itertools.product(range(2), repeat=6):
         w = np.array(bits[:3]).reshape(3, 1)
-        ks = GroupKeySet(pre.params, np.array(bits[3:]).reshape(3, 1))
-        got = recover(pre, ks, encode(pre, ks, w))
+        masks = pre.masks(GroupKeySet(pre.params, np.array(bits[3:]).reshape(3, 1)))
+        got = recover(pre, masks, encode(pre, masks, w))
         assert np.array_equal(got, (w.sum(axis=0) - w) % 2)
 
 
 def test_recover_all_zero():
     pre = fixture_example2()
-    ks = GroupKeySet(pre.params, np.zeros((10, 2), dtype=np.int64))
+    masks = pre.masks(GroupKeySet(pre.params, np.zeros((10, 2), dtype=np.int64)))
     zero = np.zeros((5, 3), dtype=np.int64)
-    assert recover(pre, ks, encode(pre, ks, zero)).tolist() == zero.tolist()
+    assert recover(pre, masks, encode(pre, masks, zero)).tolist() == zero.tolist()
 
 
 def test_recover_fixture_matches_direct_sum():
@@ -282,9 +282,9 @@ def test_recover_fixture_matches_direct_sum():
     pre = fixture_example2()
     rng = np.random.default_rng(99)
     for trial in range(5):
-        keys = sample_keys(pre, trial)
+        masks = pre.masks(sample_keys(pre, trial))
         w = rng.integers(0, 5, size=(5, 3))
-        got = recover(pre, keys, encode(pre, keys, w))
+        got = recover(pre, masks, encode(pre, masks, w))
         assert np.array_equal(got, (w.sum(axis=0) - w) % 5)
 
 
@@ -296,7 +296,7 @@ def test_recovery_identity_for_unchecked_random_precoders():
     for K, T, G in feasible_triples(8):
         p = SchemeParams(K=K, T=T, G=G, q=7)
         pre = random_precoder(p, seed=int(rng.integers(0, 100)))
-        keys = sample_keys(pre, 17)
+        masks = pre.masks(sample_keys(pre, 17))
         structured = [
             np.ones((K, p.L), dtype=np.int64),                       # all-equal
             np.eye(K, p.L, dtype=np.int64),                          # one-hot
@@ -304,7 +304,7 @@ def test_recovery_identity_for_unchecked_random_precoders():
         ]
         for w in structured:
             w = w % 7
-            got = recover(pre, keys, encode(pre, keys, w))
+            got = recover(pre, masks, encode(pre, masks, w))
             assert np.array_equal(got, (w.sum(axis=0) - w) % 7)
 
 
@@ -496,30 +496,45 @@ def test_stored_form_agrees_with_its_blocks(drawn):
     blocks = pre.blocks
     assert not blocks.flags.writeable
     assert Precoder(p, blocks) == pre
-    for i, g in enumerate(p.groups):
-        for j, k in enumerate(g):
-            assert np.array_equal(blocks[i, j], pre.block(k, g).data)
+
+    def stored(u, g):  # user u's block for group g, read from the array
+        if u not in g:
+            return np.zeros((pre.L, pre.L_S), dtype=np.int64)
+        return blocks[p.group_index(g), g.index(u)]
+
+    for g in p.groups:
+        for k in p.users:
+            assert np.array_equal(stored(k, g), pre.block(k, g).data)
 
     rng = np.random.Generator(np.random.PCG64(seed))
     keys = GroupKeySet(p, rng.integers(0, p.q, size=(len(p.groups), pre.L_S)))
     inputs = rng.integers(0, p.q, size=(p.K, pre.L))
-    lay = layout_for(pre)
-    source = source_vector(lay, inputs, keys)
+    source = np.concatenate([inputs.ravel(), keys.vector])[:, None]  # inputs, then keys
     masks = pre.masks(keys)
-    sent = encode(pre, keys, inputs)
+    sent = encode(pre, masks, inputs)
     for k in p.users:
         mask = np.zeros(pre.L, dtype=np.int64)
-        for g in p.held(k):
-            mask = (mask + pre.block(k, g).matvec(keys.table[p.group_index(g)])) % p.q
+        for i, g in enumerate(p.groups):
+            if k in g:
+                mask = (mask + _safe_dot(stored(k, g), keys.table[i, :, None], p.q)[:, 0]) % p.q
         assert np.array_equal(masks[k - 1], mask)
-        assert np.array_equal(observe_message(pre, k).evaluate(source), sent[k - 1])
+        assert np.array_equal(_safe_dot(observe_message(pre, k).matrix.data, source, p.q)[:, 0],
+                              sent[k - 1])
+
+    # key_map places blocks for users and groups in any order given,
+    # repeats included.
+    order = np.random.Generator(np.random.PCG64(seed))
+    users = order.integers(1, p.K + 1, size=3).tolist()
+    ids = order.integers(0, len(p.groups), size=3).tolist()
+    expected = np.vstack([np.hstack([stored(u, p.groups[i]) for i in ids]) for u in users])
+    assert np.array_equal(pre.key_map(users, ids), expected)
 
     for k in p.users:
         for cset in collusion_sets(p.K, k, p.T):
             survivors = [u for u in p.users if u != k and u not in cset]
             surviving = [g for g in p.groups if set(g) <= set(survivors)]
             expected = np.vstack([
-                np.hstack([pre.block(u, g).data for g in surviving]
+                np.hstack([stored(u, g) for g in surviving]
                           or [np.zeros((pre.L, 0), dtype=np.int64)])
                 for u in survivors])
             assert np.array_equal(submatrix_hhat(pre, k, cset).data, expected)

@@ -41,6 +41,15 @@ def test_round_structured_inputs():
     assert tr.recovered.ravel().tolist() == [6, 6, 6]
 
 
+def test_round_computes_the_masks_once(monkeypatch):
+    calls = []
+    masks = dsagg.scheme.Precoder.masks
+    monkeypatch.setattr(dsagg.scheme.Precoder, "masks",
+                        lambda pre, keys: calls.append(1) or masks(pre, keys))
+    assert run_round(fixture_example2(), "random", seed=3).verdict
+    assert len(calls) == 1
+
+
 def test_make_inputs_sources():
     pre = reference_precoder(SchemeParams(K=3, T=0, G=2, q=5))
     assert not make_inputs(pre, "zero", 0).any()
