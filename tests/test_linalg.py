@@ -58,10 +58,13 @@ def test_rank_at_most_min_dimension():
 # products
 # ---------------------------------------------------------------------------
 
-def test_safe_dot_identity_zero_and_fixture_column():
+def test_matvec_identity_and_zero():
     v = np.array([[1], [2], [3]])
     assert _safe_dot(np.eye(3, dtype=np.int64), v, 5)[:, 0].tolist() == [1, 2, 3]
     assert _safe_dot(np.zeros((2, 3), dtype=np.int64), v, 5)[:, 0].tolist() == [0, 0]
+
+
+def test_matvec_fixture_first_column():
     h12 = fixture_example2().block(1, (1, 2))
     assert _safe_dot(h12.data, np.array([[1], [0]]), 5)[:, 0].tolist() == [2, 4, 2]
 
