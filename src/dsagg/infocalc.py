@@ -6,15 +6,18 @@ uniformly from F_q^N is uniform on the column space of A, and every fiber of
 the map has the same cardinality q**(N - rank(A)); hence the entropy of A@u
 is exactly rank(A) in q-ary units. Joint observables stack rows, so every
 entropy, conditional entropy, and mutual information in this module reduces
-to integer ranks, with no floating point anywhere.
+to integer ranks. Floating point enters only inside ``Matrix.rank``, in
+products of integers whose exact sums stay below 2**53, so every rank is
+still exact.
 
 Most rows of those stacks are coordinate projections: inputs, key bundles,
 and messages once their keys are known. A row with one nonzero is a scaled
 unit vector e_j, so rank([P_S; A]) = |S| + rank(A[:, not S]) with S the
 columns of such rows; the rank path peels these rows and their columns,
 repeating while new ones appear, and eliminates only what is left (the
-singleton step of structured Gaussian elimination). ``Matrix.rank`` stays
-the reference kernel and is called once per rank computed.
+singleton step of structured Gaussian elimination). ``Matrix.rank`` is
+called once per rank computed; it runs the reference row loop
+``linalg._row_reduce`` below a size cutoff and the recursive kernel above it.
 
 The enumeration oracle at the bottom re-derives the same quantities by
 walking the whole source space and counting, sharing no code with the rank
@@ -86,8 +89,9 @@ class SourceLayout:
 
     def key_columns(self, ids: Sequence[int]) -> np.ndarray:
         """Source coordinates of the keys of the groups ``ids`` (positions in
-        ``params.groups``), in that order."""
-        ids = np.asarray(ids, dtype=np.int64).reshape(-1)
+        ``params.groups``), in that order; KeyError for an id outside
+        range(C(K, G))."""
+        ids = self.params.group_ids(ids)
         return self.params.K * self.L + (ids[:, None] * self.L_S + np.arange(self.L_S)).ravel()
 
 

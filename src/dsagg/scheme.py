@@ -241,6 +241,15 @@ class SchemeParams:
             raise KeyError(f"{tuple(group)} is not a size-{self.G} group of "
                            f"[1..{self.K}]") from None
 
+    def group_ids(self, ids: Sequence[int]) -> np.ndarray:
+        """``ids`` as a flat array of positions in ``groups``; KeyError
+        unless each is in range(C(K, G))."""
+        ids = np.asarray(ids, dtype=np.intp).reshape(-1)
+        bad = ids[(ids < 0) | (ids >= len(self.groups))]
+        if bad.size:
+            raise KeyError(f"group id {bad[0]} outside range({len(self.groups)})")
+        return ids
+
     def user_index(self, k: int) -> int:
         """0-based position of user k; KeyError unless 1 <= k <= K."""
         if not 1 <= k <= self.K:
@@ -293,8 +302,7 @@ class Precoder:
     def block(self, k: int, group: Sequence[int]) -> Matrix:
         """The coefficient block of user k for ``group`` (zero if k is outside)."""
         i = self.params.group_index(group)  # KeyError for a group that does not exist
-        self.params.user_index(k)  # KeyError for a user outside 1..K
-        return Matrix(self.params.field, self.key_map([k], [i]))
+        return Matrix(self.params.field, self.key_map([k], [i]))  # and for a user outside 1..K
 
     def zero_sum_ok(self) -> bool:
         """Whether every group's blocks sum to the zero matrix."""
@@ -304,13 +312,18 @@ class Precoder:
         """The coefficients of ``users``' masks on the keys of the groups
         ``ids`` (positions in ``params.groups``), both in the order given:
         a (len(users) * L) x (len(ids) * L_S) array whose (i, j) block is
-        the block of users[i] for group ids[j], zero if it is outside."""
-        ids = np.asarray(ids, dtype=np.intp).reshape(-1)
+        the block of users[i] for group ids[j], zero if it is outside.
+        KeyError for a user outside 1..K or an id outside range(C(K, G))."""
+        ids = self.params.group_ids(ids)
+        users = np.asarray(users, dtype=np.intp).reshape(-1)
+        bad = users[(users < 1) | (users > self.params.K)]
+        if bad.size:
+            raise KeyError(f"user {bad[0]} outside [1..{self.params.K}]")
         # (user, group, seat) of every block that lands in the map
-        at, gi, seat = np.nonzero(self.params.members[ids] == np.reshape(users, (-1, 1, 1)))
-        out = np.zeros((len(users), self.L, ids.size, self.L_S), dtype=np.int64)
+        at, gi, seat = np.nonzero(self.params.members[ids] == users[:, None, None])
+        out = np.zeros((users.size, self.L, ids.size, self.L_S), dtype=np.int64)
         out[at, :, gi, :] = self.blocks[ids[gi], seat]
-        return out.reshape(len(users) * self.L, ids.size * self.L_S)
+        return out.reshape(users.size * self.L, ids.size * self.L_S)
 
     def masks(self, keys: "GroupKeySet") -> np.ndarray:
         """Every user's key mask as a K x L array: row k-1 is the sum over

@@ -1,9 +1,21 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from dsagg.auditor import rank_certificate_ok, submatrix_hhat
 from dsagg.gf import PrimeField
-from dsagg.linalg import Matrix, _safe_dot, random_matrix
-from dsagg.scheme import fixture_example2
+from dsagg.linalg import (
+    _CHUNK,
+    _RECURSIVE_MIN,
+    Matrix,
+    _mod_addmul,
+    _row_reduce,
+    _safe_dot,
+    random_matrix,
+)
+from dsagg.scheme import SchemeParams, fixture_example2, random_precoder
 
 F5 = PrimeField(5)
 F2 = PrimeField(2)
@@ -54,6 +66,65 @@ def test_rank_at_most_min_dimension():
         assert m.rank() <= 4
 
 
+# The recursive kernel behind Matrix.rank must agree with the reference
+# row loop everywhere. Each kind of matrix is drawn from a seed:
+# "dense" is uniform, "product" has rank at most r, "copies" repeats or
+# combines rows and columns, "zero" is all zero.
+_SIDES = st.integers(0, _RECURSIVE_MIN - 1) | st.integers(_RECURSIVE_MIN, 2 * _RECURSIVE_MIN - 20)
+
+
+@settings(max_examples=80, deadline=None)
+@given(q=st.sampled_from([2, 3, 5, 13, 101, 2**31 - 1]), rows=_SIDES, cols=_SIDES,
+       kind=st.sampled_from(["dense", "product", "copies", "zero"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_rank_equals_row_reduce(q, rows, cols, kind, seed):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    data = rng.integers(0, q, size=(rows, cols), dtype=np.int64)
+    if kind == "product":
+        r = int(rng.integers(0, min(rows, cols) + 1))
+        data = _safe_dot(rng.integers(0, q, size=(rows, r), dtype=np.int64),
+                         rng.integers(0, q, size=(r, cols), dtype=np.int64), q)
+    elif kind == "copies" and rows and cols:
+        for axis in (0, 1):
+            view = data if axis == 0 else data.T
+            n = view.shape[0]
+            for i in rng.integers(0, n, size=n // 2):
+                j, k = rng.integers(0, n, size=2)
+                c = int(rng.integers(0, q))
+                view[i] = (view[j] + c * view[k]) % q
+    elif kind == "zero":
+        data[:] = 0
+    m = Matrix(PrimeField(q), data)
+    assert m.rank() == _row_reduce(data.copy(), q)
+
+
+def test_rank_of_every_surviving_key_submatrix_equals_row_reduce():
+    # The rank certificate of the (8,0,4) q=5 seed-0 draw: eight 245 x 210
+    # submatrices, above the cutoff, some of them rank deficient.
+    pre = random_precoder(SchemeParams(K=8, T=0, G=4, q=5), 0)
+    hhats = [submatrix_hhat(pre, k, ()) for k in pre.params.users]
+    assert all(min(h.shape) >= _RECURSIVE_MIN for h in hhats)
+    ranks = [h.rank() for h in hhats]
+    assert ranks == [_row_reduce(h.data.copy(), 5) for h in hhats]
+    assert rank_certificate_ok(pre) == all(r >= 210 for r in ranks)
+
+
+def test_rank_kernel_peak_memory_within_row_reduce():
+    q = 2**31 - 1
+    m = random_matrix(560, 490, PrimeField(q), seed=0)
+    assert min(m.shape) >= _RECURSIVE_MIN
+
+    def peak(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(m.rank) <= peak(lambda: _row_reduce(m.data.copy(), q))
+
+
 # ---------------------------------------------------------------------------
 # products
 # ---------------------------------------------------------------------------
@@ -83,6 +154,32 @@ def test_large_modulus_products_do_not_overflow():
     got = _safe_dot(a, np.full((400, 1), q - 1, dtype=np.int64), q)
     expected = (400 * pow(q - 1, 2, q)) % q
     assert np.all(got == expected)
+
+
+def test_rank_kernel_product_is_exact_at_the_overflow_edge():
+    q = 2**31 - 1
+    # All entries q-1, then all 0x7FFEFFFF (low limbs 0xFFFE and 0xFFFF):
+    # a block of 2**21 limb products sums to just below 2**53, and the
+    # 2**12 + 1 terms past it go to a second block. In one block they would
+    # reach an odd sum above 2**53, which float64 rounds.
+    inner = 2**21 + 2**12 + 1
+    for v in (q - 1, 0x7FFEFFFF):
+        c = np.full((1, 1), v, dtype=np.int64)
+        _mod_addmul(c, np.full((1, inner), v, dtype=np.int64),
+                    np.full((inner, 1), v, dtype=np.int64), q)
+        assert int(c[0, 0]) == (v + inner * v**2) % q
+    # More output rows than one chunk holds, against Python-int arithmetic.
+    rng = np.random.Generator(np.random.PCG64(3))
+    # Near 2**25 one product is exact up to 8 terms; limbs take over at 9.
+    for p in (q, 101, 33554393):
+        for inner in (1, 8, 9, 50):
+            a = rng.integers(0, p, size=(_CHUNK // 40 + 3, inner), dtype=np.int64)
+            b = rng.integers(0, p, size=(inner, 40), dtype=np.int64)
+            a[:2], b[:, :2] = [[p - 1], [p - 2]], [p - 1, p - 2]
+            c = rng.integers(0, p, size=(a.shape[0], 40), dtype=np.int64)
+            expected = (c.astype(object) + a.astype(object) @ b.astype(object)) % p
+            _mod_addmul(c, a, b, p)
+            assert c.tolist() == expected.tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -234,6 +234,19 @@ def test_user_outside_one_to_K_raises_key_error(k):
         observe_key_bundle(layout_for(pre), k)
     with pytest.raises(KeyError, match=f"user {k} outside"):
         pre.block(k, (1, 2))
+    with pytest.raises(KeyError, match=f"user {k} outside"):
+        pre.key_map([k], [0])  # used to return zeros
+
+
+@pytest.mark.parametrize("i", [-1, 10])
+def test_group_id_outside_the_scheme_raises_key_error(i):
+    # Ids used to wrap or run past the source: key_columns([-1]) gave user
+    # 5's input columns [13, 14], key_columns([10]) gave [35, 36] with N=35,
+    # and key_map([5], [-1]) the block of group (4, 5).
+    pre = fixture_example2()
+    for lookup in (layout_for(pre).key_columns, lambda ids: pre.key_map([5], ids)):
+        with pytest.raises(KeyError, match=rf"group id {i} outside range\(10\)"):
+            lookup([i])
 
 
 def test_group_outside_the_scheme_raises_key_error_naming_it():
