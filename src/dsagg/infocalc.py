@@ -15,8 +15,11 @@ and messages once their keys are known. A row with one nonzero is a scaled
 unit vector e_j, so rank([P_S; A]) = |S| + rank(A[:, not S]) with S the
 columns of such rows; the rank path peels these rows and their columns,
 repeating while new ones appear, and eliminates only what is left (the
-singleton step of structured Gaussian elimination). ``Matrix.rank`` is
-called once per rank computed; it runs the reference row loop
+singleton step of structured Gaussian elimination). The peel works on each
+observable's nonzeros, never on a dense stack: only the remainder, its live
+rows over its live nonzero columns, is built as a matrix. Within one rank
+cache, each distinct remainder is ranked once. ``Matrix.rank`` is called
+once per remainder ranked; it runs the reference row loop
 ``linalg._row_reduce`` below a size cutoff and the recursive kernel above it.
 
 The enumeration oracle at the bottom re-derives the same quantities by
@@ -30,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -120,6 +124,15 @@ class LinearObservable:
                 f"observable has {self.matrix.cols} columns, layout needs {self.layout.N}"
             )
 
+    @cached_property
+    def _support(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+        """The nonzeros of ``matrix`` as (row, column, value) arrays in
+        row-major order, and whether every row holds exactly one of them.
+        Derived once; ``matrix`` stays the source of truth."""
+        rows, cols = np.nonzero(self.matrix.data)
+        unit = np.array_equal(rows, np.arange(self.matrix.rows))
+        return rows, cols, self.matrix.data[rows, cols], unit
+
 
 def observe_input(layout: SourceLayout, k: int) -> LinearObservable:
     """The raw input of user k."""
@@ -172,31 +185,76 @@ def _common_layout(groups: Sequence[Sequence[LinearObservable]]) -> SourceLayout
     return layout
 
 
-def _peel_unit_rows(data: np.ndarray) -> tuple[int, np.ndarray]:
-    """Split off the coordinate projections of a stack.
+def _check_stored(stored: Sequence[LinearObservable],
+                  wanted: Sequence[LinearObservable]) -> None:
+    for have, want in zip(stored, wanted):
+        if have is not want and have != want:
+            raise ValueError(f"cache holds a different observable labelled {want.label!r}")
+
+
+def _peeled_rank(obs: Sequence[LinearObservable], layout: SourceLayout,
+                 memo: dict | None) -> int:
+    """Rank of the stacked observables, peeled on their supports.
 
     A row with one nonzero is a scaled unit vector e_j, so with S the
     distinct columns of such rows, rank([P_S; A]) = |S| + rank(A[:, not S]).
-    Dropping those columns can leave further rows with one nonzero (a
-    message once its keys are peeled), so this repeats until none is left.
-    Returns |S| over all rounds and the remainder, zero rows removed.
+    The columns of every unit observable (inputs, key bundles) go in one
+    step. The nonzeros of the others are then peeled while rows become unit
+    (a message once its sender's keys are gone), and only their live rows
+    over their live columns are built densely and ranked. That remainder is
+    fixed by the observables, their live rows and its columns, which key
+    ``memo``: each distinct remainder is ranked once, and a hit must name
+    the observables it was ranked from.
     """
-    nz = data != 0
-    counts = nz.sum(axis=1)
-    live_rows = counts > 0
-    live_cols = np.ones(data.shape[1], dtype=bool)
-    peeled = 0
+    peeled = np.zeros(layout.N, dtype=bool)
+    rest = []
+    for o in obs:
+        _, cols, _, unit = o._support
+        if unit:
+            peeled[cols] = True
+        else:
+            rest.append(o)
+    rank = int(np.count_nonzero(peeled))
+    if not rest:
+        return rank
+    offsets = np.cumsum([0] + [o.matrix.rows for o in rest])
+    r = np.concatenate([o._support[0] + off for o, off in zip(rest, offsets)])
+    c = np.concatenate([o._support[1] for o in rest])
+    v = np.concatenate([o._support[2] for o in rest])
     while True:
-        unit = np.flatnonzero(live_rows & (counts == 1))
-        if unit.size == 0:
+        live = ~peeled[c]
+        r, c, v = r[live], c[live], v[live]
+        hit = np.unique(c[np.bincount(r, minlength=offsets[-1])[r] == 1])
+        if hit.size == 0:
             break
-        hit = np.unique((nz[unit] & live_cols).argmax(axis=1))
-        peeled += hit.size
-        live_cols[hit] = False
-        live_rows[unit] = False
-        counts -= nz[:, hit].sum(axis=1)
-        live_rows &= counts > 0
-    return peeled, data[np.ix_(live_rows, live_cols)]
+        rank += hit.size
+        peeled[hit] = True
+    if r.size == 0:
+        return rank
+    live_row = np.zeros(offsets[-1], dtype=bool)
+    live_row[r] = True
+    live_col = np.zeros(layout.N, dtype=bool)
+    live_col[c] = True
+    rows, cols = np.flatnonzero(live_row), np.flatnonzero(live_col)
+    r, c = np.cumsum(live_row)[r] - 1, np.cumsum(live_col)[c] - 1  # positions in the remainder
+    key = None
+    if memo is not None:
+        by_obs = np.split(rows, np.searchsorted(rows, offsets[1:-1]))
+        parts = [(o, tuple((own - off).tolist()))
+                 for o, off, own in zip(rest, offsets, by_obs) if own.size]
+        # Its items are tuples, so no tuple of labels can equal this key.
+        key = (tuple((o.label, lr) for o, lr in parts), tuple(cols.tolist()))
+        contributors = tuple(o for o, _ in parts)
+        if key in memo:
+            remainder_rank, stored = memo[key]
+            _check_stored(stored, contributors)
+            return rank + remainder_rank
+    data = np.zeros((rows.size, cols.size), dtype=np.int64)
+    data[r, c] = v
+    remainder_rank = Matrix(layout.field, data).rank()
+    if key is not None:
+        memo[key] = (remainder_rank, contributors)
+    return rank + remainder_rank
 
 
 def _stacked_rank(obs: Sequence[LinearObservable], layout: SourceLayout,
@@ -213,18 +271,9 @@ def _stacked_rank(obs: Sequence[LinearObservable], layout: SourceLayout,
                     raise ValueError(f"two different observables are labelled {a.label!r}")
         if key in cache:
             rank, stored = cache[key]
-            for have, want in zip(stored, ordered):
-                if have is not want and have != want:
-                    raise ValueError(
-                        f"cache holds a different observable labelled {want.label!r}"
-                    )
+            _check_stored(stored, ordered)
             return rank
-    # The stack is left unnamed and the remainder is dropped once Matrix has
-    # copied it, so at most two copies are alive while rank() eliminates.
-    peeled, rest = _peel_unit_rows(np.vstack([o.matrix.data for o in obs]))
-    remainder = Matrix(layout.field, rest)
-    del rest
-    rank = peeled + remainder.rank()
+    rank = _peeled_rank(obs, layout, cache)
     if cache is not None:
         cache[key] = (rank, ordered)
     return rank
@@ -233,8 +282,9 @@ def _stacked_rank(obs: Sequence[LinearObservable], layout: SourceLayout,
 def entropy(obs: Sequence[LinearObservable], cache: dict | None = None) -> int:
     """Joint entropy of the observables in q-ary units (an exact integer).
 
-    Optional ``cache`` memoizes stacked ranks by sorted label tuple and
-    keeps the observables with each rank; a query whose label names a
+    Optional ``cache`` memoizes stacked ranks by sorted label tuple, and
+    the ranks of peeled remainders by the labels and rows they came from,
+    and keeps the observables with each rank; a query whose label names a
     different observable than the cache holds, or than another observable
     of the same query, raises ValueError instead of sharing the rank.
     """

@@ -36,6 +36,15 @@ SCHEME_MAGIC = "DSA1"
 _DECIMALS = re.compile(r"(?:\s*(?:[1-9][0-9]*|0)(?![0-9]))*\s*")
 
 
+def _integers(values: Sequence[int], what: str) -> np.ndarray:
+    """``values`` as a flat intp array; TypeError for floats, bools or
+    anything else that is not an integer, which a cast would round."""
+    arr = np.asarray(values).reshape(-1)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise TypeError(f"{what} must be integers, not {arr.dtype}")
+    return arr.astype(np.intp)
+
+
 class ParamsOutOfModelError(ValueError):
     """Parameters outside the model: K < 3, T outside [0, K-3], or G outside [1, K]."""
 
@@ -242,9 +251,9 @@ class SchemeParams:
                            f"[1..{self.K}]") from None
 
     def group_ids(self, ids: Sequence[int]) -> np.ndarray:
-        """``ids`` as a flat array of positions in ``groups``; KeyError
-        unless each is in range(C(K, G))."""
-        ids = np.asarray(ids, dtype=np.intp).reshape(-1)
+        """``ids`` as a flat array of positions in ``groups``; TypeError
+        unless they are integers, KeyError unless each is in range(C(K, G))."""
+        ids = _integers(ids, "group ids")
         bad = ids[(ids < 0) | (ids >= len(self.groups))]
         if bad.size:
             raise KeyError(f"group id {bad[0]} outside range({len(self.groups)})")
@@ -313,9 +322,10 @@ class Precoder:
         ``ids`` (positions in ``params.groups``), both in the order given:
         a (len(users) * L) x (len(ids) * L_S) array whose (i, j) block is
         the block of users[i] for group ids[j], zero if it is outside.
-        KeyError for a user outside 1..K or an id outside range(C(K, G))."""
+        TypeError unless both are integers; KeyError for a user outside 1..K
+        or an id outside range(C(K, G))."""
         ids = self.params.group_ids(ids)
-        users = np.asarray(users, dtype=np.intp).reshape(-1)
+        users = _integers(users, "users")
         bad = users[(users < 1) | (users > self.params.K)]
         if bad.size:
             raise KeyError(f"user {bad[0]} outside [1..{self.params.K}]")

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +15,6 @@ from dsagg.infocalc import (
     LayoutMismatchError,
     LinearObservable,
     SourceLayout,
-    _peel_unit_rows,
     _stacked_rank,
     brute_force_entropy,
     brute_force_mi,
@@ -243,20 +243,123 @@ def test_peeled_rank_equals_plain_elimination(case):
     assert _stacked_rank(obs, lay, {}) == plain
 
 
-def test_peel_follows_rows_that_become_unit():
+def count_remainders(monkeypatch):
+    """Record the shape of every matrix ``Matrix.rank`` is asked to rank."""
+    shapes = []
+    plain_rank = Matrix.rank
+
+    def counted(self):
+        shapes.append(self.shape)
+        return plain_rank(self)
+
+    monkeypatch.setattr(Matrix, "rank", counted)
+    return shapes
+
+
+def test_peel_follows_rows_that_become_unit(monkeypatch):
+    shapes = count_remainders(monkeypatch)
     # e0, then e0+e1 once column 0 is gone, then e1+e2, then e2+e3.
+    field = PrimeField(5)
     data = np.array([[0, 0, 1, 1], [1, 1, 0, 0], [1, 0, 0, 0], [0, 1, 1, 0]])
-    peeled, rest = _peel_unit_rows(data)
-    assert (peeled, rest.shape) == (4, (0, 0))
+    lay = single_segment_layout(field, 4)
+    assert _stacked_rank([LinearObservable("D", Matrix(field, data), lay)], lay, None) == 4
+    assert shapes == []  # nothing is left to eliminate
 
     # A message is a unit row on its input once its sender's keys are peeled.
     pre = fixture_example2()
     lay = layout_for(pre)
-    stack = np.vstack([observe_key_bundle(lay, 1).matrix.data,
-                       observe_message(pre, 1).matrix.data])
-    peeled, rest = _peel_unit_rows(stack)
-    assert peeled == Matrix(lay.field, stack).rank() == 8 + 3
-    assert rest.shape[0] == 0
+    stack = [observe_key_bundle(lay, 1), observe_message(pre, 1)]
+    plain = Matrix(lay.field, np.vstack([o.matrix.data for o in stack])).rank()
+    shapes.clear()
+    assert _stacked_rank(stack, lay, None) == plain == 8 + 3
+    assert shapes == []
+
+
+@st.composite
+def support_stacks(draw):
+    """(q, width, observables) mixing unit observables that share columns,
+    scaled unit rows, chains whose rows turn unit one peel after another,
+    dense rows, zero rows, observables with no support or no rows, and the
+    same observable twice."""
+    q = draw(st.sampled_from((2, 101, 2**31 - 1)))
+    n = draw(st.integers(1, 8))
+    scale = st.integers(1, q - 1)
+    column = st.integers(0, n - 1)
+    blocks = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(("unit", "chain", "mixed", "zero", "empty", "again")))
+        if kind == "again" and blocks:
+            blocks.append(blocks[draw(st.integers(0, len(blocks) - 1))])
+            continue
+        rows = draw(st.integers(1, 4))
+        data = np.zeros((0 if kind == "empty" else rows, n), dtype=np.int64)
+        for row in data if kind in ("unit", "chain", "mixed") else ():
+            if kind == "unit" or (kind == "mixed" and draw(st.booleans())):
+                row[draw(column)] = draw(scale)
+            elif kind == "chain":
+                j = draw(column)  # e_j + e_(j+1): unit once e_j is peeled
+                row[[j, (j + 1) % n]] = [draw(scale), draw(scale)]
+            elif draw(st.booleans()):
+                row[:] = draw(st.lists(st.integers(0, q - 1), min_size=n, max_size=n))
+        blocks.append(data)
+    return q, n, blocks
+
+
+@settings(max_examples=100, deadline=None)
+@given(support_stacks())
+def test_support_peel_matches_dense_rank(case):
+    q, n, blocks = case
+    field = PrimeField(q)
+    lay = single_segment_layout(field, n)
+    made = {}
+    obs = [made.setdefault(id(b), LinearObservable(f"o{len(made)}", Matrix(field, b), lay))
+           for b in blocks]
+    cache = {}  # shared by every sub-stack, so remainders recur under new label sets
+    for size in range(1, len(obs) + 1):
+        for stack in itertools.combinations(obs, size):
+            plain = Matrix(field, np.vstack([o.matrix.data for o in stack])).rank()
+            assert _stacked_rank(stack, lay, None) == plain
+            assert _stacked_rank(stack, lay, cache) == plain
+            assert _stacked_rank(stack[::-1], lay, cache) == plain
+
+
+def test_remainder_memo_ranks_a_shared_remainder_once(monkeypatch):
+    # Both stacks peel column 3 (e3 and 5*e3 under different labels) and
+    # leave the same two rows of M over columns 0..2.
+    field = PrimeField(101)
+    lay = single_segment_layout(field, 4)
+    m = LinearObservable("M", Matrix(field, [[1, 2, 3, 4], [0, 1, 1, 1]]), lay)
+    e3 = LinearObservable("e3", Matrix(field, [[0, 0, 0, 1]]), lay)
+    five_e3 = LinearObservable("5e3", Matrix(field, [[0, 0, 0, 5]]), lay)
+    shapes = count_remainders(monkeypatch)
+    cache = {}
+    assert entropy([m, e3], cache=cache) == 3
+    assert entropy([five_e3, m], cache=cache) == 3
+    assert shapes == [(2, 3)]
+    assert entropy([m, five_e3]) == 3  # no cache, no memo
+    assert shapes == [(2, 3)] * 2
+    # The same rows over other columns are another remainder: without
+    # column 0, M's rows are proportional.
+    e0 = LinearObservable("e0", Matrix(field, [[1, 0, 0, 0]]), lay)
+    flat = LinearObservable("F", Matrix(field, [[1, 1, 1, 1], [0, 2, 2, 2]]), lay)
+    assert entropy([flat, e3], cache=cache) == 1 + 2
+    assert entropy([flat, e0], cache=cache) == 1 + 1
+    assert shapes == [(2, 3)] * 4
+
+
+def test_remainder_memo_refuses_a_different_observable_under_a_known_label():
+    field = PrimeField(101)
+    lay = single_segment_layout(field, 4)
+    m1 = LinearObservable("M", Matrix(field, [[1, 2, 3, 4], [0, 1, 1, 1]]), lay)
+    m2 = LinearObservable("M", Matrix(field, [[1, 2, 0, 4], [0, 1, 1, 1]]), lay)
+    e3 = LinearObservable("e3", Matrix(field, [[0, 0, 0, 1]]), lay)
+    five_e3 = LinearObservable("5e3", Matrix(field, [[0, 0, 0, 5]]), lay)
+    cache = {}
+    assert entropy([m1, e3], cache=cache) == 2 + 1
+    # The label sets differ, the remainder key matches, the matrix does not.
+    with pytest.raises(ValueError, match="'M'"):
+        entropy([m2, five_e3], cache=cache)
+    assert entropy([m2, five_e3]) == 3
 
 
 def test_every_audit_stack_matches_plain_elimination(monkeypatch):

@@ -249,6 +249,27 @@ def test_group_id_outside_the_scheme_raises_key_error(i):
             lookup([i])
 
 
+def test_float_and_bool_group_ids_and_users_are_refused():
+    # A cast to integers used to round them: key_columns([1.7]) and
+    # key_columns([True]) gave group 1's columns [17, 18], and
+    # key_map([5.9], [9]) equalled key_map([5], [9]).
+    pre = fixture_example2()
+    key_columns = layout_for(pre).key_columns
+    for ids in ([1.7], [True], np.array([1.0])):
+        with pytest.raises(TypeError, match="group ids must be integers"):
+            key_columns(ids)
+        with pytest.raises(TypeError, match="group ids must be integers"):
+            pre.key_map([5], ids)
+    for users in ([5.9], [True], np.array([5.0])):
+        with pytest.raises(TypeError, match="users must be integers"):
+            pre.key_map(users, [9])
+    # Integer lists, ranges and integer arrays still pass, empty ones too.
+    assert key_columns([1]).tolist() == key_columns(range(1, 2)).tolist() == [17, 18]
+    assert np.array_equal(key_columns(np.array([1], dtype=np.uint8)), key_columns([1]))
+    assert np.array_equal(pre.key_map(np.array([5]), [9]), pre.key_map([5], range(9, 10)))
+    assert key_columns([]).size == 0 and pre.key_map([], []).shape == (0, 0)
+
+
 def test_group_outside_the_scheme_raises_key_error_naming_it():
     pre = fixture_example2()
     for lookup in (pre.params.group_index, lambda g: pre.block(1, g)):
