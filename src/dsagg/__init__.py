@@ -56,13 +56,10 @@ from .infocalc import (
 )
 from .auditor import (
     AuditReport,
-    InfeasibilityExplanation,
     InvalidCollusionSetError,
-    NotInfeasibleRegimeError,
     RankCheck,
     audit,
     audit_converse,
-    audit_infeasibility,
     audit_recovery,
     audit_rates,
     audit_security,

@@ -2,22 +2,28 @@
 collusion set, the rank certificate, and converse floor checks.
 
 Security of a zero-sum linear scheme is equivalent to a rank statement: for
-user k colluding with a set C, the block submatrix of the precoder restricted
-to the surviving users and their exclusively-held keys must reach rank
-(K - |C| - 2) * L. The auditor never assumes that equivalence: every check
-computes both the exact mutual information and the rank, records both, and
+user k colluding with a set C, the block submatrix Ĥ(D) of the precoder
+restricted to the users S outside D = {k} ∪ C and the groups inside S must
+reach rank (K - |C| - 2) * L. The auditor never assumes that equivalence:
+every check records both the exact mutual information and the rank, and
 reports disagreement as a failure of the auditor itself.
 
-Both quantities depend on the coalition D = {k} ∪ C alone. Every message is
+Both quantities depend on the coalition D alone. Every message is
 X_u = W_u + H_u Z_u, so the colluders' messages and inputs are functions of
-the pooled material (W_D, Z_D), and with S the users outside D
+the pooled material (W_D, Z_D), and
 
     I(X_others; W_others | ΣW, W_D, Z_D) = I(X_S; W_S | ΣW, W_D, Z_D).
 
-The surviving-key submatrix is built from S alone. So the audit and the
-rank certificate compute one MI and one rank per coalition and share them
-among the |D| (user, collusion set) pairs that form it;
-``rank_condition(precoder, k, C)`` stays the per-pair reference.
+Once every input and the coalition's keys are known, X_S is Ĥ(D) applied
+to the keys of the groups inside S, so for any linear precoder
+
+    H(X_S | W, Z_D) = rank Ĥ(D).
+
+That entropy is r_abc - r_bc of the MI's own stacks, so the audit reads the
+rank certificate from the ranks the MI has just taken, once per coalition,
+and shares both among the |D| (user, collusion set) pairs that form it.
+``rank_condition(precoder, k, C)`` builds Ĥ(D) itself and stays the
+independent per-pair reference.
 """
 
 from __future__ import annotations
@@ -41,7 +47,6 @@ from .infocalc import (
 )
 from .linalg import Matrix
 from .scheme import (
-    InfeasibilityReason,
     Precoder,
     SchemeParams,
     capacity,
@@ -53,10 +58,6 @@ from .scheme import (
 
 class InvalidCollusionSetError(ValueError):
     """The collusion set must be a subset of the other users, of size <= T."""
-
-
-class NotInfeasibleRegimeError(ValueError):
-    """Raised when an infeasibility explanation is requested for a feasible triple."""
 
 
 def collusion_sets(K: int, k: int, T: int) -> Iterator[tuple[int, ...]]:
@@ -326,25 +327,27 @@ def audit_security(precoder: Precoder | _AuditContext) -> list[SecurityCheck]:
     The MI probed is: what the received messages reveal about the other
     users' inputs beyond the global sum, the receiver's own material, and
     the colluders' material. Both it and the rank depend only on the
-    coalition {k} ∪ C (module docstring), so each is computed once per
-    coalition and reported for every pair that forms it. Entries are
-    emitted in (user, set size, lexicographic) order so reports diff
-    cleanly across runs.
+    coalition D = {k} ∪ C (module docstring), so each is computed once per
+    coalition and reported for every pair that forms it. The achieved rank
+    is H(X_S | W, Z_D) = rank Ĥ(D), read from the MI's own cached stacks
+    with no further rank call; ``rank_condition`` is the independent
+    per-pair reference. Entries are emitted in (user, set size,
+    lexicographic) order so reports diff cleanly across runs.
     """
     ctx = _context(precoder)
     p = ctx.precoder.params
-    per_coalition: dict[tuple[int, ...], tuple[int, RankCheck]] = {}
+    per_coalition: dict[tuple[int, ...], tuple[int, int]] = {}
     checks: list[SecurityCheck] = []
     for k in p.users:
         for cset in collusion_sets(p.K, k, p.T):
             coalition = tuple(sorted((k, *cset)))
             if coalition not in per_coalition:
-                mi = infocalc.mutual_information(*ctx.security_terms(coalition),
-                                                 cache=ctx.cache)
+                a, b, view = ctx.security_terms(coalition)
                 per_coalition[coalition] = (
-                    mi, rank_condition(ctx.precoder, coalition[0], coalition[1:]))
-            mi, shared = per_coalition[coalition]
-            rank = RankCheck(k, cset, shared.required, shared.achieved)
+                    infocalc.mutual_information(a, b, view, cache=ctx.cache),
+                    infocalc.conditional_entropy(a, b + view, cache=ctx.cache))
+            mi, achieved = per_coalition[coalition]
+            rank = RankCheck(k, cset, (p.K - len(coalition) - 1) * ctx.precoder.L, achieved)
             checks.append(SecurityCheck(k, cset, mi, rank))
     return checks
 
@@ -449,71 +452,3 @@ def audit(precoder: Precoder, seed: int = 0) -> AuditReport:
     report.converse = audit_converse(ctx)
     report.rates = audit_rates(precoder)
     return report
-
-
-# -- infeasible regimes ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class InfeasibilityExplanation:
-    K: int
-    T: int
-    G: int
-    reason: InfeasibilityReason
-    detail: str
-    # For G == 1: per-user MI that security would need to be zero.
-    leak_by_user: tuple[tuple[int, int], ...] = ()
-
-
-def audit_infeasibility(K: int, T: int, G: int, q: int = 2,
-                        candidate: Precoder | None = None) -> InfeasibilityExplanation:
-    """Demonstrate numerically why an infeasible triple admits no scheme.
-
-    For G == 1 every group has a single member, so the zero-sum constraint
-    forces every block to zero and messages go out unmasked; the security MI
-    is computed on the (supplied or canonical all-zero) candidate and shown
-    to be positive for every user. For G >= K - T a counting argument is
-    verified: every group meets every coalition of T + 1 users, so such a
-    coalition reads every key in the system.
-
-    Raises ValueError for a candidate whose (K, T, G, q) differ from the
-    arguments.
-    """
-    region = capacity(K, T, G)
-    if region.feasible:
-        raise NotInfeasibleRegimeError(f"(K={K}, T={T}, G={G}) is feasible")
-    if candidate is not None:
-        c = candidate.params
-        if (c.K, c.T, c.G, c.q) != (K, T, G, q):
-            raise ValueError(f"candidate is a (K={c.K}, T={c.T}, G={c.G}, q={c.q}) scheme, "
-                             f"not (K={K}, T={T}, G={G}, q={q})")
-
-    if region.infeasibility_reason is InfeasibilityReason.GROUP_SIZE_ONE:
-        params = SchemeParams(K=K, T=T, G=1, q=q, m=1)
-        if candidate is None:
-            candidate = Precoder(params, np.zeros((K, 1, 1, 1), dtype=np.int64))
-        if not candidate.zero_sum_ok():
-            detail = ("zero-sum fails: with singleton groups each block must "
-                      "itself be zero, so this candidate cannot even cancel "
-                      "keys from the sum")
-            return InfeasibilityExplanation(K, T, G,
-                                            InfeasibilityReason.GROUP_SIZE_ONE, detail)
-        ctx = _AuditContext(candidate)
-        leaks = [(k, infocalc.mutual_information(*ctx.security_terms((k,)), cache=ctx.cache))
-                 for k in candidate.params.users]
-        detail = ("singleton groups force all-zero masks; every user's "
-                  "received messages leak the others' inputs beyond the sum")
-        return InfeasibilityExplanation(K, T, G, InfeasibilityReason.GROUP_SIZE_ONE,
-                                        detail, tuple(leaks))
-
-    # G >= K - T: confirm by counting that every coalition of T+1 users
-    # touches every group, i.e. no key survives outside the coalition's
-    # reach. Every such coalition leaves the same number, K - T - 1, of
-    # users outside, so one count of the groups among them covers them all.
-    assert region.infeasibility_reason is InfeasibilityReason.GROUP_TOO_LARGE
-    uncovered = sum(1 for _ in itertools.combinations(range(K - T - 1), G))
-    assert uncovered == math.comb(K - T - 1, G) == 0
-    detail = (f"every size-{G} group intersects every coalition of {T + 1} "
-              f"users (K - G + 1 = {K - G + 1} <= T + 1 = {T + 1}), so a "
-              "coalition can reconstruct all keys in the system")
-    return InfeasibilityExplanation(K, T, G, InfeasibilityReason.GROUP_TOO_LARGE, detail)

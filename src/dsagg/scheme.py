@@ -615,6 +615,13 @@ def _parse_scheme(text: str) -> tuple[SchemeParams, np.ndarray]:
         raise SchemeFormatError(
             f"file has {len(lines)} lines; {math.comb(K, G)} groups of {G} "
             f"blocks, each a header and {L} rows, need {needed}", 1)
+    # The line count does not bound L_S: each of the rows holds L_S decimals
+    # and their separators, so the text bounds the array allocated below.
+    rows = math.comb(K, G) * G * L
+    if len(text) < rows * 2 * L_S:
+        raise SchemeFormatError(
+            f"file has {len(text)} characters; {rows} rows of {L_S} entries "
+            f"need at least {rows * 2 * L_S}", 1)
 
     pos = 1  # 0-based index of the next unread line
 

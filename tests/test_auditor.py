@@ -1,5 +1,4 @@
 import itertools
-import math
 import re
 
 import numpy as np
@@ -8,10 +7,9 @@ import pytest
 from dsagg import infocalc
 from dsagg.auditor import (
     InvalidCollusionSetError,
-    NotInfeasibleRegimeError,
+    _AuditContext,
     audit,
     audit_converse,
-    audit_infeasibility,
     audit_rates,
     audit_recovery,
     audit_security,
@@ -23,7 +21,6 @@ from dsagg.auditor import (
 )
 from dsagg.linalg import Matrix
 from dsagg.scheme import (
-    InfeasibilityReason,
     Precoder,
     SchemeParams,
     build_precoder,
@@ -217,6 +214,24 @@ def test_coalition_values_equal_every_pair(coalition_precoders, name):
         assert all(c.ok for c in checks)
 
 
+def test_security_audit_ranks_only_its_mi_stacks(monkeypatch):
+    # The rank certificate is H(X_S | W, Z_D), read from the MI's own
+    # cached stacks: the audit makes no rank call beyond the MI's.
+    pre = build_precoder(SchemeParams(K=8, T=2, G=3, q=101), seed=0)
+    calls = []
+    plain_rank = Matrix.rank
+    monkeypatch.setattr(Matrix, "rank", lambda m: calls.append(m.shape) or plain_rank(m))
+
+    audit_security(_AuditContext(pre))
+    audited = len(calls)
+    calls.clear()
+    ctx = _AuditContext(pre)
+    for size in range(1, pre.params.T + 2):
+        for coalition in itertools.combinations(pre.params.users, size):
+            infocalc.mutual_information(*ctx.security_terms(coalition), cache=ctx.cache)
+    assert audited == len(calls) == 276
+
+
 # q=3 runs on the damaged precoder only: each enumeration there takes about
 # a second, and the damaged one is where pairs leak.
 @pytest.mark.parametrize("q,damaged", [(2, False), (2, True), (3, True)])
@@ -399,57 +414,18 @@ def test_monotone_damage_no_silent_degradation():
 # infeasible regimes
 # ---------------------------------------------------------------------------
 
-def test_infeasibility_group_size_one():
-    exp = audit_infeasibility(4, 0, 1, q=2)
-    assert exp.reason is InfeasibilityReason.GROUP_SIZE_ONE
-    assert len(exp.leak_by_user) == 4
-    assert all(mi >= 1 for _, mi in exp.leak_by_user)
-
-
-def test_infeasibility_group_size_one_exhaustive_candidates():
-    # All 16 single-symbol candidates at q=2: a nonzero block breaks the
-    # zero-sum cancellation outright, and the only zero-sum candidate leaks.
+def test_group_size_one_candidates_cannot_be_secure():
+    # All 16 single-symbol (4,0,1) candidates at q=2: with singleton groups
+    # a nonzero block breaks the zero-sum cancellation outright, and the
+    # only zero-sum candidate sends its inputs unmasked.
     params = SchemeParams(K=4, T=0, G=1, q=2)
     for pattern in itertools.product((0, 1), repeat=4):
         candidate = Precoder(params, np.reshape(pattern, (4, 1, 1, 1)))
-        exp = audit_infeasibility(4, 0, 1, q=2, candidate=candidate)
         if any(pattern):
-            assert "zero-sum fails" in exp.detail
-        else:
-            assert all(mi >= 1 for _, mi in exp.leak_by_user)
-
-
-def test_infeasibility_refuses_a_candidate_of_other_parameters():
-    # A (6,1,1) q=3 candidate used to be audited in place of the (4,0,1)
-    # q=2 scheme asked about, giving six leak_by_user entries for K=4.
-    for params in (SchemeParams(K=6, T=1, G=1, q=3), SchemeParams(K=4, T=1, G=1, q=2),
-                   SchemeParams(K=4, T=0, G=1, q=3)):
-        candidate = Precoder(params, np.zeros((params.K, 1, 1, 1), dtype=np.int64))
-        with pytest.raises(ValueError, match=r"\(K=4, T=0, G=1, q=2\)"):
-            audit_infeasibility(4, 0, 1, q=2, candidate=candidate)
-    with pytest.raises(ValueError, match=r"\(K=3, T=0, G=1, q=2\) scheme"):
-        audit_infeasibility(5, 2, 3, q=2, candidate=Precoder(
-            SchemeParams(K=3, T=0, G=1, q=2), np.zeros((3, 1, 1, 1), dtype=np.int64)))
-
-
-def test_infeasibility_group_too_large():
-    exp = audit_infeasibility(5, 2, 3)
-    assert exp.reason is InfeasibilityReason.GROUP_TOO_LARGE
-    assert "coalition" in exp.detail
-
-    exp = audit_infeasibility(3, 0, 3)  # single key shared by everyone
-    assert exp.reason is InfeasibilityReason.GROUP_TOO_LARGE
-
-
-def test_infeasibility_group_too_large_counts_once_for_all_coalitions():
-    # C(60, 30) coalitions of T + 1 = 30 users: far too many to walk, and
-    # each leaves the same 30 users outside, too few for a group of 40.
-    assert math.comb(60, 30) > 10**17
-    exp = audit_infeasibility(60, 29, 40)
-    assert exp.reason is InfeasibilityReason.GROUP_TOO_LARGE
-    assert "coalition of 30 users" in exp.detail
-
-
-def test_infeasibility_requires_infeasible_triple():
-    with pytest.raises(NotInfeasibleRegimeError):
-        audit_infeasibility(5, 1, 2)
+            assert not candidate.zero_sum_ok(), pattern
+            continue
+        checks = audit_security(candidate)
+        assert [c.k for c in checks] == [1, 2, 3, 4]
+        for c in checks:
+            assert c.mi >= 1 and c.consistent
+            assert (c.rank.achieved, c.rank.required) == (0, 2)

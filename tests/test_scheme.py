@@ -25,6 +25,7 @@ from dsagg.scheme import (
     fixture_example1,
     fixture_example2,
     groups_of,
+    load_scheme,
     optimal_group_size,
     optimal_group_size_report,
     random_precoder,
@@ -494,6 +495,16 @@ def test_loader_checks_length_before_enumerating_groups(monkeypatch):
     monkeypatch.setattr(dsagg.scheme, "groups_of", refuse)
     with pytest.raises(SchemeFormatError) as info:
         scheme_from_text("DSA1 20 0 10 101 1\n")
+    assert info.value.line == 1
+
+
+def test_loader_bounds_the_block_array_by_the_file_size(tmp_path):
+    # 720,013 one-digit lines pass the line count, but the header claims
+    # 720,000 rows of L_S = 40,000 entries: a 215 GiB block array.
+    path = tmp_path / "wide.dsa"
+    path.write_text("DSA1 4 0 2 101 20000\n" + "0\n" * 720_013)
+    with pytest.raises(SchemeFormatError) as info:
+        load_scheme(path)
     assert info.value.line == 1
 
 
