@@ -414,18 +414,24 @@ def test_monotone_damage_no_silent_degradation():
 # infeasible regimes
 # ---------------------------------------------------------------------------
 
-def test_group_size_one_candidates_cannot_be_secure():
-    # All 16 single-symbol (4,0,1) candidates at q=2: with singleton groups
-    # a nonzero block breaks the zero-sum cancellation outright, and the
-    # only zero-sum candidate sends its inputs unmasked.
+def test_infeasibility_group_size_one():
+    # With singleton groups the only zero-sum (4,0,1) scheme is all zero, so
+    # every user's input reaches the server unmasked.
+    params = SchemeParams(K=4, T=0, G=1, q=2)
+    checks = audit_security(zero_precoder(params, L=1, L_S=1))
+    assert [c.k for c in checks] == [1, 2, 3, 4]
+    for c in checks:
+        assert c.mi >= 1 and c.consistent
+        assert (c.rank.achieved, c.rank.required) == (0, 2)
+
+
+def test_infeasibility_group_size_one_exhaustive_candidates():
+    # All 16 single-symbol (4,0,1) candidates at q=2: a nonzero block breaks
+    # the zero-sum cancellation outright, and the only zero-sum candidate leaks.
     params = SchemeParams(K=4, T=0, G=1, q=2)
     for pattern in itertools.product((0, 1), repeat=4):
         candidate = Precoder(params, np.reshape(pattern, (4, 1, 1, 1)))
         if any(pattern):
             assert not candidate.zero_sum_ok(), pattern
-            continue
-        checks = audit_security(candidate)
-        assert [c.k for c in checks] == [1, 2, 3, 4]
-        for c in checks:
-            assert c.mi >= 1 and c.consistent
-            assert (c.rank.achieved, c.rank.required) == (0, 2)
+        else:
+            assert all(c.mi >= 1 for c in audit_security(candidate))
