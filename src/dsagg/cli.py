@@ -221,7 +221,9 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    params = SchemeParams(K=args.K, T=args.T, G=args.G, q=args.q, m=args.m)
+    if args.queries < 0:
+        raise ValueError(f"--queries must be at least 0, got {args.queries}")
+    params =SchemeParams(K=args.K, T=args.T, G=args.G, q=args.q, m=args.m)
     if not params.feasible:
         _write("INFEASIBLE: no scheme to cross-check\n", args.out)
         return EXIT_INFEASIBLE

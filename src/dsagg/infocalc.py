@@ -11,16 +11,22 @@ products of integers whose exact sums stay below 2**53, so every rank is
 still exact.
 
 Most rows of those stacks are coordinate projections: inputs, key bundles,
-and messages once their keys are known. A row with one nonzero is a scaled
-unit vector e_j, so rank([P_S; A]) = |S| + rank(A[:, not S]) with S the
-columns of such rows; the rank path peels these rows and their columns,
-repeating while new ones appear, and eliminates only what is left (the
-singleton step of structured Gaussian elimination). The peel works on each
-observable's nonzeros, never on a dense stack: only the remainder, its live
-rows over its live nonzero columns, is built as a matrix. Within one rank
-cache, each distinct remainder is ranked once. ``Matrix.rank`` is called
-once per remainder ranked; it runs the reference row loop
-``linalg._row_reduce`` below a size cutoff and the recursive kernel above it.
+and messages once their keys are known. The rank path peels them with the
+steps of structured Gaussian elimination (LaMacchia & Odlyzko, CRYPTO 1990;
+Pomerance & Smith, Experimental Math. 1992). A row with one nonzero is a
+scaled unit vector e_j, so rank([P_S; A]) = |S| + rank(A[:, not S]) with S
+the columns of such rows. A column with one nonzero makes its row
+independent of the others, which go on without it. A column with two
+nonzeros is merged: a multiple of one row clears it in the other, which
+leaves it a column with one nonzero. The singleton steps work on each
+observable's nonzeros, never on a dense stack, and repeat while either finds
+anything; only the remainder, its live rows over its live nonzero columns,
+is built as a matrix. Within one rank cache, each distinct remainder is
+ranked once. Merges run on that matrix when both its sides reach the
+kernel cutoff ``linalg._RECURSIVE_MIN``; the recovery stacks, whose messages
+clear the total's rows, then end with nothing to eliminate. What is left
+goes to ``Matrix.rank``; it runs the reference row loop
+``linalg._row_reduce`` below that cutoff and the recursive kernel above it.
 
 The enumeration oracle at the bottom re-derives the same quantities by
 walking the whole source space and counting, sharing no code with the rank
@@ -39,7 +45,7 @@ from typing import Sequence
 import numpy as np
 
 from .gf import PrimeField
-from .linalg import Matrix, _safe_dot
+from .linalg import _RECURSIVE_MIN, Matrix, _safe_dot
 from .scheme import Precoder, SchemeParams
 
 DEFAULT_BUDGET = 2**24
@@ -196,15 +202,23 @@ def _peeled_rank(obs: Sequence[LinearObservable], layout: SourceLayout,
                  memo: dict | None) -> int:
     """Rank of the stacked observables, peeled on their supports.
 
-    A row with one nonzero is a scaled unit vector e_j, so with S the
-    distinct columns of such rows, rank([P_S; A]) = |S| + rank(A[:, not S]).
-    The columns of every unit observable (inputs, key bundles) go in one
-    step. The nonzeros of the others are then peeled while rows become unit
-    (a message once its sender's keys are gone), and only their live rows
-    over their live columns are built densely and ranked. That remainder is
-    fixed by the observables, their live rows and its columns, which key
-    ``memo``: each distinct remainder is ranked once, and a hit must name
-    the observables it was ranked from.
+    Two singleton steps of structured Gaussian elimination run on the
+    nonzeros, never on a dense stack. A row with one nonzero is a scaled
+    unit vector e_j, so with S the distinct columns of such rows,
+    rank([P_S; A]) = |S| + rank(A[:, not S]); the columns of every unit
+    observable (inputs, key bundles) go first, in one step. A column with
+    one nonzero makes its row independent of all others, so with R the rows
+    owning such columns, rank(A) = |R| + rank(A[not R]). Both steps run on
+    each pass until neither finds anything (a message becomes a unit row
+    once its sender's keys are gone, and owns its input column unless the
+    total is stacked with it). The peeled rank is the number of peeled
+    columns plus peeled rows.
+
+    What is left, the live rows over the live columns, is fixed by the
+    observables, their live rows and its columns, which key ``memo``: each
+    distinct remainder is ranked once, and a hit must name the observables
+    it was ranked from. A miss is built densely and ranked by
+    ``_merged_rank``.
     """
     peeled = np.zeros(layout.N, dtype=bool)
     rest = []
@@ -214,21 +228,23 @@ def _peeled_rank(obs: Sequence[LinearObservable], layout: SourceLayout,
             peeled[cols] = True
         else:
             rest.append(o)
-    rank = int(np.count_nonzero(peeled))
     if not rest:
-        return rank
+        return int(np.count_nonzero(peeled))
     offsets = np.cumsum([0] + [o.matrix.rows for o in rest])
     r = np.concatenate([o._support[0] + off for o, off in zip(rest, offsets)])
     c = np.concatenate([o._support[1] for o in rest])
     v = np.concatenate([o._support[2] for o in rest])
+    dead = np.zeros(offsets[-1], dtype=bool)  # peeled rows
     while True:
-        live = ~peeled[c]
+        live = ~(peeled[c] | dead[r])
         r, c, v = r[live], c[live], v[live]
-        hit = np.unique(c[np.bincount(r, minlength=offsets[-1])[r] == 1])
-        if hit.size == 0:
+        unit = np.bincount(r, minlength=offsets[-1])[r] == 1
+        lone = np.bincount(c, minlength=layout.N)[c] == 1
+        if not (unit.any() or lone.any()):
             break
-        rank += hit.size
-        peeled[hit] = True
+        peeled[c[unit]] = True
+        dead[r[lone & ~unit]] = True  # an isolated nonzero counts once, as a column
+    rank = int(np.count_nonzero(peeled)) + int(np.count_nonzero(dead))
     if r.size == 0:
         return rank
     live_row = np.zeros(offsets[-1], dtype=bool)
@@ -251,10 +267,74 @@ def _peeled_rank(obs: Sequence[LinearObservable], layout: SourceLayout,
             return rank + remainder_rank
     data = np.zeros((rows.size, cols.size), dtype=np.int64)
     data[r, c] = v
-    remainder_rank = Matrix(layout.field, data).rank()
+    remainder_rank = _merged_rank(data, layout.field)
     if key is not None:
         memo[key] = (remainder_rank, contributors)
     return rank + remainder_rank
+
+
+def _merged_rank(a: np.ndarray, field: PrimeField) -> int:
+    """Rank of a peeled remainder ``a``, a fresh array it may overwrite.
+
+    A remainder whose smaller side is below ``_RECURSIVE_MIN`` goes straight
+    to ``Matrix.rank``: there its row loop costs less than merge rounds.
+    Larger ones are first peeled as in ``_peeled_rank``, with merges between
+    peels. A column with two nonzeros, in a pivot row p and a target row t,
+    is cleared at t by t -= (a_tc / a_pc) * p; the row space is kept and the
+    column is left to p alone, so the next peel takes p with rank + 1.
+    Merges go in batched rounds: each pivot merges one column, several
+    pivots may go into one target, and no target is a pivot, so every target
+    is updated from unchanged pivot rows. The pivot is the row with more
+    nonzeros, the earlier on a tie. A message is denser than the total's
+    row it shares an input column with, so one round clears all of the
+    total's input columns, and the masks' zero sum leaves its rows at zero.
+    As every pivot comes before its target in that order, the candidate
+    whose target comes last is never excluded, so each round merges. What
+    no step peels goes to ``Matrix.rank``.
+    """
+    q = field.q
+    rank = 0
+    if min(a.shape) >= _RECURSIVE_MIN:
+        merged = False
+        while a.size:
+            nz = a != 0
+            row_w, col_w = nz.sum(axis=1), nz.sum(axis=0)
+            unit_col = nz[row_w == 1].any(axis=0)
+            lone_row = nz[:, col_w == 1].any(axis=1) & (row_w > 1)
+            if unit_col.any() or lone_row.any():
+                rank += int(np.count_nonzero(unit_col)) + int(np.count_nonzero(lone_row))
+                a = a[(row_w > 1) & ~lone_row][:, (col_w > 0) & ~unit_col]
+                merged = False
+                continue
+            pair = np.flatnonzero(col_w == 2)
+            # A merge leaves its pivot a column of its own, so a peel follows
+            # it; if none did, stop rather than merge again.
+            if pair.size == 0 or merged:
+                a = a[row_w > 0][:, col_w > 0]
+                break
+            first = nz[:, pair].argmax(axis=0)
+            last = a.shape[0] - 1 - nz[::-1, pair].argmax(axis=0)
+            denser = row_w[first] >= row_w[last]
+            piv = np.where(denser, first, last)
+            tgt = np.where(denser, last, first)
+            _, once = np.unique(piv, return_index=True)  # one column per pivot
+            piv, tgt, col = piv[once], tgt[once], pair[once]
+            free = ~np.isin(tgt, piv)
+            piv, tgt, col = piv[free], tgt[free], col[free]
+            inv = np.array([pow(int(x), -1, q) for x in a[piv, col]], dtype=np.int64)
+            coef = a[tgt, col] * inv % q
+            order = np.argsort(tgt, kind="stable")
+            piv, tgt, coef = piv[order], tgt[order], coef[order]
+            # Each product is below q**2 <= 2**62 and is reduced before it is
+            # summed into its target.
+            terms = coef[:, None] * a[piv] % q
+            starts = np.flatnonzero(np.r_[True, tgt[1:] != tgt[:-1]])
+            hit = tgt[starts]
+            a[hit] = (a[hit] - np.add.reduceat(terms, starts)) % q
+            merged = True
+    if a.size == 0:
+        return rank
+    return rank + Matrix(field, a).rank()
 
 
 def _stacked_rank(obs: Sequence[LinearObservable], layout: SourceLayout,

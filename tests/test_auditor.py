@@ -216,7 +216,9 @@ def test_coalition_values_equal_every_pair(coalition_precoders, name):
 
 def test_security_audit_ranks_only_its_mi_stacks(monkeypatch):
     # The rank certificate is H(X_S | W, Z_D), read from the MI's own
-    # cached stacks: the audit makes no rank call beyond the MI's.
+    # cached stacks: the audit makes no rank call beyond the MI's. Those are
+    # two remainders per coalition (8 + 28 + 56 of sizes 1 to T + 1), each
+    # below the merge cutoff.
     pre = build_precoder(SchemeParams(K=8, T=2, G=3, q=101), seed=0)
     calls = []
     plain_rank = Matrix.rank
@@ -229,7 +231,7 @@ def test_security_audit_ranks_only_its_mi_stacks(monkeypatch):
     for size in range(1, pre.params.T + 2):
         for coalition in itertools.combinations(pre.params.users, size):
             infocalc.mutual_information(*ctx.security_terms(coalition), cache=ctx.cache)
-    assert audited == len(calls) == 276
+    assert audited == len(calls) == 184
 
 
 # q=3 runs on the damaged precoder only: each enumeration there takes about

@@ -237,6 +237,16 @@ def test_oracle_matches_on_three_users(capsys):
                for line in out.splitlines())
 
 
+def test_oracle_negative_query_count_exit_1(capsys, monkeypatch):
+    args = ("oracle", "-K", "3", "-T", "0", "-G", "2", "--q", "2", "--queries")
+    code, out, _ = run_cli(capsys, *args, "0")
+    assert code == 0 and "random_query" not in out and out.endswith("ALL MATCH\n")
+    refuse_to_enumerate(monkeypatch)
+    code, out, err = run_cli(capsys, *args, "-1")
+    assert code == 1 and out == ""
+    assert "--queries must be at least 0, got -1" in err
+
+
 def refuse_to_enumerate(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("groups enumerated or scheme built before the size check")

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dsagg.infocalc
-from dsagg.auditor import audit
+from dsagg.auditor import audit, audit_recovery
 from dsagg.gf import PrimeField
 from dsagg.infocalc import (
     DEFAULT_BUDGET,
@@ -15,6 +15,7 @@ from dsagg.infocalc import (
     LayoutMismatchError,
     LinearObservable,
     SourceLayout,
+    _merged_rank,
     _stacked_rank,
     brute_force_entropy,
     brute_force_mi,
@@ -27,7 +28,7 @@ from dsagg.infocalc import (
     observe_message,
     observe_total,
 )
-from dsagg.linalg import Matrix, _safe_dot, random_matrix
+from dsagg.linalg import _RECURSIVE_MIN, Matrix, _safe_dot, random_matrix
 from dsagg.scheme import (
     Precoder,
     SchemeParams,
@@ -325,41 +326,160 @@ def test_support_peel_matches_dense_rank(case):
 
 def test_remainder_memo_ranks_a_shared_remainder_once(monkeypatch):
     # Both stacks peel column 3 (e3 and 5*e3 under different labels) and
-    # leave the same two rows of M over columns 0..2.
+    # leave the same three rows of M over columns 0..2, whose columns all
+    # have three nonzeros, so no singleton or merge step applies.
     field = PrimeField(101)
     lay = single_segment_layout(field, 4)
-    m = LinearObservable("M", Matrix(field, [[1, 2, 3, 4], [0, 1, 1, 1]]), lay)
+    m = LinearObservable("M", Matrix(field, [[1, 2, 3, 4], [1, 1, 1, 1], [2, 3, 5, 7]]), lay)
     e3 = LinearObservable("e3", Matrix(field, [[0, 0, 0, 1]]), lay)
     five_e3 = LinearObservable("5e3", Matrix(field, [[0, 0, 0, 5]]), lay)
     shapes = count_remainders(monkeypatch)
     cache = {}
-    assert entropy([m, e3], cache=cache) == 3
-    assert entropy([five_e3, m], cache=cache) == 3
-    assert shapes == [(2, 3)]
-    assert entropy([m, five_e3]) == 3  # no cache, no memo
-    assert shapes == [(2, 3)] * 2
+    assert entropy([m, e3], cache=cache) == 4
+    assert entropy([five_e3, m], cache=cache) == 4
+    assert shapes == [(3, 3)]
+    assert entropy([m, five_e3]) == 4  # no cache, no memo
+    assert shapes == [(3, 3)] * 2
     # The same rows over other columns are another remainder: without
-    # column 0, M's rows are proportional.
+    # column 0, F's rows are proportional.
     e0 = LinearObservable("e0", Matrix(field, [[1, 0, 0, 0]]), lay)
-    flat = LinearObservable("F", Matrix(field, [[1, 1, 1, 1], [0, 2, 2, 2]]), lay)
+    flat = LinearObservable("F", Matrix(field, [[1, 1, 1, 1], [1, 2, 2, 2], [1, 3, 3, 3]]), lay)
     assert entropy([flat, e3], cache=cache) == 1 + 2
     assert entropy([flat, e0], cache=cache) == 1 + 1
-    assert shapes == [(2, 3)] * 4
+    assert shapes == [(3, 3)] * 4
 
 
 def test_remainder_memo_refuses_a_different_observable_under_a_known_label():
+    # Dense rows: the remainder survives the peel and is memoized.
     field = PrimeField(101)
     lay = single_segment_layout(field, 4)
-    m1 = LinearObservable("M", Matrix(field, [[1, 2, 3, 4], [0, 1, 1, 1]]), lay)
-    m2 = LinearObservable("M", Matrix(field, [[1, 2, 0, 4], [0, 1, 1, 1]]), lay)
+    m1 = LinearObservable("M", Matrix(field, [[1, 2, 3, 4], [1, 1, 1, 1], [2, 3, 5, 7]]), lay)
+    m2 = LinearObservable("M", Matrix(field, [[1, 2, 6, 4], [1, 1, 1, 1], [2, 3, 5, 7]]), lay)
     e3 = LinearObservable("e3", Matrix(field, [[0, 0, 0, 1]]), lay)
     five_e3 = LinearObservable("5e3", Matrix(field, [[0, 0, 0, 5]]), lay)
     cache = {}
-    assert entropy([m1, e3], cache=cache) == 2 + 1
+    assert entropy([m1, e3], cache=cache) == 1 + 3
     # The label sets differ, the remainder key matches, the matrix does not.
     with pytest.raises(ValueError, match="'M'"):
         entropy([m2, five_e3], cache=cache)
-    assert entropy([m2, five_e3]) == 3
+    assert entropy([m2, five_e3]) == 4
+
+
+# Remainders below the kernel cutoff skip the merges, so these cases are
+# built at least _RECURSIVE_MIN on each side: copies of a small pattern with
+# every row and column scaled, which keeps each cancellation in it.
+
+MERGE_PATTERNS = {
+    # A ring of two-entry rows: a chain of weight-2 columns. The rounds
+    # shrink it from both ends, a target that is also a pivot waits a round,
+    # and at q > 2 the last merge leaves a unit row.
+    "ring": [[1, 1, 0, 0, 0], [0, 1, 1, 0, 0], [0, 0, 1, 1, 0], [0, 0, 0, 1, 1],
+             [1, 0, 0, 0, 1]],
+    # Three denser pivots merge into one target in one round.
+    "star": [[1, 1, 1, 0, 0, 0, 0, 0], [1, 0, 0, 1, 1, 1, 1, 0], [0, 1, 0, 0, 1, 2, 3, 1],
+             [0, 0, 1, 1, 0, 4, 5, 1]],
+    # The target is the pivots' sum, as the total is the messages' sum in
+    # the recovery stacks (their key parts sum to zero): one round zeroes it.
+    "zero-sum": [[1, 1, 1, 0, 0, 0, 0], [1, 0, 0, 1, 1, 1, 1], [0, 1, 0, 1, 2, 3, 4],
+                 [0, 0, 1, -2, -3, -4, -5]],
+    # Two rows share two weight-2 columns, which another pivot rule would
+    # merge both ways (p -> t, t -> p). The columns are proportional, so
+    # one merge clears both and leaves a second weight-1 column.
+    "shared": [[1, 2, 1, 1, 0, 0], [3, 6, 1, 0, 1, 0], [0, 0, 1, 1, 1, 1],
+               [0, 0, 0, 1, 1, 2]],
+    # The same, not proportional: the merge leaves the second column to both.
+    "crossed": [[1, 2, 1, 1, 0, 0], [3, 5, 1, 0, 1, 0], [0, 0, 1, 1, 1, 1],
+                [0, 0, 0, 1, 1, 2]],
+    # Both merges leave their target a unit row on column 2.
+    "unit": [[1, 1, 1, 0], [1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 1, 2]],
+}
+
+
+def tiled(pattern, q, seed):
+    """Block-diagonal copies of ``pattern`` until both sides reach
+    _RECURSIVE_MIN, each row and column of each copy scaled by a nonzero,
+    and rows and columns shuffled."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    block = np.array(pattern, dtype=np.int64) % q
+    copies = -(-_RECURSIVE_MIN // min(block.shape))
+    m, n = block.shape
+    a = np.zeros((copies * m, copies * n), dtype=np.int64)
+    for i in range(copies):
+        rows = rng.integers(1, q, size=(m, 1), dtype=np.int64)
+        cols = rng.integers(1, q, size=(1, n), dtype=np.int64)
+        a[i * m:(i + 1) * m, i * n:(i + 1) * n] = block * rows % q * cols % q
+    return a[rng.permutation(a.shape[0])][:, rng.permutation(a.shape[1])]
+
+
+@pytest.mark.parametrize("q", (2, 101, 2**31 - 1))
+@pytest.mark.parametrize("name", sorted(MERGE_PATTERNS))
+def test_merges_match_dense_rank(monkeypatch, name, q):
+    field = PrimeField(q)
+    a = tiled(MERGE_PATTERNS[name], q, seed=q)
+    plain = Matrix(field, a).rank()
+    shapes = count_remainders(monkeypatch)
+    assert _merged_rank(a.copy(), field) == plain
+    assert shapes == []  # peeled whole: nothing reaches the kernel
+
+
+@st.composite
+def merge_matrices(draw):
+    """(q, matrix) at least _RECURSIVE_MIN on each side: rows of one to three
+    scaled nonzeros, so weight-2 columns form chains, stars and cycles;
+    scaled copies and sums of earlier rows; and up to two dense rows."""
+    q = draw(st.sampled_from((2, 101, 2**31 - 1)))
+    rng = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2**32 - 1))))
+    m = _RECURSIVE_MIN + draw(st.integers(0, 24))
+    n = _RECURSIVE_MIN + draw(st.integers(0, 24))
+    a = np.zeros((m, n), dtype=np.int64)
+    for i in range(m):
+        kind = rng.choice(["sparse"] * 8 + ["sum", "copy"]) if i else "sparse"
+        if kind == "sparse":
+            cols = rng.choice(n, size=rng.choice([1, 2, 2, 3]), replace=False)
+            a[i, cols] = rng.integers(1, q, size=cols.size)
+        else:
+            picked = rng.choice(i, size=1 if kind == "copy" else 2)
+            a[i] = a[picked].sum(axis=0) * rng.integers(1, q) % q
+    a[rng.choice(m, size=draw(st.integers(0, 2)), replace=False)] = rng.integers(0, q, size=n)
+    return q, a
+
+
+@settings(max_examples=60, deadline=None)
+@given(merge_matrices())
+def test_merged_rank_matches_dense_rank(case):
+    q, a = case
+    field = PrimeField(q)
+    assert _merged_rank(a.copy(), field) == Matrix(field, a).rank()
+
+
+@pytest.fixture(scope="module")
+def wide_precoder():
+    return build_precoder(SchemeParams(K=8, T=0, G=4, q=101), seed=0)
+
+
+def test_every_recovery_stack_matches_plain_elimination(monkeypatch, wide_precoder):
+    # (8,0,4) recovery remainders are above the cutoff: this runs the merges.
+    verdicts = []
+
+    def checked(obs, layout, cache):
+        rank = _stacked_rank(obs, layout, cache)
+        plain = Matrix(layout.field, np.vstack([o.matrix.data for o in obs])).rank()
+        verdicts.append(rank == plain)
+        return rank
+
+    monkeypatch.setattr(dsagg.infocalc, "_stacked_rank", checked)
+    assert all(c.ok for c in audit_recovery(wide_precoder))
+    assert len(verdicts) == 16 and all(verdicts)
+
+
+def test_recovery_makes_no_rank_call(monkeypatch, wide_precoder):
+    # Each message owns its input column, and merged into the total's rows
+    # it clears them: the recovery phase is peeled whole.
+    shapes = count_remainders(monkeypatch)
+    audit_recovery(wide_precoder)
+    assert shapes == []
+    assert audit(wide_precoder).all_ok
+    assert len(shapes) <= 64
 
 
 def test_every_audit_stack_matches_plain_elimination(monkeypatch):
