@@ -312,8 +312,7 @@ def _merged_rank(a: np.ndarray, field: PrimeField) -> int:
             if pair.size == 0 or merged:
                 a = a[row_w > 0][:, col_w > 0]
                 break
-            first = nz[:, pair].argmax(axis=0)
-            last = a.shape[0] - 1 - nz[::-1, pair].argmax(axis=0)
+            first, last = np.nonzero(nz[:, pair].T)[1].reshape(-1, 2).T
             denser = row_w[first] >= row_w[last]
             piv = np.where(denser, first, last)
             tgt = np.where(denser, last, first)

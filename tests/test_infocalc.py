@@ -367,7 +367,8 @@ def test_remainder_memo_refuses_a_different_observable_under_a_known_label():
 
 # Remainders below the kernel cutoff skip the merges, so these cases are
 # built at least _RECURSIVE_MIN on each side: copies of a small pattern with
-# every row and column scaled, which keeps each cancellation in it.
+# every row and column scaled, which keeps each cancellation in it. The
+# comments describe q > 2; at q = 2 some entries vanish and the steps differ.
 
 MERGE_PATTERNS = {
     # A ring of two-entry rows: a chain of weight-2 columns. The rounds
