@@ -10,23 +10,20 @@ to integer ranks. Floating point enters only inside ``Matrix.rank``, in
 products of integers whose exact sums stay below 2**53, so every rank is
 still exact.
 
-Most rows of those stacks are coordinate projections: inputs, key bundles,
-and messages once their keys are known. The rank path peels them with the
-steps of structured Gaussian elimination (LaMacchia & Odlyzko, CRYPTO 1990;
-Pomerance & Smith, Experimental Math. 1992). A row with one nonzero is a
-scaled unit vector e_j, so rank([P_S; A]) = |S| + rank(A[:, not S]) with S
-the columns of such rows. A column with one nonzero makes its row
-independent of the others, which go on without it. A column with two
-nonzeros is merged: a multiple of one row clears it in the other, which
-leaves it a column with one nonzero. The singleton steps work on each
-observable's nonzeros, never on a dense stack, and repeat while either finds
-anything; only the remainder, its live rows over its live nonzero columns,
-is built as a matrix. Within one rank cache, each distinct remainder is
-ranked once. Merges run on that matrix when both its sides reach the
-kernel cutoff ``linalg._RECURSIVE_MIN``; the recovery stacks, whose messages
-clear the total's rows, then end with nothing to eliminate. What is left
-goes to ``Matrix.rank``; it runs the reference row loop
-``linalg._row_reduce`` below that cutoff and the recursive kernel above it.
+An observable is stored as its nonzeros alone; its dense ``matrix`` is
+rebuilt on demand (this reverses the earlier rule that the dense matrix is
+the source of truth). Most rows of the stacks are coordinate projections:
+inputs, key bundles, and messages once their keys are known. The rank path
+peels them with the steps of structured Gaussian elimination (LaMacchia &
+Odlyzko, CRYPTO 1990; Pomerance & Smith, Experimental Math. 1992), all on
+the nonzeros. A row with one nonzero is a scaled unit vector e_j, so
+rank([P_S; A]) = |S| + rank(A[:, not S]) with S the columns of such rows. A
+column with one nonzero makes its row independent of the others. A column
+with two nonzeros is merged: a multiple of one row clears it in the other,
+leaving it one nonzero. Within one rank cache each distinct remainder is
+ranked once, with merges when both its sides reach ``linalg._RECURSIVE_MIN``
+(the recovery stacks, whose messages clear the total's rows, then end with
+nothing left). Only what is left is built as a matrix, for ``Matrix.rank``.
 
 The enumeration oracle at the bottom re-derives the same quantities by
 walking the whole source space and counting, sharing no code with the rank
@@ -39,7 +36,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -114,63 +110,92 @@ def layout_for(source: SchemeParams | Precoder) -> SourceLayout:
 # -- observables ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class LinearObservable:
-    """A named linear function of the source: rows of a (rows x N) matrix."""
+    """A named linear function of the source: rows of a (rows x N) matrix,
+    stored as its nonzeros only, (row, column, value) arrays in row-major
+    order, with whether every row holds exactly one of them. ``matrix``
+    rebuilds the dense matrix on each call; equality compares label, layout
+    and matrix."""
 
-    label: str
-    matrix: Matrix
-    layout: SourceLayout
+    __slots__ = ("label", "layout", "rows", "_r", "_c", "_v", "_unit")
 
-    def __post_init__(self):
-        if self.matrix.field != self.layout.field:
+    def __init__(self, label: str, matrix: Matrix, layout: SourceLayout) -> None:
+        if matrix.field != layout.field:
             raise LayoutMismatchError("observable field differs from layout field")
-        if self.matrix.cols != self.layout.N:
+        if matrix.cols != layout.N:
             raise LayoutMismatchError(
-                f"observable has {self.matrix.cols} columns, layout needs {self.layout.N}"
+                f"observable has {matrix.cols} columns, layout needs {layout.N}"
             )
+        r, c = np.nonzero(matrix.data)
+        self._fill(label, layout, matrix.rows, r, c, matrix.data[r, c])
 
-    @cached_property
-    def _support(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
-        """The nonzeros of ``matrix`` as (row, column, value) arrays in
-        row-major order, and whether every row holds exactly one of them.
-        Derived once; ``matrix`` stays the source of truth."""
-        rows, cols = np.nonzero(self.matrix.data)
-        unit = np.array_equal(rows, np.arange(self.matrix.rows))
-        return rows, cols, self.matrix.data[rows, cols], unit
+    def _fill(self, label, layout, rows, r, c, v) -> "LinearObservable":
+        for arr in (r, c, v):
+            arr.setflags(write=False)
+        unit = np.array_equal(r, np.arange(rows))
+        for name, value in zip(self.__slots__, (label, layout, rows, r, c, v, unit)):
+            object.__setattr__(self, name, value)
+        return self
+
+    def __setattr__(self, name, value):  # immutability guard
+        raise AttributeError("LinearObservable is immutable")
+
+    @property
+    def matrix(self) -> Matrix:
+        data = np.zeros((self.rows, self.layout.N), dtype=np.int64)
+        data[self._r, self._c] = self._v
+        return Matrix(self.layout.field, data)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, LinearObservable):
+            return NotImplemented
+        return ((self.label, self.layout, self.rows) == (other.label, other.layout, other.rows)
+                and all(map(np.array_equal, (self._r, self._c, self._v),
+                            (other._r, other._c, other._v))))
+
+    def __hash__(self):
+        return hash((self.label, self.layout, self.rows))
+
+
+def _observable(label, layout, rows, r, c, v) -> LinearObservable:
+    """The observable of ``rows`` rows with row-major nonzeros (r, c, v)."""
+    return LinearObservable.__new__(LinearObservable)._fill(label, layout, rows, r, c, v)
+
+
+def _unit_rows(label: str, layout: SourceLayout, cols: np.ndarray) -> LinearObservable:
+    """The projection onto the ascending ``cols``: row i is e_cols[i]."""
+    return _observable(label, layout, cols.size, np.arange(cols.size), cols, np.ones_like(cols))
 
 
 def observe_input(layout: SourceLayout, k: int) -> LinearObservable:
     """The raw input of user k."""
-    data = np.zeros((layout.L, layout.N), dtype=np.int64)
-    data[:, layout.input_slice(k)] = np.eye(layout.L, dtype=np.int64)
-    return LinearObservable(f"W{k}", Matrix(layout.field, data), layout)
+    return _unit_rows(f"W{k}", layout, np.arange(layout.N)[layout.input_slice(k)])
 
 
 def observe_total(layout: SourceLayout) -> LinearObservable:
-    """The global input sum."""
-    data = sum(observe_input(layout, k).matrix.data for k in layout.params.users)
-    return LinearObservable("sum(W)", Matrix(layout.field, data), layout)
+    """The global input sum: row i is the sum of e_i over every input."""
+    L, K = layout.L, layout.params.K
+    cols = (np.arange(L)[:, None] + L * np.arange(K)).ravel()
+    return _observable("sum(W)", layout, L, np.arange(L).repeat(K), cols, np.ones_like(cols))
 
 
 def observe_key_bundle(layout: SourceLayout, k: int) -> LinearObservable:
     """Everything user k stores: the keys of the groups holding k, in group
     order."""
     layout.params.user_index(k)  # KeyError for a user outside 1..K
-    cols = layout.key_columns(np.flatnonzero((layout.params.members == k).any(axis=1)))
-    data = np.zeros((cols.size, layout.N), dtype=np.int64)
-    data[np.arange(cols.size), cols] = 1
-    return LinearObservable(f"Z{k}", Matrix(layout.field, data), layout)
+    return _unit_rows(f"Z{k}", layout, layout.key_columns(
+        np.flatnonzero((layout.params.members == k).any(axis=1))))
 
 
 def observe_message(precoder: Precoder, k: int) -> LinearObservable:
-    """User k's broadcast: its input plus its key mask."""
+    """User k's broadcast: its input plus its key mask, which reads only the
+    keys of the groups holding k."""
     layout = layout_for(precoder)
-    p = precoder.params
-    data = np.zeros((layout.L, layout.N), dtype=np.int64)
-    data[:, layout.input_slice(k)] = np.eye(layout.L, dtype=np.int64)
-    data[:, p.K * layout.L:] = precoder.key_map([k], range(len(p.groups)))  # the key segment
-    return LinearObservable(f"X{k}", Matrix(layout.field, data), layout)
+    ids = np.flatnonzero((precoder.params.members == k).any(axis=1))
+    block = np.hstack([np.eye(layout.L, dtype=np.int64), precoder.key_map([k], ids)])
+    cols = np.concatenate([np.arange(layout.N)[layout.input_slice(k)], layout.key_columns(ids)])
+    r, j = np.nonzero(block)
+    return _observable(f"X{k}", layout, layout.L, r, cols[j], block[r, j])
 
 
 # -- rank calculus ---------------------------------------------------------------
@@ -198,142 +223,117 @@ def _check_stored(stored: Sequence[LinearObservable],
             raise ValueError(f"cache holds a different observable labelled {want.label!r}")
 
 
-def _peeled_rank(obs: Sequence[LinearObservable], layout: SourceLayout,
-                 memo: dict | None) -> int:
-    """Rank of the stacked observables, peeled on their supports.
-
-    Two singleton steps of structured Gaussian elimination run on the
-    nonzeros, never on a dense stack. A row with one nonzero is a scaled
-    unit vector e_j, so with S the distinct columns of such rows,
-    rank([P_S; A]) = |S| + rank(A[:, not S]); the columns of every unit
-    observable (inputs, key bundles) go first, in one step. A column with
-    one nonzero makes its row independent of all others, so with R the rows
-    owning such columns, rank(A) = |R| + rank(A[not R]). Both steps run on
-    each pass until neither finds anything (a message becomes a unit row
-    once its sender's keys are gone, and owns its input column unless the
-    total is stacked with it). The peeled rank is the number of peeled
-    columns plus peeled rows.
-
-    What is left, the live rows over the live columns, is fixed by the
-    observables, their live rows and its columns, which key ``memo``: each
-    distinct remainder is ranked once, and a hit must name the observables
-    it was ranked from. A miss is built densely and ranked by
-    ``_merged_rank``.
-    """
-    peeled = np.zeros(layout.N, dtype=bool)
-    rest = []
-    for o in obs:
-        _, cols, _, unit = o._support
-        if unit:
-            peeled[cols] = True
-        else:
-            rest.append(o)
-    if not rest:
-        return int(np.count_nonzero(peeled))
-    offsets = np.cumsum([0] + [o.matrix.rows for o in rest])
-    r = np.concatenate([o._support[0] + off for o, off in zip(rest, offsets)])
-    c = np.concatenate([o._support[1] for o in rest])
-    v = np.concatenate([o._support[2] for o in rest])
-    dead = np.zeros(offsets[-1], dtype=bool)  # peeled rows
+def _peel(r: np.ndarray, c: np.ndarray, v: np.ndarray, peeled: np.ndarray,
+          dead: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Both singleton steps on row-major nonzeros (row ``r``, column ``c``,
+    value ``v``), repeated until neither finds anything; returns the
+    nonzeros left. A row with one nonzero peels its column into ``peeled``,
+    a column with one nonzero its row into ``dead`` (module docstring), and
+    each new mark is rank + 1."""
     while True:
         live = ~(peeled[c] | dead[r])
         r, c, v = r[live], c[live], v[live]
-        unit = np.bincount(r, minlength=offsets[-1])[r] == 1
-        lone = np.bincount(c, minlength=layout.N)[c] == 1
+        unit = np.bincount(r, minlength=dead.size)[r] == 1
+        lone = np.bincount(c, minlength=peeled.size)[c] == 1
         if not (unit.any() or lone.any()):
-            break
+            return r, c, v
         peeled[c[unit]] = True
         dead[r[lone & ~unit]] = True  # an isolated nonzero counts once, as a column
-    rank = int(np.count_nonzero(peeled)) + int(np.count_nonzero(dead))
+
+
+def _merge(r: np.ndarray, c: np.ndarray, v: np.ndarray, q: int,
+           width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """One round of weight-2 column merges on row-major nonzeros with
+    columns below ``width``; None if no column has two nonzeros.
+
+    Such a column, in a pivot row p and a target row t, is cleared at t by
+    t -= (a_tc / a_pc) * p, which keeps the row space and leaves the column
+    to p alone, so the next ``_peel`` takes p with rank + 1. The pivot is
+    the denser row, the earlier on a tie; each pivot merges one column, and
+    no target is a pivot, so targets update from unchanged rows. The
+    candidate whose target comes last in that order is never excluded, so
+    each round merges."""
+    row_w = np.bincount(r)
+    pair = np.flatnonzero(np.bincount(c)[c] == 2)
+    if pair.size == 0:
+        return None
+    pair = pair[np.argsort(c[pair], kind="stable")]  # by column, each column's rows in order
+    first, last = pair[0::2], pair[1::2]
+    denser = row_w[r[first]] >= row_w[r[last]]
+    piv, tgt = np.where(denser, first, last), np.where(denser, last, first)
+    _, once = np.unique(r[piv], return_index=True)  # one column per pivot
+    piv, tgt = piv[once], tgt[once]
+    free = ~np.isin(r[tgt], r[piv])
+    piv, tgt = piv[free], tgt[free]
+    coef = v[tgt] * np.array([pow(int(x), -1, q) for x in v[piv]], dtype=np.int64) % q
+    # Every nonzero of each pivot row, scaled into its target. Each product
+    # is below q**2 <= 2**62 and is reduced before it is summed.
+    size = row_w[r[piv]]
+    src = np.repeat((np.cumsum(row_w) - row_w)[r[piv]] - (np.cumsum(size) - size), size)
+    src += np.arange(src.size)  # the pivot rows' nonzeros, one row after another
+    key = np.concatenate([r * width + c, np.repeat(r[tgt], size) * width + c[src]])
+    val = np.concatenate([v, -(np.repeat(coef, size) * v[src] % q)])
+    order = np.argsort(key, kind="stable")
+    key, val = key[order], val[order]
+    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    key, val = key[starts], np.add.reduceat(val, starts) % q
+    key, val = key[val != 0], val[val != 0]
+    return key // width, key % width, val
+
+
+def _peeled_rank(obs: Sequence[LinearObservable], layout: SourceLayout,
+                 memo: dict | None) -> int:
+    """Rank of the stacked observables, peeled on their nonzeros: the
+    columns of every unit observable (inputs, key bundles) at once, then
+    ``_peel`` on the rest. The remainder, live rows over live columns, is
+    keyed in ``memo`` by the observables, their live rows and its columns,
+    so each is ranked once, and a hit must name the same observables. On a
+    miss, a remainder whose smaller side reaches ``_RECURSIVE_MIN`` (below
+    it the kernel's row loop is cheaper) alternates ``_merge`` rounds with
+    ``_peel``; what is left then goes densely to ``Matrix.rank``."""
+    peeled = np.zeros(layout.N, dtype=bool)
+    for o in obs:
+        if o._unit:
+            peeled[o._c] = True
+    rest = [o for o in obs if not o._unit]
+    if not rest:
+        return int(np.count_nonzero(peeled))
+    offsets = np.cumsum([0] + [o.rows for o in rest])
+    r = np.concatenate([o._r + off for o, off in zip(rest, offsets)])
+    c = np.concatenate([o._c for o in rest])
+    v = np.concatenate([o._v for o in rest])
+    dead = np.zeros(offsets[-1], dtype=bool)  # peeled rows
+    r, c, v = _peel(r, c, v, peeled, dead)
+    rank = int(np.count_nonzero(peeled) + np.count_nonzero(dead))
     if r.size == 0:
         return rank
-    live_row = np.zeros(offsets[-1], dtype=bool)
-    live_row[r] = True
-    live_col = np.zeros(layout.N, dtype=bool)
-    live_col[c] = True
-    rows, cols = np.flatnonzero(live_row), np.flatnonzero(live_col)
-    r, c = np.cumsum(live_row)[r] - 1, np.cumsum(live_col)[c] - 1  # positions in the remainder
+    live_r, live_c = np.bincount(r) > 0, np.bincount(c) > 0
     key = None
     if memo is not None:
+        rows = np.flatnonzero(live_r)
         by_obs = np.split(rows, np.searchsorted(rows, offsets[1:-1]))
         parts = [(o, tuple((own - off).tolist()))
                  for o, off, own in zip(rest, offsets, by_obs) if own.size]
         # Its items are tuples, so no tuple of labels can equal this key.
-        key = (tuple((o.label, lr) for o, lr in parts), tuple(cols.tolist()))
+        key = (tuple((o.label, lr) for o, lr in parts), tuple(np.flatnonzero(live_c).tolist()))
         contributors = tuple(o for o, _ in parts)
         if key in memo:
             remainder_rank, stored = memo[key]
             _check_stored(stored, contributors)
             return rank + remainder_rank
-    data = np.zeros((rows.size, cols.size), dtype=np.int64)
-    data[r, c] = v
-    remainder_rank = _merged_rank(data, layout.field)
+    if min(np.count_nonzero(live_r), np.count_nonzero(live_c)) >= _RECURSIVE_MIN:
+        while (merged := _merge(r, c, v, layout.field.q, layout.N)) is not None:
+            r, c, v = _peel(*merged, peeled, dead)
+        live_r, live_c = np.bincount(r) > 0, np.bincount(c) > 0
+    remainder_rank = int(np.count_nonzero(peeled) + np.count_nonzero(dead)) - rank
+    if r.size:
+        at_r, at_c = np.cumsum(live_r), np.cumsum(live_c)  # 1 + position among the live
+        data = np.zeros((at_r[-1], at_c[-1]), dtype=np.int64)
+        data[at_r[r] - 1, at_c[c] - 1] = v
+        remainder_rank += Matrix(layout.field, data).rank()
     if key is not None:
         memo[key] = (remainder_rank, contributors)
     return rank + remainder_rank
-
-
-def _merged_rank(a: np.ndarray, field: PrimeField) -> int:
-    """Rank of a peeled remainder ``a``, a fresh array it may overwrite.
-
-    A remainder whose smaller side is below ``_RECURSIVE_MIN`` goes straight
-    to ``Matrix.rank``: there its row loop costs less than merge rounds.
-    Larger ones are first peeled as in ``_peeled_rank``, with merges between
-    peels. A column with two nonzeros, in a pivot row p and a target row t,
-    is cleared at t by t -= (a_tc / a_pc) * p; the row space is kept and the
-    column is left to p alone, so the next peel takes p with rank + 1.
-    Merges go in batched rounds: each pivot merges one column, several
-    pivots may go into one target, and no target is a pivot, so every target
-    is updated from unchanged pivot rows. The pivot is the row with more
-    nonzeros, the earlier on a tie. A message is denser than the total's
-    row it shares an input column with, so one round clears all of the
-    total's input columns, and the masks' zero sum leaves its rows at zero.
-    As every pivot comes before its target in that order, the candidate
-    whose target comes last is never excluded, so each round merges. What
-    no step peels goes to ``Matrix.rank``.
-    """
-    q = field.q
-    rank = 0
-    if min(a.shape) >= _RECURSIVE_MIN:
-        merged = False
-        while a.size:
-            nz = a != 0
-            row_w, col_w = nz.sum(axis=1), nz.sum(axis=0)
-            unit_col = nz[row_w == 1].any(axis=0)
-            lone_row = nz[:, col_w == 1].any(axis=1) & (row_w > 1)
-            if unit_col.any() or lone_row.any():
-                rank += int(np.count_nonzero(unit_col)) + int(np.count_nonzero(lone_row))
-                a = a[(row_w > 1) & ~lone_row][:, (col_w > 0) & ~unit_col]
-                merged = False
-                continue
-            pair = np.flatnonzero(col_w == 2)
-            # A merge leaves its pivot a column of its own, so a peel follows
-            # it; if none did, stop rather than merge again.
-            if pair.size == 0 or merged:
-                a = a[row_w > 0][:, col_w > 0]
-                break
-            first, last = np.nonzero(nz[:, pair].T)[1].reshape(-1, 2).T
-            denser = row_w[first] >= row_w[last]
-            piv = np.where(denser, first, last)
-            tgt = np.where(denser, last, first)
-            _, once = np.unique(piv, return_index=True)  # one column per pivot
-            piv, tgt, col = piv[once], tgt[once], pair[once]
-            free = ~np.isin(tgt, piv)
-            piv, tgt, col = piv[free], tgt[free], col[free]
-            inv = np.array([pow(int(x), -1, q) for x in a[piv, col]], dtype=np.int64)
-            coef = a[tgt, col] * inv % q
-            order = np.argsort(tgt, kind="stable")
-            piv, tgt, coef = piv[order], tgt[order], coef[order]
-            # Each product is below q**2 <= 2**62 and is reduced before it is
-            # summed into its target.
-            terms = coef[:, None] * a[piv] % q
-            starts = np.flatnonzero(np.r_[True, tgt[1:] != tgt[:-1]])
-            hit = tgt[starts]
-            a[hit] = (a[hit] - np.add.reduceat(terms, starts)) % q
-            merged = True
-    if a.size == 0:
-        return rank
-    return rank + Matrix(field, a).rank()
 
 
 def _stacked_rank(obs: Sequence[LinearObservable], layout: SourceLayout,
@@ -482,8 +482,7 @@ def brute_force_entropy(obs: Sequence[LinearObservable],
     atom count is a power of q, so the entropy is exact.
     """
     layout = _common_layout([obs])
-    rows = [o.matrix.data for o in obs]
-    stacked = np.vstack(rows) if rows else np.zeros((0, layout.N), dtype=np.int64)
+    stacked = np.vstack([np.zeros((0, layout.N), dtype=np.int64)] + [o.matrix.data for o in obs])
     _, counts, total = _enumerate_atoms(layout, stacked, budget)
     q = layout.field.q
     weighted = 0
@@ -505,10 +504,10 @@ def brute_force_mi(a: Sequence[LinearObservable],
     """
     layout = _common_layout([a, b, given])
     a, b, c = list(a), list(b), list(given)
-    ra = sum(o.matrix.rows for o in a)
-    rb = sum(o.matrix.rows for o in b)
-    rows = [o.matrix.data for o in a + b + c]
-    stacked = np.vstack(rows) if rows else np.zeros((0, layout.N), dtype=np.int64)
+    ra = sum(o.rows for o in a)
+    rb = sum(o.rows for o in b)
+    stacked = np.vstack([np.zeros((0, layout.N), dtype=np.int64)]
+                        + [o.matrix.data for o in a + b + c])
     atoms, counts, total = _enumerate_atoms(layout, stacked, budget)
     q = layout.field.q
 

@@ -295,9 +295,9 @@ class Precoder:
     def __init__(self, params: SchemeParams, blocks: np.ndarray) -> None:
         blocks = np.asarray(blocks)
         expected = (len(params.groups), params.G)
-        if blocks.ndim != 4 or blocks.shape[:2] != expected:
+        if blocks.ndim != 4 or blocks.shape[:2] != expected or blocks.shape[2] < 1:
             raise DimensionMismatchError(
-                f"block array has shape {blocks.shape}, expected {expected} + (L, L_S)")
+                f"block array has shape {blocks.shape}, expected {expected} + (L, L_S), L >= 1")
         blocks = params.field.reduce(blocks)
         blocks.setflags(write=False)
         object.__setattr__(self, "params", params)

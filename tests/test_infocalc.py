@@ -1,13 +1,14 @@
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import dsagg.infocalc
-from dsagg.auditor import audit, audit_recovery
+from dsagg.auditor import _AuditContext, audit, audit_recovery
 from dsagg.gf import PrimeField
 from dsagg.infocalc import (
     DEFAULT_BUDGET,
@@ -15,7 +16,7 @@ from dsagg.infocalc import (
     LayoutMismatchError,
     LinearObservable,
     SourceLayout,
-    _merged_rank,
+    _peel,
     _stacked_rank,
     brute_force_entropy,
     brute_force_mi,
@@ -35,6 +36,7 @@ from dsagg.scheme import (
     build_precoder,
     fixture_example1,
     fixture_example2,
+    random_precoder,
     sample_keys,
 )
 from dsagg.scheme import encode
@@ -366,9 +368,10 @@ def test_remainder_memo_refuses_a_different_observable_under_a_known_label():
 
 
 # Remainders below the kernel cutoff skip the merges, so these cases are
-# built at least _RECURSIVE_MIN on each side: copies of a small pattern with
-# every row and column scaled, which keeps each cancellation in it. The
-# comments describe q > 2; at q = 2 some entries vanish and the steps differ.
+# tiled until what the singleton peel leaves reaches _RECURSIVE_MIN on each
+# side: copies of a small pattern with every row and column scaled, which
+# keeps each cancellation in it. The comments describe q > 2; at q = 2 some
+# entries vanish and the steps differ.
 
 MERGE_PATTERNS = {
     # A ring of two-entry rows: a chain of weight-2 columns. The rounds
@@ -396,13 +399,22 @@ MERGE_PATTERNS = {
 }
 
 
+def peeled_shape(a):
+    """The shape of what the singleton peel leaves of ``a``."""
+    r, c = np.nonzero(a)
+    r, c, _ = _peel(r, c, a[r, c], np.zeros(a.shape[1], dtype=bool),
+                    np.zeros(a.shape[0], dtype=bool))
+    return np.unique(r).size, np.unique(c).size
+
+
 def tiled(pattern, q, seed):
-    """Block-diagonal copies of ``pattern`` until both sides reach
-    _RECURSIVE_MIN, each row and column of each copy scaled by a nonzero,
-    and rows and columns shuffled."""
+    """Block-diagonal copies of ``pattern`` until the peeled remainder
+    reaches _RECURSIVE_MIN on both sides, each row and column of each copy
+    scaled by a nonzero, and rows and columns shuffled."""
     rng = np.random.Generator(np.random.PCG64(seed))
     block = np.array(pattern, dtype=np.int64) % q
-    copies = -(-_RECURSIVE_MIN // min(block.shape))
+    # At q = 2 the peel clears some patterns whole; those tile as if unpeeled.
+    copies = -(-_RECURSIVE_MIN // (min(peeled_shape(block)) or min(block.shape)))
     m, n = block.shape
     a = np.zeros((copies * m, copies * n), dtype=np.int64)
     for i in range(copies):
@@ -412,31 +424,40 @@ def tiled(pattern, q, seed):
     return a[rng.permutation(a.shape[0])][:, rng.permutation(a.shape[1])]
 
 
+def one_observable_rank(a, field):
+    """``_stacked_rank`` of ``a`` as one observable."""
+    lay = single_segment_layout(field, a.shape[1])
+    return _stacked_rank([LinearObservable("A", Matrix(field, a), lay)], lay, None)
+
+
 @pytest.mark.parametrize("q", (2, 101, 2**31 - 1))
 @pytest.mark.parametrize("name", sorted(MERGE_PATTERNS))
 def test_merges_match_dense_rank(monkeypatch, name, q):
     field = PrimeField(q)
     a = tiled(MERGE_PATTERNS[name], q, seed=q)
+    assert peeled_shape(a) == (0, 0) or min(peeled_shape(a)) >= _RECURSIVE_MIN
     plain = Matrix(field, a).rank()
     shapes = count_remainders(monkeypatch)
-    assert _merged_rank(a.copy(), field) == plain
+    assert one_observable_rank(a, field) == plain
     assert shapes == []  # peeled whole: nothing reaches the kernel
 
 
 @st.composite
 def merge_matrices(draw):
-    """(q, matrix) at least _RECURSIVE_MIN on each side: rows of one to three
-    scaled nonzeros, so weight-2 columns form chains, stars and cycles;
-    scaled copies and sums of earlier rows; and up to two dense rows."""
+    """(q, matrix): rows of two or three scaled nonzeros, so weight-2 columns
+    form chains, stars and cycles; scaled copies and sums of earlier rows;
+    and up to two dense rows. A row of one nonzero could start a peel that
+    unravels the rest; without them, what the peel leaves mostly reaches
+    _RECURSIVE_MIN on each side, as it must for the merges to run."""
     q = draw(st.sampled_from((2, 101, 2**31 - 1)))
     rng = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2**32 - 1))))
-    m = _RECURSIVE_MIN + draw(st.integers(0, 24))
-    n = _RECURSIVE_MIN + draw(st.integers(0, 24))
+    n = 4 * _RECURSIVE_MIN // 3 + draw(st.integers(0, 24))
+    m = n + 48 + draw(st.integers(0, 24))
     a = np.zeros((m, n), dtype=np.int64)
     for i in range(m):
         kind = rng.choice(["sparse"] * 8 + ["sum", "copy"]) if i else "sparse"
         if kind == "sparse":
-            cols = rng.choice(n, size=rng.choice([1, 2, 2, 3]), replace=False)
+            cols = rng.choice(n, size=rng.choice([2, 2, 3]), replace=False)
             a[i, cols] = rng.integers(1, q, size=cols.size)
         else:
             picked = rng.choice(i, size=1 if kind == "copy" else 2)
@@ -449,8 +470,9 @@ def merge_matrices(draw):
 @given(merge_matrices())
 def test_merged_rank_matches_dense_rank(case):
     q, a = case
+    assume(min(peeled_shape(a)) >= _RECURSIVE_MIN)
     field = PrimeField(q)
-    assert _merged_rank(a.copy(), field) == Matrix(field, a).rank()
+    assert one_observable_rank(a, field) == Matrix(field, a).rank()
 
 
 @pytest.fixture(scope="module")
@@ -680,3 +702,62 @@ def test_observables_match_encode_on_a_realization():
                               sent[k - 1])
     assert np.array_equal(_safe_dot(observe_total(lay).matrix.data, u, 5)[:, 0],
                           w.sum(axis=0) % 5)
+
+
+# ---------------------------------------------------------------------------
+# stored form
+# ---------------------------------------------------------------------------
+
+def dense_observables(pre):
+    """Every observe_* of ``pre`` as a dense (rows x N) array, built over the
+    whole source: unit rows from np.eye, a message's key part from
+    ``key_map`` over every group."""
+    lay = layout_for(pre)
+    p = pre.params
+
+    def inp(k):
+        data = np.zeros((lay.L, lay.N), dtype=np.int64)
+        data[:, lay.input_slice(k)] = np.eye(lay.L, dtype=np.int64)
+        return data
+
+    out = {"sum(W)": sum(inp(k) for k in p.users)}
+    for k in p.users:
+        out[f"W{k}"] = inp(k)
+        cols = lay.key_columns(np.flatnonzero((p.members == k).any(axis=1)))
+        out[f"Z{k}"] = np.zeros((cols.size, lay.N), dtype=np.int64)
+        out[f"Z{k}"][np.arange(cols.size), cols] = 1
+        out[f"X{k}"] = inp(k)
+        out[f"X{k}"][:, p.K * lay.L:] = pre.key_map([k], range(len(p.groups)))
+    return out
+
+
+@pytest.mark.parametrize("pre", [
+    fixture_example1(), fixture_example2(),
+    zero_precoder(SchemeParams(K=5, T=1, G=2, q=5)),
+    random_precoder(SchemeParams(K=6, T=1, G=3, q=101), 0),
+    random_precoder(SchemeParams(K=5, T=1, G=2, q=7), 0, L=2, L_S=0),
+    random_precoder(SchemeParams(K=5, T=1, G=2, q=2**31 - 1), 0, L=4, L_S=1),
+], ids=["ex1", "ex2", "zero", "(6,1,3)", "keyless", "undersized"])
+def test_observables_store_their_dense_matrices(pre):
+    lay = layout_for(pre)
+    made = [observe_total(lay)]
+    for k in pre.params.users:
+        made += [observe_input(lay, k), observe_key_bundle(lay, k), observe_message(pre, k)]
+    dense = dense_observables(pre)
+    assert sorted(o.label for o in made) == sorted(dense)
+    for o in made:
+        assert np.array_equal(o.matrix.data, dense[o.label]), o.label
+        # Built from the dense matrix, it is the same observable.
+        assert o == LinearObservable(o.label, Matrix(lay.field, dense[o.label]), lay)
+
+
+def test_audit_context_holds_nonzeros_only():
+    # Dense (10,0,4) observables took 210 MB; their nonzeros take about 26.
+    tracemalloc.start()
+    try:
+        ctx = _AuditContext(random_precoder(SchemeParams(K=10, T=0, G=4, q=101), 0))
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ctx.messages[1].rows == 126
+    assert held < 48 * 2**20

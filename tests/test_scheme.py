@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dsagg.scheme
-from dsagg.auditor import collusion_sets, rank_certificate_ok, submatrix_hhat
+from dsagg.auditor import audit, collusion_sets, rank_certificate_ok, submatrix_hhat
 from dsagg.infocalc import layout_for, observe_key_bundle, observe_message
 from dsagg.linalg import DimensionMismatchError, Matrix, _safe_dot
 from dsagg.scheme import (
@@ -406,6 +406,17 @@ def test_precoder_rejects_wrong_shapes():
     for shape in ((2, 2, 1, 1), (3, 1, 1, 1), (4, 2, 1, 1), (3, 2, 1), (3, 2, 1, 1, 1)):
         with pytest.raises(DimensionMismatchError):
             Precoder(p, np.zeros(shape, dtype=np.int64))
+
+
+def test_precoder_refuses_empty_input_blocks():
+    # An L = 0 scheme carries nothing, and its rates divide by L. Keyless
+    # blocks (L_S = 0) stay legal: such a scheme audits with FAIL lines.
+    params = SchemeParams(K=5, T=1, G=2, q=7)
+    with pytest.raises(DimensionMismatchError):
+        random_precoder(params, 0, L=0)
+    with pytest.raises(DimensionMismatchError):
+        random_precoder(params, 0, L=0, L_S=0)
+    assert not audit(random_precoder(params, 0, L_S=0)).all_ok
 
 
 def test_replace_block_refuses_blocks_that_do_not_fit():
