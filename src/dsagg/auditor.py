@@ -24,6 +24,11 @@ rank certificate from the ranks the MI has just taken, once per coalition,
 and shares both among the |D| (user, collusion set) pairs that form it.
 ``rank_condition(precoder, k, C)`` builds Ĥ(D) itself and stays the
 independent per-pair reference.
+
+For a zero-sum precoder the condition on every coalition of size T+1
+implies it on every smaller one (the lemma proved in
+``rank_certificate_ok``), so the build's certificate ranks only the
+C(K, T+1) largest coalitions. The audit stays exhaustive.
 """
 
 from __future__ import annotations
@@ -129,20 +134,54 @@ def rank_condition(precoder: Precoder, k: int, colluders: Sequence[int]) -> Rank
     return RankCheck(k, cset, required, achieved)
 
 
+def _first_failure(precoder: Precoder) -> RankCheck | None:
+    """The first coalition, in ``rank_certificate_ok``'s order, whose rank
+    condition fails; None if the certificate holds."""
+    p = precoder.params
+    sizes = [p.T + 1] if precoder.zero_sum_ok() else range(p.T + 1, 0, -1)
+    for size in sizes:
+        for coalition in itertools.combinations(p.users, size):
+            check = rank_condition(precoder, coalition[0], coalition[1:])
+            if not check.ok:
+                return check
+    return None
+
+
 def rank_certificate_ok(precoder: Precoder) -> bool:
     """Whether the rank condition holds for every user and collusion set.
 
     Checked once per coalition D = {k} ∪ C, which fixes the submatrix and
     its required rank. Largest coalitions go first: their submatrices are
     the smallest, the cheapest to rank and the likeliest to fail over a
-    small field, so a failing draw is rejected sooner.
+    small field, so a failing draw is rejected sooner. For a zero-sum
+    precoder the C(K, T+1) coalitions of size T+1 are all that is ranked,
+    by the lemma below; any other precoder is checked on every coalition.
+
+    Lemma: if P is zero-sum and every coalition of size T+1 passes, every
+    smaller coalition passes. Write S for the survivors of D, |S| >= 2.
+
+    - Every group inside S has all its members in S, so the L vectors
+      (y, ..., y), y in F_q^L, are left null vectors of Ĥ(D), and
+      rank Ĥ(D) <= (|S| - 1) L, the required rank. Passing therefore means
+      equality, and then the left null space of Ĥ(D) is exactly those
+      vectors.
+    - Take D' of size t <= T, survivors S' (|S'| = K - t >= 3), and assume
+      every coalition of size t + 1 passes. Pick u != w in S'. Order the
+      rows of Ĥ(D') as (S' - {u}, u) and its columns as the groups inside
+      S' - {u}, then the groups inside S' that hold u. Then
+      Ĥ(D') = [[X, A], [0, B]] with X = Ĥ(D' ∪ {u}).
+    - Let (x, z) be a left null vector. From xX = 0, x = (y, ..., y).
+      Zero-sum on the groups that hold u gives xA = -yB, so (z - y)B = 0.
+      Hence rank Ĥ(D') = (|S'| - 2) L + rank B, which reaches the required
+      (|S'| - 1) L exactly when rank B = L.
+    - D' ∪ {w} passes, so a left null vector of its Ĥ supported on u's rows
+      alone has the form (y, ..., y) over |S'| - 1 >= 2 users, so y = 0.
+      So u's L rows there, which are B restricted to the groups not holding
+      w, are independent, and rank B = L.
+
+    By induction downward from t = T, every coalition passes.
     """
-    p = precoder.params
-    for size in range(p.T + 1, 0, -1):
-        for coalition in itertools.combinations(p.users, size):
-            if not rank_condition(precoder, coalition[0], coalition[1:]).ok:
-                return False
-    return True
+    return _first_failure(precoder) is None
 
 
 # -- audit entries ------------------------------------------------------------

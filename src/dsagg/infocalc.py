@@ -321,11 +321,17 @@ def _peeled_rank(obs: Sequence[LinearObservable], layout: SourceLayout,
             remainder_rank, stored = memo[key]
             _check_stored(stored, contributors)
             return rank + remainder_rank
+    marked = rank
     if min(np.count_nonzero(live_r), np.count_nonzero(live_c)) >= _RECURSIVE_MIN:
         while (merged := _merge(r, c, v, layout.field.q, layout.N)) is not None:
             r, c, v = _peel(*merged, peeled, dead)
+            # Each round leaves its pivots a column of their own, so the peel
+            # must mark one; a round that marks nothing would repeat forever.
+            before, marked = marked, int(np.count_nonzero(peeled) + np.count_nonzero(dead))
+            if marked == before:
+                raise RuntimeError("a merge round left nothing for the peel to mark")
         live_r, live_c = np.bincount(r) > 0, np.bincount(c) > 0
-    remainder_rank = int(np.count_nonzero(peeled) + np.count_nonzero(dead)) - rank
+    remainder_rank = marked - rank
     if r.size:
         at_r, at_c = np.cumsum(live_r), np.cumsum(live_c)  # 1 + position among the live
         data = np.zeros((at_r[-1], at_c[-1]), dtype=np.int64)

@@ -57,11 +57,14 @@ class ConstructionFailedError(RuntimeError):
     """Randomized construction exhausted its retry budget.
 
     Signals that the field or the block scale is too small for the rank
-    certificate to hold with noticeable probability.
+    certificate to hold with noticeable probability. ``failures`` holds one
+    ``auditor.RankCheck`` per seed tried, in seed order: the first coalition
+    that draw failed, with its required and achieved rank.
     """
 
-    def __init__(self, first_seed: int, last_seed: int):
+    def __init__(self, first_seed: int, last_seed: int, failures: Sequence):
         self.seed_range = (first_seed, last_seed)
+        self.failures = tuple(failures)
         super().__init__(
             f"no rank-valid precoder found for seeds {first_seed}..{last_seed}; "
             "try a larger field or block scale"
@@ -389,15 +392,18 @@ def build_precoder(params: SchemeParams, seed: int = 0, max_retries: int = 16) -
     """Construct a precoder whose rank certificate holds for every user and
     every collusion set of size at most T.
 
-    Draws zero-sum blocks from the seeded generator and verifies the full
-    certificate; on failure the next seed is tried. Over a large field a
-    single draw succeeds with probability close to 1, so the retry budget is
-    only exercised on small fields.
+    Draws zero-sum blocks from the seeded generator and verifies the
+    certificate; on failure the next seed is tried. The draws are zero-sum,
+    so the certificate ranks only the coalitions of size T+1 and a lemma
+    covers the smaller ones (``auditor.rank_certificate_ok``). Over a large
+    field a single draw succeeds with probability close to 1, so the retry
+    budget is only exercised on small fields.
 
-    Raises ConstructionFailedError when every seed in
-    [seed, seed + max_retries) fails, which signals that q or m is too small.
+    Raises ConstructionFailedError, carrying each seed's first failing
+    coalition, when every seed in [seed, seed + max_retries) fails, which
+    signals that q or m is too small.
     """
-    from .auditor import rank_certificate_ok  # local import to avoid a cycle
+    from .auditor import _first_failure  # local import to avoid a cycle
 
     if max_retries < 1:
         raise ValueError(f"max_retries must be at least 1, got {max_retries}")
@@ -405,11 +411,14 @@ def build_precoder(params: SchemeParams, seed: int = 0, max_retries: int = 16) -
         raise InfeasibleSchemeError(
             f"(K={params.K}, T={params.T}, G={params.G}) admits no scheme"
         )
+    failures = []
     for attempt in range(max_retries):
         pre = random_precoder(params, seed + attempt)
-        if rank_certificate_ok(pre):
+        failure = _first_failure(pre)
+        if failure is None:
             return pre
-    raise ConstructionFailedError(seed, seed + max_retries - 1)
+        failures.append(failure)
+    raise ConstructionFailedError(seed, seed + max_retries - 1, failures)
 
 
 # -- deterministic reference constructions (K <= 4) -------------------------

@@ -251,12 +251,19 @@ def test_coalition_mi_matches_pair_enumeration(q, damaged):
     assert any(c.mi > 0 for c in checks) == damaged
 
 
-def test_rank_certificate_agrees_with_every_pair(coalition_precoders):
-    def every_pair_ok(pre):
-        p = pre.params
-        return all(rank_condition(pre, k, cset).ok
-                   for k in p.users for cset in collusion_sets(p.K, k, p.T))
+def every_pair_ok(pre):
+    p = pre.params
+    return all(rank_condition(pre, k, cset).ok
+               for k in p.users for cset in collusion_sets(p.K, k, p.T))
 
+
+def largest_coalitions_ok(pre):
+    p = pre.params
+    return all(rank_condition(pre, d[0], d[1:]).ok
+               for d in itertools.combinations(p.users, p.T + 1))
+
+
+def test_rank_certificate_agrees_with_every_pair(coalition_precoders):
     # Over F_2 every one of these (5,1,2) draws fails: most at both
     # coalition sizes, seeds 16 and 19 only at the largest. The built
     # precoders pass.
@@ -266,6 +273,61 @@ def test_rank_certificate_agrees_with_every_pair(coalition_precoders):
     verdicts = [rank_certificate_ok(pre) for pre in precoders]
     assert verdicts == [every_pair_ok(pre) for pre in precoders]
     assert True in verdicts and False in verdicts
+
+
+def test_zero_sum_certificate_matches_every_pair_on_small_fields():
+    # rank_certificate_ok ranks only the coalitions of size T+1 of a
+    # zero-sum precoder; the lemma in its docstring covers the rest. Over
+    # these fields some draws pass that check and some fail it, and every
+    # verdict must equal the exhaustive one.
+    verdicts = []
+    for K, T, G, m in [(5, 1, 2, 1), (6, 1, 2, 2), (6, 2, 2, 1), (6, 1, 3, 1),
+                       (7, 2, 3, 1), (7, 3, 3, 1)]:
+        for q in (5, 7, 11, 13):
+            for seed in range(12):
+                pre = random_precoder(SchemeParams(K=K, T=T, G=G, q=q, m=m), seed=seed)
+                verdicts.append(rank_certificate_ok(pre))
+                assert verdicts[-1] == every_pair_ok(pre) == largest_coalitions_ok(pre)
+    assert True in verdicts and False in verdicts
+
+
+@pytest.mark.parametrize("damage", ["zeroed block", "perturbed group"])
+def test_certificate_of_a_precoder_that_is_not_zero_sum_ranks_every_coalition(
+        monkeypatch, coalition_precoders, damage):
+    built = coalition_precoders["(6,1,2)"]
+    p = built.params
+    if damage == "zeroed block":
+        pre = coalition_precoders["zeroed block"]
+    else:
+        blocks = built.blocks.copy()
+        blocks[p.group_index((3, 5))] += 1
+        pre = Precoder(p, blocks)
+    assert not pre.zero_sum_ok()
+    calls = []
+    plain_rank = Matrix.rank
+    monkeypatch.setattr(Matrix, "rank", lambda m: calls.append(m.shape) or plain_rank(m))
+    # Both still reach every required rank, so no coalition stops the loop.
+    assert rank_certificate_ok(pre)
+    assert len(calls) == 6 + 15  # every coalition of size 1 and 2
+    calls.clear()
+    assert rank_certificate_ok(built)
+    assert len(calls) == 15  # zero-sum: the size-2 coalitions only
+
+
+# Each enumeration at m=2 covers 2**20 realizations and takes seconds, so
+# the draws there are few; the reference precoder passes at every m.
+@pytest.mark.parametrize("q,m,seeds", [(2, 1, 16), (3, 1, 16), (2, 2, 4)])
+def test_oracle_confirms_smaller_coalitions_of_draws_passing_the_largest(q, m, seeds):
+    params = SchemeParams(K=4, T=1, G=2, q=q, m=m)
+    precoders = [reference_precoder(params)]
+    precoders += [random_precoder(params, seed=s) for s in range(seeds)]
+    passing = [pre for pre in precoders if largest_coalitions_ok(pre)]
+    assert all(pre.zero_sum_ok() for pre in precoders) and passing
+    if m == 1:  # some random draws pass too, and some fail
+        assert 1 < len(passing) < len(precoders)
+    for pre in passing:
+        for k in params.users:
+            assert infocalc.brute_force_mi(*pair_security_terms(pre, k, ())) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -442,6 +442,25 @@ def test_merges_match_dense_rank(monkeypatch, name, q):
     assert shapes == []  # peeled whole: nothing reaches the kernel
 
 
+def test_a_merge_round_that_leaves_nothing_to_peel_raises(monkeypatch):
+    # A merge round that changes nothing would be repeated forever: the
+    # loop must stop after the first one instead of calling _merge again.
+    calls = []
+
+    def stalled(r, c, v, q, width):
+        if calls:
+            raise AssertionError("_merge called again after a round that marked nothing")
+        calls.append(q)
+        return r, c, v
+
+    monkeypatch.setattr(dsagg.infocalc, "_merge", stalled)
+    a = tiled(MERGE_PATTERNS["ring"], 101, seed=101)
+    assert min(peeled_shape(a)) >= _RECURSIVE_MIN
+    with pytest.raises(RuntimeError, match="nothing for the peel to mark"):
+        one_observable_rank(a, PrimeField(101))
+    assert calls == [101]
+
+
 @st.composite
 def merge_matrices(draw):
     """(q, matrix): rows of two or three scaled nonzeros, so weight-2 columns

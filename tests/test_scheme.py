@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dsagg.scheme
-from dsagg.auditor import audit, collusion_sets, rank_certificate_ok, submatrix_hhat
+from dsagg.auditor import (audit, collusion_sets, rank_certificate_ok, rank_condition,
+                           submatrix_hhat)
 from dsagg.infocalc import layout_for, observe_key_bundle, observe_message
 from dsagg.linalg import DimensionMismatchError, Matrix, _safe_dot
 from dsagg.scheme import (
@@ -373,6 +374,33 @@ def test_build_precoder_reports_seed_range_on_failure():
     with pytest.raises(ConstructionFailedError) as info:
         build_precoder(p, seed=0, max_retries=16)
     assert info.value.seed_range == (0, 15)
+
+
+def test_build_failure_names_each_seeds_first_failing_coalition():
+    p = SchemeParams(K=5, T=1, G=2, q=5)
+    with pytest.raises(ConstructionFailedError) as info:
+        build_precoder(p, seed=0, max_retries=16)
+    assert str(info.value) == ("no rank-valid precoder found for seeds 0..15; "
+                               "try a larger field or block scale")
+    failures = info.value.failures
+    assert len(failures) == 16
+    for seed, check in enumerate(failures):
+        assert check.achieved < check.required and not check.ok
+        # Zero-sum draws are ranked on the coalitions of size T+1 only.
+        assert len(check.colluders) == p.T
+        assert check == rank_condition(random_precoder(p, seed), check.k, check.colluders)
+
+
+@pytest.mark.parametrize("K,T,G,calls", [(7, 3, 3, 35), (8, 2, 3, 99)])
+def test_build_ranks_only_the_largest_coalitions(monkeypatch, K, T, G, calls):
+    # (7,3,3) passes its first draw: C(7,4) = 35 ranks. The first (8,2,3)
+    # draw fails at its 43rd coalition of size 3; the second passes all
+    # C(8,3) = 56.
+    ranked = []
+    plain_rank = Matrix.rank
+    monkeypatch.setattr(Matrix, "rank", lambda m: ranked.append(m.shape) or plain_rank(m))
+    build_precoder(SchemeParams(K=K, T=T, G=G, q=101), seed=0)
+    assert len(ranked) == calls
 
 
 def test_build_precoder_rejects_infeasible():
