@@ -54,6 +54,7 @@ from .linalg import Matrix
 from .scheme import (
     Precoder,
     SchemeParams,
+    _integers,
     capacity,
     encode,
     recover,
@@ -65,8 +66,18 @@ class InvalidCollusionSetError(ValueError):
     """The collusion set must be a subset of the other users, of size <= T."""
 
 
+def _user(k: int, K: int) -> int:
+    """User k as an int; InvalidCollusionSetError unless it passes the
+    check ``key_map`` makes."""
+    try:
+        return _integers([k], "user", 1, K).item()
+    except (TypeError, KeyError) as e:
+        raise InvalidCollusionSetError(e.args[0]) from None
+
+
 def collusion_sets(K: int, k: int, T: int) -> Iterator[tuple[int, ...]]:
     """All subsets of [1..K] \\ {k} of size 0..T, lexicographic within each size."""
+    k = _user(k, K)
     others = [u for u in range(1, K + 1) if u != k]
     for size in range(T + 1):
         yield from itertools.combinations(others, size)
@@ -79,17 +90,11 @@ def expected_check_count(K: int, T: int) -> int:
 
 def _validate_collusion(precoder: Precoder, k: int, colluders: Sequence[int]) -> tuple[int, ...]:
     p = precoder.params
-    cset = tuple(sorted(colluders))
-    if not 1 <= k <= p.K:
-        raise InvalidCollusionSetError(f"user {k} outside [1..{p.K}]")
-    if len(set(cset)) != len(cset) or k in cset or any(not 1 <= u <= p.K for u in cset):
+    k, *cset = (_user(u, p.K) for u in (k, *colluders))
+    cset = tuple(sorted(cset))
+    if len(set(cset)) != len(cset) or k in cset or len(cset) > p.T:
         raise InvalidCollusionSetError(
-            f"colluders {cset} must be distinct users other than {k}"
-        )
-    if len(cset) > p.T:
-        raise InvalidCollusionSetError(
-            f"collusion set of size {len(cset)} exceeds the bound T={p.T}"
-        )
+            f"colluders {cset} must be at most T={p.T} distinct users other than {k}")
     return cset
 
 
@@ -315,8 +320,8 @@ class _AuditContext:
     """The observables of one precoder, the views an audit takes of them, and
     the rank cache its queries share.
 
-    The cache is keyed by observable labels, which name different matrices
-    for different precoders; holding it here ties it to one precoder.
+    Each observable is built once; the cache holds those it ranked, keyed
+    by their ids (``infocalc``), so no label can fool it.
     """
 
     def __init__(self, precoder: Precoder) -> None:

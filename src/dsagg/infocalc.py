@@ -25,6 +25,9 @@ ranked once, with merges when both its sides reach ``linalg._RECURSIVE_MIN``
 (the recovery stacks, whose messages clear the total's rows, then end with
 nothing left). Only what is left is built as a matrix, for ``Matrix.rank``.
 
+A rank cache is keyed by the ids of the observables it ranked and holds
+them, so no other object can take those ids: labels are only names.
+
 The enumeration oracle at the bottom re-derives the same quantities by
 walking the whole source space and counting, sharing no code with the rank
 path; agreement between the two is what justifies using ranks as the general
@@ -182,7 +185,7 @@ def observe_total(layout: SourceLayout) -> LinearObservable:
 def observe_key_bundle(layout: SourceLayout, k: int) -> LinearObservable:
     """Everything user k stores: the keys of the groups holding k, in group
     order."""
-    layout.params.user_index(k)  # KeyError for a user outside 1..K
+    layout.params.user_index(k)  # TypeError unless an integer, KeyError outside 1..K
     return _unit_rows(f"Z{k}", layout, layout.key_columns(
         np.flatnonzero((layout.params.members == k).any(axis=1))))
 
@@ -214,13 +217,6 @@ def _common_layout(groups: Sequence[Sequence[LinearObservable]]) -> SourceLayout
     if layout is None:
         raise LayoutMismatchError("no observables given")
     return layout
-
-
-def _check_stored(stored: Sequence[LinearObservable],
-                  wanted: Sequence[LinearObservable]) -> None:
-    for have, want in zip(stored, wanted):
-        if have is not want and have != want:
-            raise ValueError(f"cache holds a different observable labelled {want.label!r}")
 
 
 def _peel(r: np.ndarray, c: np.ndarray, v: np.ndarray, peeled: np.ndarray,
@@ -286,11 +282,11 @@ def _peeled_rank(obs: Sequence[LinearObservable], layout: SourceLayout,
     """Rank of the stacked observables, peeled on their nonzeros: the
     columns of every unit observable (inputs, key bundles) at once, then
     ``_peel`` on the rest. The remainder, live rows over live columns, is
-    keyed in ``memo`` by the observables, their live rows and its columns,
-    so each is ranked once, and a hit must name the same observables. On a
-    miss, a remainder whose smaller side reaches ``_RECURSIVE_MIN`` (below
-    it the kernel's row loop is cheaper) alternates ``_merge`` rounds with
-    ``_peel``; what is left then goes densely to ``Matrix.rank``."""
+    keyed in ``memo`` by the ids and live rows of the observables it came
+    from, which the entry holds, and by its columns, so each is ranked once.
+    On a miss, a remainder whose smaller side reaches ``_RECURSIVE_MIN``
+    (below it the kernel's row loop is cheaper) alternates ``_merge`` rounds
+    with ``_peel``; what is left then goes densely to ``Matrix.rank``."""
     peeled = np.zeros(layout.N, dtype=bool)
     for o in obs:
         if o._unit:
@@ -312,15 +308,12 @@ def _peeled_rank(obs: Sequence[LinearObservable], layout: SourceLayout,
     if memo is not None:
         rows = np.flatnonzero(live_r)
         by_obs = np.split(rows, np.searchsorted(rows, offsets[1:-1]))
-        parts = [(o, tuple((own - off).tolist()))
-                 for o, off, own in zip(rest, offsets, by_obs) if own.size]
-        # Its items are tuples, so no tuple of labels can equal this key.
-        key = (tuple((o.label, lr) for o, lr in parts), tuple(np.flatnonzero(live_c).tolist()))
-        contributors = tuple(o for o, _ in parts)
+        parts = tuple((id(o), tuple((own - off).tolist()))
+                      for o, off, own in zip(rest, offsets, by_obs) if own.size)
+        # Its items are tuples, so no full-stack key (a tuple of ids) equals it.
+        key = (parts, tuple(np.flatnonzero(live_c).tolist()))
         if key in memo:
-            remainder_rank, stored = memo[key]
-            _check_stored(stored, contributors)
-            return rank + remainder_rank
+            return rank + memo[key][0]
     marked = rank
     if min(np.count_nonzero(live_r), np.count_nonzero(live_c)) >= _RECURSIVE_MIN:
         while (merged := _merge(r, c, v, layout.field.q, layout.N)) is not None:
@@ -338,7 +331,7 @@ def _peeled_rank(obs: Sequence[LinearObservable], layout: SourceLayout,
         data[at_r[r] - 1, at_c[c] - 1] = v
         remainder_rank += Matrix(layout.field, data).rank()
     if key is not None:
-        memo[key] = (remainder_rank, contributors)
+        memo[key] = (remainder_rank, rest)
     return rank + remainder_rank
 
 
@@ -346,32 +339,19 @@ def _stacked_rank(obs: Sequence[LinearObservable], layout: SourceLayout,
                   cache: dict | None) -> int:
     if not obs:
         return 0
-    key = None
-    if cache is not None:
-        ordered = tuple(sorted(obs, key=lambda o: o.label))
-        key = tuple(o.label for o in ordered)
-        if len(set(key)) < len(key):
-            for a, b in zip(ordered, ordered[1:]):
-                if a.label == b.label and a is not b and a != b:
-                    raise ValueError(f"two different observables are labelled {a.label!r}")
-        if key in cache:
-            rank, stored = cache[key]
-            _check_stored(stored, ordered)
-            return rank
-    rank = _peeled_rank(obs, layout, cache)
-    if cache is not None:
-        cache[key] = (rank, ordered)
-    return rank
+    if cache is None:
+        return _peeled_rank(obs, layout, None)
+    key = tuple(sorted(map(id, obs)))
+    if key not in cache:
+        cache[key] = (_peeled_rank(obs, layout, cache), tuple(obs))
+    return cache[key][0]
 
 
 def entropy(obs: Sequence[LinearObservable], cache: dict | None = None) -> int:
     """Joint entropy of the observables in q-ary units (an exact integer).
 
-    Optional ``cache`` memoizes stacked ranks by sorted label tuple, and
-    the ranks of peeled remainders by the labels and rows they came from,
-    and keeps the observables with each rank; a query whose label names a
-    different observable than the cache holds, or than another observable
-    of the same query, raises ValueError instead of sharing the rank.
+    Optional ``cache`` memoizes stacked ranks, and the ranks of peeled
+    remainders, by the observables they came from (module docstring).
     """
     layout = _common_layout([obs])
     return _stacked_rank(list(obs), layout, cache)

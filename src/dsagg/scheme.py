@@ -36,13 +36,19 @@ SCHEME_MAGIC = "DSA1"
 _DECIMALS = re.compile(r"(?:\s*(?:[1-9][0-9]*|0)(?![0-9]))*\s*")
 
 
-def _integers(values: Sequence[int], what: str) -> np.ndarray:
-    """``values`` as a flat intp array; TypeError for floats, bools or
-    anything else that is not an integer, which a cast would round."""
+def _integers(values: Sequence[int], what: str, lo: int, hi: int) -> np.ndarray:
+    """``values`` (each a ``what``) as a flat intp array; TypeError for
+    floats, bools or anything else that is not an integer, which a cast
+    would round, and KeyError for one outside lo..hi. Every user id and
+    group id of the public API passes this one check."""
     arr = np.asarray(values).reshape(-1)
     if arr.size and arr.dtype.kind not in "iu":
-        raise TypeError(f"{what} must be integers, not {arr.dtype}")
-    return arr.astype(np.intp)
+        raise TypeError(f"{what}s must be integers, not {arr.dtype}")
+    arr = arr.astype(np.intp)
+    bad = arr[(arr < lo) | (arr > hi)]
+    if bad.size:
+        raise KeyError(f"{what} {bad[0]} outside [{lo}..{hi}]")
+    return arr
 
 
 class ParamsOutOfModelError(ValueError):
@@ -256,17 +262,12 @@ class SchemeParams:
     def group_ids(self, ids: Sequence[int]) -> np.ndarray:
         """``ids`` as a flat array of positions in ``groups``; TypeError
         unless they are integers, KeyError unless each is in range(C(K, G))."""
-        ids = _integers(ids, "group ids")
-        bad = ids[(ids < 0) | (ids >= len(self.groups))]
-        if bad.size:
-            raise KeyError(f"group id {bad[0]} outside range({len(self.groups)})")
-        return ids
+        return _integers(ids, "group id", 0, len(self.groups) - 1)
 
     def user_index(self, k: int) -> int:
-        """0-based position of user k; KeyError unless 1 <= k <= K."""
-        if not 1 <= k <= self.K:
-            raise KeyError(f"user {k} outside [1..{self.K}]")
-        return k - 1
+        """0-based position of user k; TypeError unless it is an integer,
+        KeyError unless 1 <= k <= K."""
+        return _integers([k], "user", 1, self.K).item() - 1
 
     @cached_property
     def members(self) -> np.ndarray:
@@ -328,10 +329,7 @@ class Precoder:
         TypeError unless both are integers; KeyError for a user outside 1..K
         or an id outside range(C(K, G))."""
         ids = self.params.group_ids(ids)
-        users = _integers(users, "users")
-        bad = users[(users < 1) | (users > self.params.K)]
-        if bad.size:
-            raise KeyError(f"user {bad[0]} outside [1..{self.params.K}]")
+        users = _integers(users, "user", 1, self.params.K)
         # (user, group, seat) of every block that lands in the map
         at, gi, seat = np.nonzero(self.params.members[ids] == users[:, None, None])
         out = np.zeros((users.size, self.L, ids.size, self.L_S), dtype=np.int64)
@@ -358,7 +356,7 @@ class Precoder:
         """A copy with one block swapped (used by damage/mutation tests)."""
         g = tuple(group)
         i = self.params.group_index(g)
-        if k not in g:
+        if self.params.user_index(k) + 1 not in g:  # TypeError unless k is an integer
             raise KeyError(f"user {k} carries no block for {g}")
         if mat.field != self.params.field:
             raise FieldMismatchError(f"block over F_{mat.field.q}, expected F_{self.params.q}")

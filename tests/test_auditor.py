@@ -86,6 +86,19 @@ def test_hhat_rejects_bad_collusion_sets():
         submatrix_hhat(pre, 1, (2, 3))  # exceeds T = 1
     with pytest.raises(InvalidCollusionSetError):
         submatrix_hhat(pre, 9, ())
+    # Non-integer users used to pass: rank_condition(pre, 1, (2.5,)) removed
+    # no colluder and held the 12 x 12 H-hat's rank 9 against the 6 of one
+    # colluder, rank_condition(pre, 1.5, ()) passed with 12 >= 9, and
+    # collusion_sets(5, 2.5, 1) ranged over all five users.
+    for k, cset in ((1, (2.5,)), (1.5, ()), (True, (2,)), (1, (True,)), (1, (np.float64(2),))):
+        with pytest.raises(InvalidCollusionSetError, match="users must be integers"):
+            rank_condition(pre, k, cset)
+    for k in (2.5, True):
+        with pytest.raises(InvalidCollusionSetError, match="users must be integers"):
+            list(collusion_sets(5, k, 1))
+    # Integer arrays' scalars still pass.
+    assert rank_condition(pre, np.int64(1), (np.int64(2),)) == rank_condition(pre, 1, (2,))
+    assert list(collusion_sets(5, np.int64(2), 1)) == list(collusion_sets(5, 2, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -416,9 +429,9 @@ def test_full_audit_fixture():
 
 
 def test_rank_cache_never_outlives_its_precoder():
-    # Rank caches are keyed by observable labels, which name different
-    # matrices for different precoders. An audit of one scheme must not
-    # answer from the ranks of another audited earlier in the process.
+    # Every precoder names its observables alike ("X1", "W1", ...). An audit
+    # of one scheme must not answer from the ranks of another audited
+    # earlier in the process.
     audit(fixture_example2())
     report = audit(zero_precoder(SchemeParams(K=5, T=1, G=2, q=5)))
     assert sum(c.mi for c in report.security) == 165

@@ -17,6 +17,7 @@ from dsagg.infocalc import (
     LinearObservable,
     SourceLayout,
     _peel,
+    _peeled_rank,
     _stacked_rank,
     brute_force_entropy,
     brute_force_mi,
@@ -259,6 +260,20 @@ def count_remainders(monkeypatch):
     return shapes
 
 
+def count_stacks(monkeypatch):
+    """Record the size of every stack ``_peeled_rank`` is asked to rank:
+    one per full-stack cache miss."""
+    sizes = []
+    plain_peeled_rank = dsagg.infocalc._peeled_rank
+
+    def counted(obs, layout, memo):
+        sizes.append(len(obs))
+        return plain_peeled_rank(obs, layout, memo)
+
+    monkeypatch.setattr(dsagg.infocalc, "_peeled_rank", counted)
+    return sizes
+
+
 def test_peel_follows_rows_that_become_unit(monkeypatch):
     shapes = count_remainders(monkeypatch)
     # e0, then e0+e1 once column 0 is gone, then e1+e2, then e2+e3.
@@ -317,7 +332,7 @@ def test_support_peel_matches_dense_rank(case):
     made = {}
     obs = [made.setdefault(id(b), LinearObservable(f"o{len(made)}", Matrix(field, b), lay))
            for b in blocks]
-    cache = {}  # shared by every sub-stack, so remainders recur under new label sets
+    cache = {}  # shared by every sub-stack, so remainders recur in new stacks
     for size in range(1, len(obs) + 1):
         for stack in itertools.combinations(obs, size):
             plain = Matrix(field, np.vstack([o.matrix.data for o in stack])).rank()
@@ -351,20 +366,25 @@ def test_remainder_memo_ranks_a_shared_remainder_once(monkeypatch):
     assert shapes == [(3, 3)] * 4
 
 
-def test_remainder_memo_refuses_a_different_observable_under_a_known_label():
-    # Dense rows: the remainder survives the peel and is memoized.
+def test_remainder_memo_ranks_a_different_observable_under_a_known_label(monkeypatch):
+    # Dense rows: the remainder survives the peel and is memoized. Over
+    # columns 0..2, M1's rows are independent and M2's third row is the
+    # sum of the other two.
     field = PrimeField(101)
     lay = single_segment_layout(field, 4)
     m1 = LinearObservable("M", Matrix(field, [[1, 2, 3, 4], [1, 1, 1, 1], [2, 3, 5, 7]]), lay)
-    m2 = LinearObservable("M", Matrix(field, [[1, 2, 6, 4], [1, 1, 1, 1], [2, 3, 5, 7]]), lay)
+    m2 = LinearObservable("M", Matrix(field, [[1, 2, 3, 4], [1, 1, 1, 1], [2, 3, 4, 9]]), lay)
     e3 = LinearObservable("e3", Matrix(field, [[0, 0, 0, 1]]), lay)
     five_e3 = LinearObservable("5e3", Matrix(field, [[0, 0, 0, 5]]), lay)
+    shapes = count_remainders(monkeypatch)
     cache = {}
     assert entropy([m1, e3], cache=cache) == 1 + 3
-    # The label sets differ, the remainder key matches, the matrix does not.
-    with pytest.raises(ValueError, match="'M'"):
-        entropy([m2, five_e3], cache=cache)
-    assert entropy([m2, five_e3]) == 4
+    # The remainders have the same label, rows and columns, but M2 is
+    # another observable: it gets an entry and a rank call of its own.
+    assert entropy([m2, five_e3], cache=cache) == 1 + 2
+    assert shapes == [(3, 3)] * 2
+    assert entropy([m1, five_e3], cache=cache) == 1 + 3  # M1's entry
+    assert shapes == [(3, 3)] * 2
 
 
 # Remainders below the kernel cutoff skip the merges, so these cases are
@@ -524,6 +544,19 @@ def test_recovery_makes_no_rank_call(monkeypatch, wide_precoder):
     assert len(shapes) <= 64
 
 
+def test_whole_audit_work_is_pinned(monkeypatch):
+    # Rank calls and full-stack cache misses of one whole audit, build seed
+    # 0: a cache or memo hit lost shows here as more of either.
+    expected = {(7, 3, 3): (193, 722), (8, 2, 3): (240, 849), (8, 0, 4): (64, 257)}
+    precoders = {t: build_precoder(SchemeParams(*t, q=101), seed=0) for t in expected}
+    shapes, sizes = count_remainders(monkeypatch), count_stacks(monkeypatch)
+    for triple, pre in precoders.items():
+        shapes.clear()
+        sizes.clear()
+        assert audit(pre).all_ok
+        assert (len(shapes), len(sizes)) == expected[triple], triple
+
+
 def test_every_audit_stack_matches_plain_elimination(monkeypatch):
     pre = build_precoder(SchemeParams(K=6, T=1, G=2, q=101), seed=0)
     verdicts = []
@@ -540,31 +573,70 @@ def test_every_audit_stack_matches_plain_elimination(monkeypatch):
     assert verdicts and all(verdicts)
 
 
-def test_cache_refuses_a_different_observable_under_a_known_label():
+def test_cache_ranks_a_different_observable_under_a_known_label(monkeypatch):
     lay = layout_for(fixture_example1())
     a1 = LinearObservable("A", observe_input(lay, 1).matrix, lay)
     a2 = LinearObservable("A", Matrix.zeros(lay.field, 1, lay.N), lay)
+    stacks = count_stacks(monkeypatch)
     cache = {}
     assert entropy([a1], cache=cache) == 1
-    with pytest.raises(ValueError, match="'A'"):
-        entropy([a2], cache=cache)
-    assert entropy([a2]) == 0
-    # An equal observable built afresh still reuses the cached rank.
+    assert entropy([a2], cache=cache) == 0
+    assert entropy([a1], cache=cache) == 1  # a hit on A1's entry
+    assert stacks == [1, 1]
+    # An equal observable built afresh is another object, ranked afresh.
     assert entropy([LinearObservable("A", observe_input(lay, 1).matrix, lay)],
                    cache=cache) == 1
+    assert stacks == [1, 1, 1]
 
 
-def test_cache_refuses_two_different_observables_under_one_label():
+def test_cache_ranks_two_different_observables_under_one_label(monkeypatch):
     lay = layout_for(fixture_example1())
     a1 = LinearObservable("A", observe_input(lay, 1).matrix, lay)
     a2 = LinearObservable("A", observe_input(lay, 2).matrix, lay)
+    stacks = count_stacks(monkeypatch)
     cache = {}
-    for query in ([a1, a2], [a2, a1]):
-        with pytest.raises(ValueError, match="'A'"):
-            entropy(query, cache=cache)
-    assert cache == {}
-    assert entropy([a1, a2]) == 2  # labels only matter to a cache
+    assert entropy([a1, a2], cache=cache) == 2
+    assert entropy([a2, a1], cache=cache) == 2  # the same stack: a hit
+    assert entropy([a1], cache=cache) == entropy([a2], cache=cache) == 1
     assert entropy([a1, a1], cache=cache) == 1
+    assert stacks == [2, 1, 1, 2]
+
+
+def test_cache_entries_hold_their_observables():
+    # Entries are keyed by ids. Each round builds a fresh "A", ranks it
+    # through one shared store and drops it; CPython soon hands a dropped
+    # object's address, so its id, to a new one. Only because each entry
+    # holds the observables its key names can no later "A" inherit an
+    # earlier one's rank. The full-stack cache and the remainder memo are
+    # checked apart, so that neither keeps the other's observables alive.
+    field = PrimeField(3)
+    lay = single_segment_layout(field, 4)
+    e3 = LinearObservable("e3", Matrix(field, [[0, 0, 0, 1]]), lay)
+    two_e3 = LinearObservable("2e3", Matrix(field, [[0, 0, 0, 2]]), lay)
+    rng = np.random.default_rng(0)
+    cache, memo = {}, {}
+    memo_hits = 0
+    for _ in range(200):
+        data = rng.integers(1, 3, size=(int(rng.integers(1, 4)), 4))
+        a = LinearObservable("A", Matrix(field, data), lay)
+        alone = Matrix(field, data).rank()
+        assert _stacked_rank([a], lay, cache) == alone
+        assert _stacked_rank([a], lay, cache) == alone  # a full-stack hit
+        del a
+    for _ in range(200):
+        # Column 3 peels, leaving A over columns 0..2: memoized from two
+        # rows on, then hit by the stack whose unit row is 2*e3.
+        data = rng.integers(1, 3, size=(int(rng.integers(1, 4)), 4))
+        a = LinearObservable("A", Matrix(field, data), lay)
+        with_e3 = Matrix(field, np.vstack([data, e3.matrix.data])).rank()
+        before = len(memo)
+        assert _peeled_rank([a, e3], lay, memo) == with_e3
+        entries = len(memo)
+        assert _peeled_rank([a, two_e3], lay, memo) == with_e3
+        assert len(memo) == entries  # so a hit, if the first call added one
+        memo_hits += entries > before
+        del a
+    assert memo_hits > 100
 
 
 # ---------------------------------------------------------------------------

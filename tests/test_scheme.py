@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import dsagg.scheme
 from dsagg.auditor import (audit, collusion_sets, rank_certificate_ok, rank_condition,
                            submatrix_hhat)
-from dsagg.infocalc import layout_for, observe_key_bundle, observe_message
+from dsagg.infocalc import layout_for, observe_input, observe_key_bundle, observe_message
 from dsagg.linalg import DimensionMismatchError, Matrix, _safe_dot
 from dsagg.scheme import (
     ConstructionFailedError,
@@ -247,7 +247,7 @@ def test_group_id_outside_the_scheme_raises_key_error(i):
     # and key_map([5], [-1]) the block of group (4, 5).
     pre = fixture_example2()
     for lookup in (layout_for(pre).key_columns, lambda ids: pre.key_map([5], ids)):
-        with pytest.raises(KeyError, match=rf"group id {i} outside range\(10\)"):
+        with pytest.raises(KeyError, match=rf"group id {i} outside \[0\.\.9\]"):
             lookup([i])
 
 
@@ -265,11 +265,24 @@ def test_float_and_bool_group_ids_and_users_are_refused():
     for users in ([5.9], [True], np.array([5.0])):
         with pytest.raises(TypeError, match="users must be integers"):
             pre.key_map(users, [9])
+    # The single-user entry points used to skip that check: user_index(2.5)
+    # gave 1.5, observe_key_bundle(layout, 2.5) had 0 rows, observe_input(
+    # layout, True) was user 1's input, and replace_block took 2.0 and True.
+    lay, block = layout_for(pre), pre.block(1, (1, 2))
+    for k in (2.5, True, 2.0, np.float64(2)):
+        for entry in (pre.params.user_index, lambda k: observe_input(lay, k),
+                      lambda k: observe_key_bundle(lay, k), lambda k: observe_message(pre, k),
+                      lambda k: pre.replace_block(k, (1, 2), block)):
+            with pytest.raises(TypeError, match="users must be integers"):
+                entry(k)
     # Integer lists, ranges and integer arrays still pass, empty ones too.
     assert key_columns([1]).tolist() == key_columns(range(1, 2)).tolist() == [17, 18]
     assert np.array_equal(key_columns(np.array([1], dtype=np.uint8)), key_columns([1]))
     assert np.array_equal(pre.key_map(np.array([5]), [9]), pre.key_map([5], range(9, 10)))
     assert key_columns([]).size == 0 and pre.key_map([], []).shape == (0, 0)
+    assert pre.params.user_index(np.int64(2)) == 1
+    assert observe_input(lay, np.int64(2)) == observe_input(lay, 2)
+    assert pre.replace_block(np.int64(1), (1, 2), block) == pre
 
 
 def test_group_outside_the_scheme_raises_key_error_naming_it():
