@@ -10,32 +10,26 @@ road at sizes enumeration can never reach.
 
 import numpy as np
 
-from dsagg import fixture_example1, random_matrix
+from dsagg import AuditContext, fixture_example1, random_matrix
 from dsagg import infocalc
 
 pre = fixture_example1()
 params = pre.params
-lay = infocalc.layout_for(pre)
+ctx = AuditContext(pre)  # the audit's own views and rank cache
+lay = ctx.layout
 print(f"source: {lay.N} symbols over F_{params.q} -> "
       f"{params.q ** lay.N} realizations to enumerate")
 
-msgs = {k: infocalc.observe_message(pre, k) for k in params.users}
-ins = {k: infocalc.observe_input(lay, k) for k in params.users}
-total = infocalc.observe_total(lay)
-
 print(f"\n{'query':<44} {'rank':>5} {'enum':>5}")
 for k in params.users:
-    others = [u for u in params.users if u != k]
-    a = [msgs[u] for u in others]
-    b = [ins[u] for u in others]
-    view = [total, ins[k], infocalc.observe_key_bundle(lay, k)]
-    ranked = infocalc.mutual_information(a, b, view)
+    a, b, view = ctx.security_terms((k,))
+    ranked = infocalc.mutual_information(a, b, view, cache=ctx.cache)
     brute = infocalc.brute_force_mi(a, b, view)
     label = f"leak past user {k}'s view"
     print(f"{label:<44} {ranked:>5} {str(brute):>5}")
 
-h_rank = infocalc.entropy([msgs[1]])
-h_enum = infocalc.brute_force_entropy([msgs[1]])
+h_rank = infocalc.entropy([ctx.messages[1]], cache=ctx.cache)
+h_enum = infocalc.brute_force_entropy([ctx.messages[1]])
 print(f"{'H(X1)':<44} {h_rank:>5} {str(h_enum):>5}")
 
 rng = np.random.Generator(np.random.PCG64(7))

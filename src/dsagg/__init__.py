@@ -55,6 +55,7 @@ from .infocalc import (
     observe_total,
 )
 from .auditor import (
+    AuditContext,
     AuditReport,
     InvalidCollusionSetError,
     RankCheck,

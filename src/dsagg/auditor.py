@@ -51,15 +51,8 @@ from .infocalc import (
     observe_total,
 )
 from .linalg import Matrix
-from .scheme import (
-    Precoder,
-    SchemeParams,
-    _integers,
-    capacity,
-    encode,
-    recover,
-    sample_keys,
-)
+from .scheme import Precoder, SchemeParams, _integers, capacity
+from .sim import run_round
 
 
 class InvalidCollusionSetError(ValueError):
@@ -316,12 +309,14 @@ class AuditReport:
 # -- audit context --------------------------------------------------------------
 
 
-class _AuditContext:
+class AuditContext:
     """The observables of one precoder, the views an audit takes of them, and
-    the rank cache its queries share.
+    the rank cache its queries share: the one way into the audit's views.
 
     Each observable is built once; the cache holds those it ranked, keyed
-    by their ids (``infocalc``), so no label can fool it.
+    by their ids (``infocalc``), so no label can fool it. ``audit`` shares
+    one context across its phases, and ``dsagg oracle`` enumerates the same
+    views to check the entries the phases computed from it.
     """
 
     def __init__(self, precoder: Precoder) -> None:
@@ -356,8 +351,8 @@ class _AuditContext:
         return [self.messages[u] for u in self.others(k)] + self.material((k,))
 
 
-def _context(subject: Precoder | _AuditContext) -> _AuditContext:
-    return subject if isinstance(subject, _AuditContext) else _AuditContext(subject)
+def _context(subject: Precoder | AuditContext) -> AuditContext:
+    return subject if isinstance(subject, AuditContext) else AuditContext(subject)
 
 
 # -- audits ---------------------------------------------------------------------
@@ -365,7 +360,7 @@ def _context(subject: Precoder | _AuditContext) -> _AuditContext:
 # Each audit takes a precoder, or the context ``audit`` shares across them.
 
 
-def audit_security(precoder: Precoder | _AuditContext) -> list[SecurityCheck]:
+def audit_security(precoder: Precoder | AuditContext) -> list[SecurityCheck]:
     """Exact MI and rank certificate for every user and collusion set.
 
     The MI probed is: what the received messages reveal about the other
@@ -396,20 +391,17 @@ def audit_security(precoder: Precoder | _AuditContext) -> list[SecurityCheck]:
     return checks
 
 
-def audit_recovery(precoder: Precoder | _AuditContext, seed: int = 0) -> list[RecoveryCheck]:
-    """Zero residual entropy of the global sum per user, plus two seeded
-    decode spot checks against directly summed inputs."""
+def audit_recovery(precoder: Precoder | AuditContext, seed: int = 0) -> list[RecoveryCheck]:
+    """Zero residual entropy of the global sum per user, plus a spot check:
+    two simulated rounds, seeds 2 * seed and 2 * seed + 1, in which each
+    user's decoded sum must equal the directly summed inputs."""
     ctx = _context(precoder)
-    precoder = ctx.precoder
-    p = precoder.params
+    p = ctx.precoder.params
 
     spot = np.ones(p.K, dtype=bool)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    for _ in range(2):
-        masks = precoder.masks(sample_keys(precoder, rng.integers(0, 2**63 - 1)))
-        inputs = rng.integers(0, p.q, size=(p.K, precoder.L), dtype=np.int64)
-        decoded = (recover(precoder, masks, encode(precoder, masks, inputs)) + inputs) % p.q
-        spot &= (decoded == inputs.sum(axis=0) % p.q).all(axis=1)
+    for i in range(2):
+        t = run_round(ctx.precoder, "random", seed=2 * seed + i)
+        spot &= (t.recovered == t.inputs.sum(axis=0) % p.q).all(axis=1)
 
     checks = []
     for k in p.users:
@@ -419,7 +411,7 @@ def audit_recovery(precoder: Precoder | _AuditContext, seed: int = 0) -> list[Re
     return checks
 
 
-def audit_converse(precoder: Precoder | _AuditContext) -> list[ConverseCheck]:
+def audit_converse(precoder: Precoder | AuditContext) -> list[ConverseCheck]:
     """Evaluate the converse floors on this scheme and assert each one.
 
     These hold for every valid scheme whatsoever; here they are instantiated
@@ -489,7 +481,7 @@ def audit_rates(precoder: Precoder) -> RateCheck:
 
 def audit(precoder: Precoder, seed: int = 0) -> AuditReport:
     """Run the full battery and assemble one deterministic report."""
-    ctx = _AuditContext(precoder)
+    ctx = AuditContext(precoder)
     report = AuditReport(params=precoder.params)
     report.recovery = audit_recovery(ctx, seed=seed)
     report.security = audit_security(ctx)

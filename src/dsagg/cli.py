@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import infocalc
-from .auditor import _AuditContext, audit
+from .auditor import AuditContext, audit, audit_recovery, audit_security
 from .linalg import random_matrix
 from .scheme import (
     FIXTURES,
@@ -241,7 +241,7 @@ def _cmd_oracle(args) -> int:
         precoder = reference_precoder(params)
     except ValueError:
         precoder = build_precoder(params, seed=args.seed)
-    ctx = _AuditContext(precoder)
+    ctx = AuditContext(precoder)
     layout = ctx.layout
 
     lines = []
@@ -254,14 +254,14 @@ def _cmd_oracle(args) -> int:
         lines.append(f"ORACLE {kind} k={k} rank={ranked} brute={brute} "
                      f"{'MATCH' if match else 'MISMATCH'}")
 
-    for k in params.users:
-        a, b, view = ctx.security_terms((k,))
-        record("security_mi", k,
-               infocalc.mutual_information(a, b, view),
-               infocalc.brute_force_mi(a, b, view))
-        cond = ctx.recovery_view(k)
-        record("recovery_residual", k,
-               infocalc.conditional_entropy([ctx.total], cond),
+    # The audit's own entries against enumerations of the same views; pairs
+    # with colluders are skipped. Security goes first, so each recovery
+    # residual reads a stack its cache already holds.
+    security = {c.k: c.mi for c in audit_security(ctx) if not c.colluders}
+    for c in audit_recovery(ctx, seed=args.seed):
+        k, cond = c.k, ctx.recovery_view(c.k)
+        record("security_mi", k, security[k], infocalc.brute_force_mi(*ctx.security_terms((k,))))
+        record("recovery_residual", k, c.residual_entropy,
                infocalc.brute_force_entropy([ctx.total] + cond)
                - infocalc.brute_force_entropy(cond))
 

@@ -278,7 +278,7 @@ def _merge(r: np.ndarray, c: np.ndarray, v: np.ndarray, q: int,
 
 
 def _peeled_rank(obs: Sequence[LinearObservable], layout: SourceLayout,
-                 memo: dict | None) -> int:
+                 memo: dict) -> int:
     """Rank of the stacked observables, peeled on their nonzeros: the
     columns of every unit observable (inputs, key bundles) at once, then
     ``_peel`` on the rest. The remainder, live rows over live columns, is
@@ -304,16 +304,14 @@ def _peeled_rank(obs: Sequence[LinearObservable], layout: SourceLayout,
     if r.size == 0:
         return rank
     live_r, live_c = np.bincount(r) > 0, np.bincount(c) > 0
-    key = None
-    if memo is not None:
-        rows = np.flatnonzero(live_r)
-        by_obs = np.split(rows, np.searchsorted(rows, offsets[1:-1]))
-        parts = tuple((id(o), tuple((own - off).tolist()))
-                      for o, off, own in zip(rest, offsets, by_obs) if own.size)
-        # Its items are tuples, so no full-stack key (a tuple of ids) equals it.
-        key = (parts, tuple(np.flatnonzero(live_c).tolist()))
-        if key in memo:
-            return rank + memo[key][0]
+    rows = np.flatnonzero(live_r)
+    by_obs = np.split(rows, np.searchsorted(rows, offsets[1:-1]))
+    parts = tuple((id(o), tuple((own - off).tolist()))
+                  for o, off, own in zip(rest, offsets, by_obs) if own.size)
+    # Its items are tuples, so no full-stack key (a tuple of ids) equals it.
+    key = (parts, tuple(np.flatnonzero(live_c).tolist()))
+    if key in memo:
+        return rank + memo[key][0]
     marked = rank
     if min(np.count_nonzero(live_r), np.count_nonzero(live_c)) >= _RECURSIVE_MIN:
         while (merged := _merge(r, c, v, layout.field.q, layout.N)) is not None:
@@ -330,17 +328,17 @@ def _peeled_rank(obs: Sequence[LinearObservable], layout: SourceLayout,
         data = np.zeros((at_r[-1], at_c[-1]), dtype=np.int64)
         data[at_r[r] - 1, at_c[c] - 1] = v
         remainder_rank += Matrix(layout.field, data).rank()
-    if key is not None:
-        memo[key] = (remainder_rank, rest)
+    memo[key] = (remainder_rank, rest)
     return rank + remainder_rank
 
 
 def _stacked_rank(obs: Sequence[LinearObservable], layout: SourceLayout,
                   cache: dict | None) -> int:
+    """Rank of the stacked observables, through ``cache``; a None cache is a
+    fresh one, so every rank takes the same path."""
     if not obs:
         return 0
-    if cache is None:
-        return _peeled_rank(obs, layout, None)
+    cache = {} if cache is None else cache
     key = tuple(sorted(map(id, obs)))
     if key not in cache:
         cache[key] = (_peeled_rank(obs, layout, cache), tuple(obs))

@@ -44,6 +44,10 @@ def _integers(values: Sequence[int], what: str, lo: int, hi: int) -> np.ndarray:
     arr = np.asarray(values).reshape(-1)
     if arr.size and arr.dtype.kind not in "iu":
         raise TypeError(f"{what}s must be integers, not {arr.dtype}")
+    # NumPy makes [True, 5] an integer array, so a list is checked by item.
+    if arr.size and not isinstance(values, np.ndarray) and any(
+            isinstance(v, (bool, np.bool_)) for v in np.asarray(values, dtype=object).flat):
+        raise TypeError(f"{what}s must be integers, not bool")
     arr = arr.astype(np.intp)
     bad = arr[(arr < lo) | (arr > hi)]
     if bad.size:
@@ -99,6 +103,15 @@ def _validate_model(K: int, T: int, G: int) -> None:
         raise ParamsOutOfModelError(f"group size G={G} outside [1, {K}]")
 
 
+def _infeasibility(K: int, T: int, G: int) -> InfeasibilityReason | None:
+    """Why the in-model triple (K, T, G) admits no scheme; None if it does."""
+    if G == 1:
+        return InfeasibilityReason.GROUP_SIZE_ONE
+    if G >= K - T:
+        return InfeasibilityReason.GROUP_TOO_LARGE
+    return None
+
+
 def groups_of(K: int, G: int) -> tuple[tuple[int, ...], ...]:
     """All G-subsets of users 1..K in lexicographic order."""
     return tuple(itertools.combinations(range(1, K + 1), G))
@@ -141,12 +154,9 @@ def capacity(K: int, T: int, G: int) -> RateRegion:
     [1, K]; that is distinct from an in-model infeasible triple.
     """
     _validate_model(K, T, G)
-    if G == 1:
-        return RateRegion(K, T, G, False,
-                          infeasibility_reason=InfeasibilityReason.GROUP_SIZE_ONE)
-    if G >= K - T:
-        return RateRegion(K, T, G, False,
-                          infeasibility_reason=InfeasibilityReason.GROUP_TOO_LARGE)
+    reason = _infeasibility(K, T, G)
+    if reason is not None:
+        return RateRegion(K, T, G, False, infeasibility_reason=reason)
     r_s = Fraction(K - T - 2, math.comb(K - T - 1, G))
     return RateRegion(
         K, T, G, True,
@@ -208,6 +218,11 @@ class SchemeParams:
     field: PrimeField = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        for name in ("K", "T", "G", "m"):  # q is checked by PrimeField
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
+            object.__setattr__(self, name, int(value))
         _validate_model(self.K, self.T, self.G)
         if self.m < 1:
             raise ValueError(f"block scale m must be >= 1, got {self.m}")
@@ -219,11 +234,11 @@ class SchemeParams:
 
     @property
     def feasible(self) -> bool:
-        return self.region.feasible
+        return _infeasibility(self.K, self.T, self.G) is None
 
     def _require_feasible(self) -> None:
-        if not self.feasible:
-            reason = self.region.infeasibility_reason
+        reason = _infeasibility(self.K, self.T, self.G)
+        if reason is not None:
             raise InfeasibleSchemeError(
                 f"(K={self.K}, T={self.T}, G={self.G}) is infeasible "
                 f"({reason.value}); lengths are undefined"
@@ -597,6 +612,18 @@ def scheme_from_text(text: str) -> Precoder:
     return Precoder(params, blocks)
 
 
+def _binomial_up_to(n: int, k: int, cap: int) -> int:
+    """C(n, k) if it is at most ``cap``, else cap + 1. The partial products
+    C(n - k + i, i) only grow with i, so none exceeds cap * n."""
+    k = min(k, n - k)
+    c = int(k >= 0)
+    for i in range(1, k + 1):
+        c = c * (n - k + i) // i
+        if c > cap:
+            return cap + 1
+    return c
+
+
 def _parse_scheme(text: str) -> tuple[SchemeParams, np.ndarray]:
     lines = text.splitlines()
     if not lines:
@@ -614,14 +641,19 @@ def _parse_scheme(text: str) -> tuple[SchemeParams, np.ndarray]:
         raise SchemeFormatError("header fields must be plain decimal integers", 1) from None
     try:
         params = SchemeParams(K=K, T=T, G=G, q=q, m=m)
-        L, L_S = params.L, params.L_S
+        params._require_feasible()
     except (ParamsOutOfModelError, InfeasibleSchemeError, ValueError) as exc:
         raise SchemeFormatError(str(exc), 1) from None
-    needed = 1 + G * math.comb(K, G) * (L + 1)
-    if len(lines) < needed:
+    # C(K, G) groups of G blocks, each a header and L = m * C(K-T-1, G)
+    # rows, counted before L is derived and only up to the file's own line
+    # count, so a header claiming astronomically many costs nothing.
+    have = len(lines)
+    groups, rows = _binomial_up_to(K, G, have), m * _binomial_up_to(K - T - 1, G, have)
+    if 1 + G * groups * (rows + 1) > have:
         raise SchemeFormatError(
-            f"file has {len(lines)} lines; {math.comb(K, G)} groups of {G} "
-            f"blocks, each a header and {L} rows, need {needed}", 1)
+            f"file has {have} lines; C({K}, {G}) groups of {G} blocks, "
+            f"each a header and {m}*C({K - T - 1}, {G}) rows, need more", 1)
+    L, L_S = params.L, params.L_S
     # The line count does not bound L_S: each of the rows holds L_S decimals
     # and their separators, so the text bounds the array allocated below.
     rows = math.comb(K, G) * G * L

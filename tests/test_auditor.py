@@ -6,8 +6,8 @@ import pytest
 
 from dsagg import infocalc
 from dsagg.auditor import (
+    AuditContext,
     InvalidCollusionSetError,
-    _AuditContext,
     audit,
     audit_converse,
     audit_rates,
@@ -237,10 +237,10 @@ def test_security_audit_ranks_only_its_mi_stacks(monkeypatch):
     plain_rank = Matrix.rank
     monkeypatch.setattr(Matrix, "rank", lambda m: calls.append(m.shape) or plain_rank(m))
 
-    audit_security(_AuditContext(pre))
+    audit_security(AuditContext(pre))
     audited = len(calls)
     calls.clear()
-    ctx = _AuditContext(pre)
+    ctx = AuditContext(pre)
     for size in range(1, pre.params.T + 2):
         for coalition in itertools.combinations(pre.params.users, size):
             infocalc.mutual_information(*ctx.security_terms(coalition), cache=ctx.cache)

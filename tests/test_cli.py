@@ -1,6 +1,9 @@
 import csv
 import io
+import time
 from fractions import Fraction
+
+import pytest
 
 import dsagg.cli
 import dsagg.infocalc
@@ -171,6 +174,20 @@ def test_short_scheme_file_exit_3_before_enumerating_groups(tmp_path, capsys, mo
     assert "line 1" in err
 
 
+@pytest.mark.parametrize("K", [1_000_000, 10_000, 3_000])
+def test_huge_header_exit_3_at_once(tmp_path, capsys, K):
+    # Each one-line file claims C(K, K/2) groups. The loader derived L
+    # first: at K = 10**6 the audit ran past a minute, at 10**4 it exited 1
+    # converting a binomial of over 4,300 digits to text, and at 3,000 it
+    # exited 3 with a 3,711-character message.
+    path = tmp_path / "huge.dsa"
+    path.write_text(f"DSA1 {K} 0 {K // 2} 101 1\n")
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "audit", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == 3 and "line 1" in err and len(err) < 200
+
+
 def test_build_random_then_simulate(tmp_path, capsys):
     scheme = tmp_path / "r.dsa"
     code, _, _ = run_cli(capsys, "build", "-K", "4", "-T", "1", "-G", "2",
@@ -235,6 +252,25 @@ def test_oracle_matches_on_three_users(capsys):
     assert "MISMATCH" not in out.replace("MISMATCH FOUND", "")
     assert any(line.startswith("ORACLE security_mi k=1 rank=0 brute=0")
                for line in out.splitlines())
+
+
+def test_oracle_checks_the_audits_cached_ranks(capsys, monkeypatch):
+    # A fault only the cached path takes: +1 on every full-stack cache hit.
+    # The oracle enumerates against the audit's own entries, so it sees it.
+    # Each recovery residual reads the stack its user's security MI ranked.
+    stacked_rank = dsagg.infocalc._stacked_rank
+
+    def faulty(obs, layout, cache):
+        hit = cache is not None and tuple(sorted(map(id, obs))) in cache
+        return stacked_rank(obs, layout, cache) + hit
+
+    monkeypatch.setattr(dsagg.infocalc, "_stacked_rank", faulty)
+    code, out, _ = run_cli(capsys, "oracle", "-K", "3", "-T", "0", "-G", "2", "--q", "2")
+    lines = out.splitlines()
+    assert code == 4 and lines[-1] == "MISMATCH FOUND"
+    for k in (1, 2, 3):
+        assert f"ORACLE security_mi k={k} rank=0 brute=0 MATCH" in lines
+        assert f"ORACLE recovery_residual k={k} rank=1 brute=0 MISMATCH" in lines
 
 
 def test_oracle_negative_query_count_exit_1(capsys, monkeypatch):

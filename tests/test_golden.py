@@ -3,9 +3,10 @@
 These outputs must stay byte-identical across refactors. The digests cover
 cases the benchmark's own digests do not: a failing audit (recovery
 spot-check FAIL lines), an undersized precoder, zero inputs, the oracle at
-small q and the stdout of the demos that print blocks, H-hat, a damaged
-audit and hand-built views. A digest that changes means an output changed;
-compare the old and new text before recording a new digest.
+small q, with and without colluders, and the stdout of the demos that print
+blocks, H-hat, a damaged audit and the audit's views against enumeration. A
+digest that changes means an output changed; compare the old and new text
+before recording a new digest.
 """
 
 import hashlib
@@ -58,6 +59,9 @@ ORACLE = {
     "3": "686b633f2b59628be0130ae94d78345f882176c18dbf0e8bd42aa50394122626",
 }
 
+# (4,1,2) at q=2: 1,024 points; its audit's pairs with colluders are skipped.
+ORACLE_COLLUSION = "835f9749164c41dc3225a16c1474e7c5263174e4e42644bd373701874ba2f3dc"
+
 DEMO_02 = "0d23a9e6a5b8a70dbc20dfcead2b3f63ac74fc96d2e9b4c6fed7ba45d3a32256"
 
 DEMOS = {
@@ -84,6 +88,11 @@ def test_round_transcript_digest(fixture, source):
 def test_oracle_stdout_digest(q, capsys):
     assert main(["oracle", "-K", "3", "-T", "0", "-G", "2", "--q", q]) == 0
     assert sha(capsys.readouterr().out) == ORACLE[q]
+
+
+def test_oracle_with_collusion_stdout_digest(capsys):
+    assert main(["oracle", "-K", "4", "-T", "1", "-G", "2", "--q", "2"]) == 0
+    assert sha(capsys.readouterr().out) == ORACLE_COLLUSION
 
 
 def demo_stdout(name: str, cwd: Path) -> str:

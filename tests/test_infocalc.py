@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import dsagg.infocalc
-from dsagg.auditor import _AuditContext, audit, audit_recovery
+from dsagg.auditor import AuditContext, audit, audit_recovery
 from dsagg.gf import PrimeField
 from dsagg.infocalc import (
     DEFAULT_BUDGET,
@@ -846,7 +846,7 @@ def test_audit_context_holds_nonzeros_only():
     # Dense (10,0,4) observables took 210 MB; their nonzeros take about 26.
     tracemalloc.start()
     try:
-        ctx = _AuditContext(random_precoder(SchemeParams(K=10, T=0, G=4, q=101), 0))
+        ctx = AuditContext(random_precoder(SchemeParams(K=10, T=0, G=4, q=101), 0))
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -254,15 +254,16 @@ def test_group_id_outside_the_scheme_raises_key_error(i):
 def test_float_and_bool_group_ids_and_users_are_refused():
     # A cast to integers used to round them: key_columns([1.7]) and
     # key_columns([True]) gave group 1's columns [17, 18], and
-    # key_map([5.9], [9]) equalled key_map([5], [9]).
+    # key_map([5.9], [9]) equalled key_map([5], [9]). NumPy makes [True, 5]
+    # an integer array, so key_map([True, 5], [9]) equalled key_map([1, 5], [9]).
     pre = fixture_example2()
     key_columns = layout_for(pre).key_columns
-    for ids in ([1.7], [True], np.array([1.0])):
+    for ids in ([1.7], [True], np.array([1.0]), [True, 2], (2, np.True_)):
         with pytest.raises(TypeError, match="group ids must be integers"):
             key_columns(ids)
         with pytest.raises(TypeError, match="group ids must be integers"):
             pre.key_map([5], ids)
-    for users in ([5.9], [True], np.array([5.0])):
+    for users in ([5.9], [True], np.array([5.0]), [True, 5], [[5], [True]]):
         with pytest.raises(TypeError, match="users must be integers"):
             pre.key_map(users, [9])
     # The single-user entry points used to skip that check: user_index(2.5)
@@ -488,6 +489,23 @@ def test_scheme_text_round_trip_bit_exact():
         again = scheme_from_text(text)
         assert again == pre
         assert scheme_to_text(again) == text
+
+
+def test_scheme_params_refuse_non_integer_sizes():
+    # SchemeParams(K=5, T=True, G=2, q=101, m=True) used to build and write
+    # the header "DSA1 5 True 2 101 True", which the loader refuses on line
+    # 1; m=1.0 failed only later, inside random_precoder.
+    for name, value in (("T", True), ("m", True), ("m", 1.0), ("K", 5.0),
+                        ("G", "2"), ("K", np.True_)):
+        sizes = dict(K=5, T=1, G=2, m=1)
+        sizes[name] = value
+        with pytest.raises(TypeError, match=f"{name} must be an integer"):
+            SchemeParams(q=101, **sizes)
+    # NumPy integers pass, stored as ints, so the header is the same.
+    params = SchemeParams(K=np.int64(5), T=np.int32(1), G=np.uint8(2), q=101, m=np.int64(1))
+    assert params == SchemeParams(K=5, T=1, G=2, q=101)
+    assert all(type(v) is int for v in (params.K, params.T, params.G, params.m))
+    assert scheme_to_text(random_precoder(params, 0)).startswith("DSA1 5 1 2 101 1\n")
 
 
 def test_scheme_text_header():
