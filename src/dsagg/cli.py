@@ -11,7 +11,6 @@ deterministic given its flags.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from fractions import Fraction
 
@@ -27,6 +26,7 @@ from .scheme import (
     ParamsOutOfModelError,
     SchemeFormatError,
     SchemeParams,
+    _binomial_up_to,
     build_precoder,
     capacity,
     load_scheme,
@@ -125,13 +125,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_precoder_size(params: SchemeParams) -> None:
     """Refuse feasible parameters whose precoder, K*C(K-1,G-1) blocks of
-    L x L_S, would be too large, before any group is enumerated."""
-    K, G = params.K, params.G
-    entries = K * math.comb(K - 1, G - 1) * params.L * params.L_S
-    if entries > MAX_PRECODER_ENTRIES:
+    L x L_S with L = m*C(K-T-1,G), would be too large, before any group is
+    enumerated. Each binomial is counted only up to the limit; every factor
+    is at least 1, so a capped binomial alone puts the product over it."""
+    K, T, G, m, cap = params.K, params.T, params.G, params.m, MAX_PRECODER_ENTRIES
+    entries = (K * _binomial_up_to(K - 1, G - 1, cap)
+               * m * _binomial_up_to(K - T - 1, G, cap) * params.L_S)
+    if entries > cap:
         raise ParamsOutOfModelError(
-            f"the precoder would hold {entries} entries, over the limit "
-            f"{MAX_PRECODER_ENTRIES}"
+            f"the precoder would hold more than the limit of {cap} entries"
         )
 
 

@@ -29,9 +29,9 @@ A rank cache is keyed by the ids of the observables it ranked and holds
 them, so no other object can take those ids: labels are only names.
 
 The enumeration oracle at the bottom re-derives the same quantities by
-walking the whole source space and counting, sharing no code with the rank
-path; agreement between the two is what justifies using ranks as the general
-auditor.
+walking the whole source space once and counting the values of each marginal
+it needs, sharing no code with the rank path; agreement between the two is
+what justifies using ranks as the general auditor.
 """
 
 from __future__ import annotations
@@ -384,95 +384,102 @@ def mutual_information(a: Sequence[LinearObservable],
 _CHUNK = 1 << 16
 
 
-def _enumerate_atoms(layout: SourceLayout, stacked: np.ndarray,
-                     budget: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """Walk the whole source space and tally each observed tuple.
+def _tally(layout: SourceLayout, stacked: np.ndarray, selections: Sequence[np.ndarray],
+           budget: int) -> tuple[list[np.ndarray], int]:
+    """Walk the whole source space once and, for each selection of rows of
+    ``stacked``, count how often each value of those rows occurs.
 
-    Returns (atoms, counts, total): distinct observed value rows, how often
-    each occurs, and the source-space size q**N.
+    Returns those counts, one array per selection, and the source-space size
+    q**N. The walk goes in chunks of q**low points that share their high
+    digits: the low digits' share of the values is computed once, and each
+    chunk adds its high digits' share. No observed tuple is stored: each
+    chunk is tallied per selection at once, under codes that name the same
+    value in every chunk, and the chunks' tallies are merged at the end.
     """
-    q = layout.field.q
-    total = q**layout.N
+    q, N = layout.field.q, layout.N
+    total = q**N
     if total > budget:
         raise BudgetExceededError(
-            f"q**N = {q}**{layout.N} exceeds the enumeration budget {budget}"
+            f"q**N = {q}**{N} exceeds the enumeration budget {budget}"
         )
-    atom_parts: list[np.ndarray] = []
-    count_parts: list[np.ndarray] = []
-    transposed = stacked.T.copy()
-    for start in range(0, total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        digits = np.empty((idx.size, layout.N), dtype=np.int64)
-        rem = idx
-        for j in range(layout.N):
-            digits[:, j] = rem % q
-            rem = rem // q
-        values = _safe_dot(digits, transposed, q)
-        _, first, counts = np.unique(_row_codes(values, q), return_index=True,
-                                     return_counts=True)
-        atom_parts.append(values[first])
-        count_parts.append(counts)
-    all_atoms = np.vstack(atom_parts)
-    all_counts = np.concatenate(count_parts)
-    _, first, inverse = np.unique(_row_codes(all_atoms, q), return_index=True,
-                                  return_inverse=True)
-    counts = np.zeros(first.size, dtype=np.int64)
-    np.add.at(counts, inverse, all_counts)
-    return all_atoms[first], counts, total
+    # Chunks of about _CHUNK points; any low up to N gives the same counts.
+    low = min(N, max(1, int(math.log(_CHUNK, q))))
+    # Values are held one row per stacked row, one column per point.
+    low_values = _safe_dot(stacked[:, :low], _digits(np.arange(q**low), low, q).T, q)
+    high_rows = stacked[:, low:]
+    parts: list[tuple[list, list]] = [([], []) for _ in selections]
+    for high in range(q ** (N - low)):
+        values = low_values + _safe_dot(high_rows, _digits(np.array([high]), N - low, q).T, q)
+        values %= q
+        for (codes, counts), rows in zip(parts, selections):
+            code, count = _distinct(_codes(values[rows], q), return_counts=True)
+            codes.append(code)
+            counts.append(count)
+    tallies = []
+    for codes, counts in parts:
+        inverse = _distinct(np.vstack(codes), return_inverse=True)[1].ravel()
+        tallies.append(np.zeros(inverse.max() + 1, dtype=np.int64))
+        np.add.at(tallies[-1], inverse, np.concatenate(counts))
+    return tallies, total
 
 
-def _row_codes(rows: np.ndarray, q: int) -> np.ndarray:
-    """One int64 per row of values in [0, q): equal exactly for equal rows
-    and ordered as the rows are, lexicographically. Each code is the row
-    read as base-q digits, re-ranked densely before another digit could
-    carry it past 2**62."""
-    code = np.zeros(rows.shape[0], dtype=np.int64)
-    bound = 1  # every code is below this
-    for column in rows.T:
+def _digits(idx: np.ndarray, n: int, q: int) -> np.ndarray:
+    """The n base-q digits of each index, least significant first."""
+    return idx[:, None] // q ** np.arange(n, dtype=np.int64) % q
+
+
+def _codes(values: np.ndarray, q: int) -> np.ndarray:
+    """The columns of values in [0, q) as rows of int64 words, equal exactly
+    for equal columns: each word reads base-q digits, and a new word starts
+    before another digit could carry one past 2**62. No rows give one word
+    of zeros."""
+    words = [np.zeros(values.shape[1], dtype=np.int64)]
+    bound = 1  # the last word is below this
+    for row in values:
         if bound * q > 2**62:
-            _, code = np.unique(code, return_inverse=True)
-            bound = code.size  # dense ranks are below the row count
-        code = code * q + column
+            words.append(np.zeros_like(words[0]))
+            bound = 1
+        words[-1] = words[-1] * q + row
         bound *= q
-    return code
+    return np.stack(words, axis=1)
 
 
-def _power_of_q_exponent(x: int, q: int) -> int:
-    e = 0
-    while x % q == 0:
-        x //= q
-        e += 1
-    if x != 1:
-        raise NonPowerOfQSupportError(f"count component {x} is not a power of {q}")
-    return e
+def _distinct(codes: np.ndarray, **kwargs):
+    """``np.unique`` over the rows of ``codes``; one word is sorted as plain
+    integers, which is much faster than sorting rows."""
+    if codes.shape[1] > 1:
+        return np.unique(codes, axis=0, **kwargs)
+    distinct, *rest = np.unique(codes[:, 0], **kwargs)
+    return (distinct[:, None], *rest)
 
 
-def _marginal_ids(atoms: np.ndarray, cols: Sequence[int], counts: np.ndarray,
-                  q: int) -> tuple[np.ndarray, np.ndarray]:
-    """Group atoms by the projection onto ``cols``; returns (group id per
-    atom, total count per group)."""
-    _, inverse = np.unique(_row_codes(atoms[:, list(cols)], q), return_inverse=True)
-    sums = np.zeros(int(inverse.max()) + 1 if inverse.size else 1, dtype=np.int64)
-    np.add.at(sums, inverse, counts)
-    return inverse, sums
+def _n_log_n(counts: np.ndarray, q: int) -> int:
+    """The sum of n * log_q(n) over one marginal's counts, each of which
+    must be a power of q."""
+    exponents = np.zeros_like(counts)
+    rest = counts.copy()
+    while (step := (rest % q == 0) & (rest > 1)).any():
+        rest[step] //= q
+        exponents[step] += 1
+    if (rest != 1).any():
+        raise NonPowerOfQSupportError(
+            f"count {counts[rest != 1][0]} is not a power of {q}"
+        )
+    return int((counts * exponents).sum())
 
 
 def brute_force_entropy(obs: Sequence[LinearObservable],
                         budget: int = DEFAULT_BUDGET) -> Fraction:
     """Joint entropy by full enumeration, as an exact rational.
 
-    Independent of the rank path: it only counts realizations. Each atom
+    Independent of the rank path: it only counts realizations. Each value's
     probability is a multiple of q**-N, and for linear observables every
-    atom count is a power of q, so the entropy is exact.
+    count is a power of q, so the entropy is exact.
     """
     layout = _common_layout([obs])
-    stacked = np.vstack([np.zeros((0, layout.N), dtype=np.int64)] + [o.matrix.data for o in obs])
-    _, counts, total = _enumerate_atoms(layout, stacked, budget)
-    q = layout.field.q
-    weighted = 0
-    for n in counts:
-        weighted += int(n) * _power_of_q_exponent(int(n), q)
-    return Fraction(layout.N * total - weighted, total)
+    stacked = np.vstack([o.matrix.data for o in obs])
+    (counts,), total = _tally(layout, stacked, [np.arange(stacked.shape[0])], budget)
+    return Fraction(layout.N * total - _n_log_n(counts, layout.field.q), total)
 
 
 def brute_force_mi(a: Sequence[LinearObservable],
@@ -481,44 +488,20 @@ def brute_force_mi(a: Sequence[LinearObservable],
                    budget: int = DEFAULT_BUDGET) -> Fraction:
     """I(a; b | given) by full enumeration, as an exact rational.
 
-    Builds the exact joint distribution of (a, b, given) over all q**N source
-    realizations and evaluates the Shannon sum directly; every per-atom
-    likelihood ratio must be an integer power of q, which holds for all
-    linear observables.
+    Counts the values of (a, b, given), (a, given), (b, given) and given
+    over all q**N source realizations. The Shannon sum over the joint
+    values, sum n_abc * log_q(n_abc n_c / (n_ac n_bc)), regrouped by
+    marginal, is S_abc + S_c - S_ac - S_bc with S = sum n * log_q(n) over
+    that marginal's counts; every count must be an integer power of q, which
+    holds for all linear observables.
     """
     layout = _common_layout([a, b, given])
     a, b, c = list(a), list(b), list(given)
+    stacked = np.vstack([o.matrix.data for o in a + b + c])
     ra = sum(o.rows for o in a)
-    rb = sum(o.rows for o in b)
-    stacked = np.vstack([np.zeros((0, layout.N), dtype=np.int64)]
-                        + [o.matrix.data for o in a + b + c])
-    atoms, counts, total = _enumerate_atoms(layout, stacked, budget)
-    q = layout.field.q
-
-    n_cols = stacked.shape[0]
-    ac_cols = list(range(ra)) + list(range(ra + rb, n_cols))
-    bc_cols = list(range(ra, n_cols))
-    c_cols = list(range(ra + rb, n_cols))
-    ac_id, ac_sum = _marginal_ids(atoms, ac_cols, counts, q)
-    bc_id, bc_sum = _marginal_ids(atoms, bc_cols, counts, q)
-    c_id, c_sum = _marginal_ids(atoms, c_cols, counts, q)
-
-    weighted = 0
-    for i in range(atoms.shape[0]):
-        n_abc = int(counts[i])
-        num = n_abc * int(c_sum[c_id[i]])
-        den = int(ac_sum[ac_id[i]]) * int(bc_sum[bc_id[i]])
-        g = math.gcd(num, den)
-        num //= g
-        den //= g
-        if den == 1:
-            exponent = _power_of_q_exponent(num, q)
-        elif num == 1:
-            exponent = -_power_of_q_exponent(den, q)
-        else:
-            raise NonPowerOfQSupportError(
-                f"likelihood ratio {num}/{den} is not a power of {q}"
-            )
-        weighted += n_abc * exponent
-    return Fraction(weighted, total)
-
+    rab = ra + sum(o.rows for o in b)
+    n = stacked.shape[0]
+    selections = [np.arange(n), np.arange(rab, n), np.r_[0:ra, rab:n], np.arange(ra, n)]
+    counts, total = _tally(layout, stacked, selections, budget)
+    s_abc, s_c, s_ac, s_bc = (_n_log_n(x, layout.field.q) for x in counts)
+    return Fraction(s_abc + s_c - s_ac - s_bc, total)

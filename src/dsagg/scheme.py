@@ -229,10 +229,6 @@ class SchemeParams:
         object.__setattr__(self, "field", PrimeField(self.q))
 
     @property
-    def region(self) -> RateRegion:
-        return capacity(self.K, self.T, self.G)
-
-    @property
     def feasible(self) -> bool:
         return _infeasibility(self.K, self.T, self.G) is None
 

@@ -300,6 +300,19 @@ def test_oversized_precoder_exit_1_before_enumerating_groups(capsys, monkeypatch
         assert "precoder would hold" in err
 
 
+@pytest.mark.parametrize("K, G", [(20000, 10000), (3000, 1500)])
+@pytest.mark.parametrize("command", ["build", "oracle"])
+def test_huge_precoder_refused_quickly_with_a_short_message(capsys, monkeypatch, command, K, G):
+    # The full entry count has thousands of digits; the guard neither
+    # computes nor prints it.
+    refuse_to_enumerate(monkeypatch)
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, command, "-K", str(K), "-T", "0", "-G", str(G))
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert "precoder would hold" in err and len(err) < 200
+
+
 def test_oracle_budget_guard(capsys, monkeypatch):
     refuse_to_enumerate(monkeypatch)
     code, _, err = run_cli(capsys, "oracle", "-K", "6", "-T", "0", "-G", "2", "--q", "101")

@@ -15,6 +15,7 @@ from dsagg.infocalc import (
     BudgetExceededError,
     LayoutMismatchError,
     LinearObservable,
+    NonPowerOfQSupportError,
     SourceLayout,
     _peel,
     _peeled_rank,
@@ -38,6 +39,7 @@ from dsagg.scheme import (
     fixture_example1,
     fixture_example2,
     random_precoder,
+    reference_precoder,
     sample_keys,
 )
 from dsagg.scheme import encode
@@ -645,12 +647,7 @@ def test_cache_entries_hold_their_observables():
 
 def three_user_instance(q):
     params = SchemeParams(K=3, T=0, G=2, q=q)
-    if q == 2:
-        pre = fixture_example1()
-    else:
-        from dsagg.scheme import reference_precoder
-
-        pre = reference_precoder(params)
+    pre = fixture_example1() if q == 2 else reference_precoder(params)
     lay = layout_for(pre)
     return params, pre, lay
 
@@ -689,10 +686,9 @@ def test_oracle_agrees_on_random_queries(q):
 
 @pytest.mark.parametrize("q, rows", [(2, 70), (3, 45)])
 def test_oracle_agrees_on_stacks_whose_rows_pass_2_62(q, rows):
-    # q**rows > 2**64, so the oracle's one-integer row codes must re-rank
-    # part way through. W1 comes first and no other row reads it: at q=2 a
-    # code that wrapped would lose W1's digit and merge atoms that differ
-    # in it.
+    # q**rows > 2**64, so the oracle's codes must start a new word part way
+    # through. W1 comes first and no other row reads it: at q=2 a code that
+    # wrapped would lose W1's digit and merge values that differ in it.
     _, pre, lay = three_user_instance(q)
     rng = np.random.Generator(np.random.PCG64(rows))
     rest = random_matrix(rows, lay.N, lay.field, rng=rng).data.copy()
@@ -728,6 +724,33 @@ def test_budget_enforced():
     lay = layout_for(pre)
     with pytest.raises(BudgetExceededError):
         brute_force_entropy([observe_input(lay, 1)], budget=2**20)
+
+
+def test_count_that_is_not_a_power_of_q_raises(monkeypatch):
+    # No linear observable of a uniform source is seen 3 times at q=2; both
+    # oracles must refuse such a tally rather than read a fraction from it.
+    _, pre, lay = three_user_instance(2)
+    monkeypatch.setattr(dsagg.infocalc, "_tally", lambda layout, stacked, selections, budget:
+                        ([np.array([3])] * len(selections), 3))
+    with pytest.raises(NonPowerOfQSupportError):
+        brute_force_entropy([observe_message(pre, 1)])
+    with pytest.raises(NonPowerOfQSupportError):
+        brute_force_mi([observe_message(pre, 1)], [observe_input(lay, 1)])
+
+
+def test_oracle_tallies_marginals_without_storing_atoms():
+    # 2**18 points: a row per distinct observed tuple takes about 178 MB, the
+    # marginals' tallies far less.
+    ctx = AuditContext(reference_precoder(SchemeParams(K=3, T=0, G=2, q=2, m=3)))
+    terms = ctx.security_terms((1,))
+    tracemalloc.start()
+    try:
+        mi = brute_force_mi(*terms)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert mi == 0
+    assert peak < 100 * 2**20
 
 
 # (q, K, G, L, L_S), every one with q**N within DEFAULT_BUDGET
