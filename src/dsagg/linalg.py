@@ -6,15 +6,25 @@ arithmetic is exact, so no pivoting heuristics are needed. Random matrices
 are drawn from numpy's PCG64 generator seeded explicitly, which keeps every
 construction reproducible across runs and platforms.
 
-``_row_reduce`` clears one pivot column at a time; it is the reference
-kernel. ``Matrix.rank`` runs it on every matrix whose smaller side is below
-``_RECURSIVE_MIN`` and hands larger ones to ``_recursive_eliminate``, the
-recursive rank-profile elimination of Jeannerod, Pernet & Storjohann (JSC
-2013): eliminate the left half of the columns, update the right half of the
-remaining rows with one matrix product, recurse on it. The products are
-float64 BLAS products of integers, arranged as in FFLAS-FFPACK (Dumas,
-Giorgi & Pernet, ACM TOMS 2008) so that every sum stays below 2**53 and is
-exact; each is reduced mod q in int64, so the rank is exact too.
+``Matrix.rank`` runs one row loop, ``_eliminate_leaf``, on every matrix
+whose smaller side is below ``_RECURSIVE_MIN``, and hands larger ones to
+``_recursive_eliminate``, the recursive rank-profile elimination of
+Jeannerod, Pernet & Storjohann (JSC 2013): eliminate the left half of the
+columns, update the right half of the remaining rows with one matrix
+product, recurse on it, down to blocks of ``_LEAF`` columns that the same
+row loop eliminates. The products are float64 BLAS products of integers,
+arranged as in FFLAS-FFPACK (Dumas, Giorgi & Pernet, ACM TOMS 2008) so that
+every sum stays below 2**53 and is exact; each is reduced mod q in int64, so
+the rank is exact too.
+
+The row loop delays its reductions as FFLAS-FFPACK does. Each step reduces
+only the pivot column and the pivot row, and updates the rows below on the
+live columns alone. Entries start in [0, q) and each update adds a product
+of two reduced entries, at most (q-1)**2, so floor((2**63-1-q) / (q-1)**2)
+updates fit in int64 between reductions of the rows below: about 9*10**14
+at q=101, 8 at q=1073741789 and 2 at q=2**31-1. ``_row_reduce``, which
+reduces the whole trailing block on every pivot, stays as the reference
+that tests check both kernels against.
 """
 
 from __future__ import annotations
@@ -68,10 +78,10 @@ def _row_reduce(arr: np.ndarray, q: int) -> int:
 
 
 # Matrix.rank hands a matrix to _recursive_eliminate when its smaller side
-# is at least this. Measured: from 96 up the recursive kernel is 1.3-1.9x
-# faster on random matrices and 4x on the 245 x 210 surviving-key matrices
-# of (8,0,4); below 96 it gains at most about 1.2x on the matrices audits
-# produce, and loses below 48.
+# is at least this. Measured against the row loop on random matrices: from
+# 96 up the recursive kernel is 1.3-2.3x faster, and 2.3x on the 245 x 210
+# surviving-key matrices of (8,0,4) q=101; at 64 it ties, and below 64 it
+# loses up to about 15%.
 _RECURSIVE_MIN = 96
 _LEAF = 16  # column blocks this narrow are eliminated by the row loop
 _EXACT = 2**53  # float64 represents every integer below this
@@ -120,37 +130,62 @@ def _mod_addmul(c: np.ndarray, a: np.ndarray, b: np.ndarray, q: int) -> None:
 
 
 def _eliminate_leaf(a: np.ndarray, q: int):
-    """The row loop of ``_row_reduce`` on a narrow block, also tracking how
-    each row was combined. Returns (pivots, rest, z): row indices of ``a``
-    whose rows span its row space, the other row indices, and z with
+    """The row loop with delayed reduction, also tracking how each row was
+    combined. ``a`` must hold entries in [0, q); it is left unchanged.
+    Returns (pivots, rest, z): row indices of ``a`` whose rows span its row
+    space, the other row indices, and z in [0, q) with
     a[rest] + z @ a[pivots] == 0 (mod q).
     """
     m, n = a.shape
     # aug = [current rows | z]: a row not yet a pivot holds a[i] + z_i @
     # a[pivots]. A row made the t-th pivot moves its a[i] term into z (entry
-    # t = 1), so row operations on aug keep every row's z up to date.
-    aug = np.zeros((m, 2 * n), dtype=np.int64)
+    # t = 1), so row operations on aug keep every row's z up to date. Only
+    # columns c .. n+r are live at step (c, r): those left of c are cleared
+    # below the pivots, and the rows below have no z entry past n+r.
+    aug = np.zeros((m, n + min(m, n)), dtype=np.int64)
     aug[:, :n] = a
     order = np.arange(m)
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        nz = np.nonzero(aug[r:, c])[0]
+    # Updates that fit in int64 between reductions (module docstring).
+    safe = (2**63 - 1 - q) // (q - 1) ** 2
+    pending = 0
+    r = c = 0
+    while r < m and c < n:
+        col = aug[r:, c]
+        if pending:
+            col %= q
+        nz = np.nonzero(col)[0]
         if nz.size == 0:
+            # Skip to the next column with a nonzero below the pivots: wide
+            # rank-deficient blocks would otherwise visit each column alone.
+            block = aug[r:, c + 1 : n]
+            live = np.flatnonzero((block % q if pending else block).any(axis=0))
+            c += 1 + (int(live[0]) if live.size else n)
             continue
         p = r + int(nz[0])
         if p != r:
             aug[[r, p]] = aug[[p, r]]
             order[[r, p]] = order[[p, r]]
         aug[r, n + r] = 1
-        inv = pow(int(aug[r, c]), -1, q)
-        aug[r] = (aug[r] * inv) % q
-        targets = r + 1 + np.nonzero(aug[r + 1 :, c])[0]
-        if targets.size:
-            aug[targets] = (aug[targets] - np.outer(aug[targets, c], aug[r])) % q
+        # The pivot row is scaled to -1 at c, so adding multiples of it
+        # keeps every entry non-negative.
+        row = aug[r, c : n + r + 1]
+        if pending:
+            row %= q
+        row *= q - pow(int(row[0]), -1, q)
+        row %= q
+        if nz.size > 1:
+            below = aug[r + 1 :, c : n + r + 1]
+            if pending >= safe:
+                below %= q
+                pending = 0
+            below += np.multiply.outer(col[1:], row)
+            pending += 1
         r += 1
-    return order[:r], order[r:], aug[r:, n : n + r]
+        c += 1
+    z = aug[r:, n : n + r]
+    if pending:
+        z %= q
+    return order[:r], order[r:], z
 
 
 def _recursive_eliminate(a: np.ndarray, q: int):
@@ -217,10 +252,10 @@ class Matrix:
     # -- reductions --------------------------------------------------------
 
     def rank(self) -> int:
-        if min(self.shape) < _RECURSIVE_MIN:
-            return _row_reduce(self.data.copy(), self.field.q)
         # Rows on the smaller side leave the row loop fewer to clear.
         data = self.data.T if self.rows > self.cols else self.data
+        if data.shape[0] < _RECURSIVE_MIN:
+            return _eliminate_leaf(data, self.field.q)[0].size
         return _recursive_eliminate(data, self.field.q)[0].size
 
     # -- comparison / display ------------------------------------------

@@ -44,6 +44,8 @@ from dsagg.scheme import (
 )
 from dsagg.scheme import encode
 
+from conftest import plain_rank
+
 
 def zero_precoder(params):
     shape = (len(params.groups), params.G, params.L, params.L_S)
@@ -244,7 +246,7 @@ def test_peeled_rank_equals_plain_elimination(case):
     field = PrimeField(q)
     lay = single_segment_layout(field, blocks[0].shape[1])
     obs = [LinearObservable(f"b{i}", Matrix(field, b), lay) for i, b in enumerate(blocks)]
-    plain = Matrix(field, np.vstack(blocks)).rank()
+    plain = plain_rank(field, np.vstack(blocks))
     assert _stacked_rank(obs, lay, None) == plain
     assert _stacked_rank(obs, lay, {}) == plain
 
@@ -252,11 +254,11 @@ def test_peeled_rank_equals_plain_elimination(case):
 def count_remainders(monkeypatch):
     """Record the shape of every matrix ``Matrix.rank`` is asked to rank."""
     shapes = []
-    plain_rank = Matrix.rank
+    kernel_rank = Matrix.rank
 
     def counted(self):
         shapes.append(self.shape)
-        return plain_rank(self)
+        return kernel_rank(self)
 
     monkeypatch.setattr(Matrix, "rank", counted)
     return shapes
@@ -289,7 +291,7 @@ def test_peel_follows_rows_that_become_unit(monkeypatch):
     pre = fixture_example2()
     lay = layout_for(pre)
     stack = [observe_key_bundle(lay, 1), observe_message(pre, 1)]
-    plain = Matrix(lay.field, np.vstack([o.matrix.data for o in stack])).rank()
+    plain = plain_rank(lay.field, np.vstack([o.matrix.data for o in stack]))
     shapes.clear()
     assert _stacked_rank(stack, lay, None) == plain == 8 + 3
     assert shapes == []
@@ -337,7 +339,7 @@ def test_support_peel_matches_dense_rank(case):
     cache = {}  # shared by every sub-stack, so remainders recur in new stacks
     for size in range(1, len(obs) + 1):
         for stack in itertools.combinations(obs, size):
-            plain = Matrix(field, np.vstack([o.matrix.data for o in stack])).rank()
+            plain = plain_rank(field, np.vstack([o.matrix.data for o in stack]))
             assert _stacked_rank(stack, lay, None) == plain
             assert _stacked_rank(stack, lay, cache) == plain
             assert _stacked_rank(stack[::-1], lay, cache) == plain
@@ -458,7 +460,7 @@ def test_merges_match_dense_rank(monkeypatch, name, q):
     field = PrimeField(q)
     a = tiled(MERGE_PATTERNS[name], q, seed=q)
     assert peeled_shape(a) == (0, 0) or min(peeled_shape(a)) >= _RECURSIVE_MIN
-    plain = Matrix(field, a).rank()
+    plain = plain_rank(field, a)
     shapes = count_remainders(monkeypatch)
     assert one_observable_rank(a, field) == plain
     assert shapes == []  # peeled whole: nothing reaches the kernel
@@ -513,7 +515,7 @@ def test_merged_rank_matches_dense_rank(case):
     q, a = case
     assume(min(peeled_shape(a)) >= _RECURSIVE_MIN)
     field = PrimeField(q)
-    assert one_observable_rank(a, field) == Matrix(field, a).rank()
+    assert one_observable_rank(a, field) == plain_rank(field, a)
 
 
 @pytest.fixture(scope="module")
@@ -527,7 +529,7 @@ def test_every_recovery_stack_matches_plain_elimination(monkeypatch, wide_precod
 
     def checked(obs, layout, cache):
         rank = _stacked_rank(obs, layout, cache)
-        plain = Matrix(layout.field, np.vstack([o.matrix.data for o in obs])).rank()
+        plain = plain_rank(layout.field, np.vstack([o.matrix.data for o in obs]))
         verdicts.append(rank == plain)
         return rank
 
@@ -566,7 +568,7 @@ def test_every_audit_stack_matches_plain_elimination(monkeypatch):
     def checked(obs, layout, cache):
         rank = _stacked_rank(obs, layout, cache)
         if obs:
-            plain = Matrix(layout.field, np.vstack([o.matrix.data for o in obs])).rank()
+            plain = plain_rank(layout.field, np.vstack([o.matrix.data for o in obs]))
             verdicts.append(rank == plain)
         return rank
 
@@ -621,7 +623,7 @@ def test_cache_entries_hold_their_observables():
     for _ in range(200):
         data = rng.integers(1, 3, size=(int(rng.integers(1, 4)), 4))
         a = LinearObservable("A", Matrix(field, data), lay)
-        alone = Matrix(field, data).rank()
+        alone = plain_rank(field, data)
         assert _stacked_rank([a], lay, cache) == alone
         assert _stacked_rank([a], lay, cache) == alone  # a full-stack hit
         del a
@@ -630,7 +632,7 @@ def test_cache_entries_hold_their_observables():
         # rows on, then hit by the stack whose unit row is 2*e3.
         data = rng.integers(1, 3, size=(int(rng.integers(1, 4)), 4))
         a = LinearObservable("A", Matrix(field, data), lay)
-        with_e3 = Matrix(field, np.vstack([data, e3.matrix.data])).rank()
+        with_e3 = plain_rank(field, np.vstack([data, e3.matrix.data]))
         before = len(memo)
         assert _peeled_rank([a, e3], lay, memo) == with_e3
         entries = len(memo)

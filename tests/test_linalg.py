@@ -10,6 +10,7 @@ from dsagg.linalg import (
     _CHUNK,
     _RECURSIVE_MIN,
     Matrix,
+    _eliminate_leaf,
     _mod_addmul,
     _row_reduce,
     _safe_dot,
@@ -66,15 +67,17 @@ def test_rank_at_most_min_dimension():
         assert m.rank() <= 4
 
 
-# The recursive kernel behind Matrix.rank must agree with the reference
-# row loop everywhere. Each kind of matrix is drawn from a seed:
+# Matrix.rank runs the delayed-reduction row loop below the cutoff and the
+# recursive kernel, whose leaves are that loop, above it; both must agree
+# with the reference row loop everywhere. 1073741789 and 2**31-1 reduce
+# every 8 and every 2 updates. Each kind of matrix is drawn from a seed:
 # "dense" is uniform, "product" has rank at most r, "copies" repeats or
 # combines rows and columns, "zero" is all zero.
 _SIDES = st.integers(0, _RECURSIVE_MIN - 1) | st.integers(_RECURSIVE_MIN, 2 * _RECURSIVE_MIN - 20)
 
 
 @settings(max_examples=80, deadline=None)
-@given(q=st.sampled_from([2, 3, 5, 13, 101, 2**31 - 1]), rows=_SIDES, cols=_SIDES,
+@given(q=st.sampled_from([2, 3, 5, 13, 101, 1073741789, 2**31 - 1]), rows=_SIDES, cols=_SIDES,
        kind=st.sampled_from(["dense", "product", "copies", "zero"]),
        seed=st.integers(0, 2**32 - 1))
 def test_rank_equals_row_reduce(q, rows, cols, kind, seed):
@@ -96,6 +99,62 @@ def test_rank_equals_row_reduce(q, rows, cols, kind, seed):
         data[:] = 0
     m = Matrix(PrimeField(q), data)
     assert m.rank() == _row_reduce(data.copy(), q)
+
+
+def staircase(q, rows, cols):
+    """Entry (i, j) is q-1-min(i, j), and the last row repeats the one above.
+    Eliminating it, every multiplier and every entry of every pivot row
+    (scaled to -1 at its pivot) is q-1, so each update adds (q-1)**2, the
+    most it can: the sums reach the reduction interval's bound."""
+    i, j = np.indices((rows, cols))
+    a = (q - 1 - np.minimum(i, j)) % q
+    a[-1] = a[-2]
+    return a
+
+
+_EDGE_QS = (2, 101, 1073741789, 2**31 - 1)
+# Smaller side below the cutoff, and at or above it (the leaves cross the
+# reduction interval too).
+_EDGE_SHAPES = ((2, 2), (12, 12), (40, 57), (_RECURSIVE_MIN, _RECURSIVE_MIN + 7), (150, 200))
+
+
+@pytest.mark.parametrize("q", _EDGE_QS)
+@pytest.mark.parametrize("shape", _EDGE_SHAPES)
+def test_rank_at_the_reduction_interval_equals_row_reduce(q, shape):
+    rows, cols = shape
+    field = PrimeField(q)
+    a = staircase(q, rows, cols)
+    assert Matrix(field, a).rank() == _row_reduce(a.copy(), q) == min(rows - 1, cols)
+    assert Matrix(field, a.T).rank() == _row_reduce(a.T.copy(), q)
+    full = np.full(shape, q - 1, dtype=np.int64)
+    assert Matrix(field, full).rank() == _row_reduce(full.copy(), q) == 1
+    # The top half again, negated, under it: the copies add no rank.
+    stacked = np.vstack([a[: rows // 2], (q - 1) * a[: rows // 2] % q, full[:1]])
+    assert Matrix(field, stacked).rank() == _row_reduce(stacked.copy(), q)
+
+
+@pytest.mark.parametrize("q", _EDGE_QS)
+@pytest.mark.parametrize("shape", ((1, 1), (5, 3), (30, 16), (16, 30), (120, 16)))
+@pytest.mark.parametrize("kind", ("staircase", "product", "dense"))
+def test_eliminate_leaf_contract(q, shape, kind):
+    rng = np.random.Generator(np.random.PCG64(q + shape[0]))
+    rows, cols = shape
+    if kind == "staircase":
+        a = staircase(q, rows + 1, cols)[1:] if rows == 1 else staircase(q, rows, cols)
+    elif kind == "product":
+        r = min(shape) // 2
+        a = _safe_dot(rng.integers(0, q, size=(rows, r), dtype=np.int64),
+                      rng.integers(0, q, size=(r, cols), dtype=np.int64), q)
+    else:
+        a = rng.integers(0, q, size=shape, dtype=np.int64)
+    before = a.copy()
+    piv, rest, z = _eliminate_leaf(a, q)
+    assert np.array_equal(a, before)
+    assert sorted(np.concatenate([piv, rest]).tolist()) == list(range(rows))
+    assert z.shape == (rest.size, piv.size)
+    assert z.min(initial=0) >= 0 and z.max(initial=0) < q
+    assert not np.any((a[rest] + _safe_dot(z, a[piv], q)) % q)
+    assert _row_reduce(a[piv].copy(), q) == piv.size == _row_reduce(a.copy(), q)
 
 
 def test_rank_of_every_surviving_key_submatrix_equals_row_reduce():
