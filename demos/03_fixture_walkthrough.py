@@ -23,11 +23,11 @@ print(pre.block(2, (1, 2)).data)
 print("zero-sum across all pairs:", pre.zero_sum_ok())
 print()
 
-hh = submatrix_hhat(pre, 1, (2,))
+hh = submatrix_hhat(pre, (1, 2))
 print("user 1 colluding with user 2 leaves users 3,4,5 and keys "
       "S{3,4}, S{3,5}, S{4,5}")
 print(f"surviving-key stack: {hh.rows}x{hh.cols}, rank {hh.rank()}")
-check = rank_condition(pre, 1, (2,))
+check = rank_condition(pre, (1, 2))
 print(f"rank floor: need {check.required}, have {check.achieved} -> "
       f"{'ok' if check.ok else 'BROKEN'}")
 print()

@@ -1,12 +1,12 @@
 """Verification of a concrete scheme: recovery, security against every
 collusion set, the rank certificate, and converse floor checks.
 
-Security of a zero-sum linear scheme is equivalent to a rank statement: for
-user k colluding with a set C, the block submatrix Ĥ(D) of the precoder
-restricted to the users S outside D = {k} ∪ C and the groups inside S must
-reach rank (K - |C| - 2) * L. The auditor never assumes that equivalence:
-every check records both the exact mutual information and the rank, and
-reports disagreement as a failure of the auditor itself.
+Security of a zero-sum linear scheme is equivalent to a rank statement on
+each coalition D = {k} ∪ C of a user k and its colluders: the submatrix
+Ĥ(D) of the precoder restricted to the users S outside D and the groups
+inside S must reach rank (K - |D| - 1) * L. The auditor never assumes that
+equivalence: every check records both the exact mutual information and the
+rank, and reports disagreement as a failure of the auditor itself.
 
 Both quantities depend on the coalition D alone. Every message is
 X_u = W_u + H_u Z_u, so the colluders' messages and inputs are functions of
@@ -22,8 +22,8 @@ to the keys of the groups inside S, so for any linear precoder
 That entropy is r_abc - r_bc of the MI's own stacks, so the audit reads the
 rank certificate from the ranks the MI has just taken, once per coalition,
 and shares both among the |D| (user, collusion set) pairs that form it.
-``rank_condition(precoder, k, C)`` builds Ĥ(D) itself and stays the
-independent per-pair reference.
+``rank_condition(precoder, D)`` builds Ĥ(D) itself and stays the
+independent per-coalition reference.
 
 For a zero-sum precoder the condition on every coalition of size T+1
 implies it on every smaller one (the lemma proved in
@@ -56,7 +56,7 @@ from .sim import run_round
 
 
 class InvalidCollusionSetError(ValueError):
-    """The collusion set must be a subset of the other users, of size <= T."""
+    """A user outside 1..K, or a coalition that is not 1 to T+1 distinct users."""
 
 
 def _user(k: int, K: int) -> int:
@@ -81,41 +81,43 @@ def expected_check_count(K: int, T: int) -> int:
     return K * sum(math.comb(K - 1, t) for t in range(T + 1))
 
 
-def _validate_collusion(precoder: Precoder, k: int, colluders: Sequence[int]) -> tuple[int, ...]:
+def _coalition(precoder: Precoder, users: Sequence[int]) -> tuple[int, ...]:
+    """``users`` as a sorted tuple of ints; InvalidCollusionSetError unless
+    they are 1 to T+1 distinct users of 1..K."""
     p = precoder.params
-    k, *cset = (_user(u, p.K) for u in (k, *colluders))
-    cset = tuple(sorted(cset))
-    if len(set(cset)) != len(cset) or k in cset or len(cset) > p.T:
+    coalition = tuple(sorted(_user(u, p.K) for u in users))
+    if not 1 <= len(set(coalition)) == len(coalition) <= p.T + 1:
         raise InvalidCollusionSetError(
-            f"colluders {cset} must be at most T={p.T} distinct users other than {k}")
-    return cset
+            f"coalition {coalition} must be 1 to T+1={p.T + 1} distinct users")
+    return coalition
 
 
 # -- rank certificate --------------------------------------------------------
 
 
-def submatrix_hhat(precoder: Precoder, k: int, colluders: Sequence[int]) -> Matrix:
-    """The precoder restricted to surviving users and their exclusive keys.
+def submatrix_hhat(precoder: Precoder, coalition: Sequence[int]) -> Matrix:
+    """Ĥ(D): the precoder restricted to the survivors of the coalition D,
+    given in any order, and their exclusive keys.
 
-    Row blocks: users outside colluders+{k}, ascending. Column blocks: groups
-    fully inside the surviving set, lexicographic. Shape is
-    (K - |C| - 1) * L rows by C(K - |C| - 1, G) * L_S columns; with fewer
-    than G survivors there are no surviving groups and the matrix has zero
-    columns.
+    Row blocks: users outside D, ascending. Column blocks: groups fully
+    inside the surviving set, lexicographic. Shape is (K - |D|) * L rows by
+    C(K - |D|, G) * L_S columns; with fewer than G survivors there are no
+    surviving groups and the matrix has zero columns.
     """
-    cset = _validate_collusion(precoder, k, colluders)
+    return _hhat(precoder, _coalition(precoder, coalition))
+
+
+def _hhat(precoder: Precoder, coalition: tuple[int, ...]) -> Matrix:
     p = precoder.params
-    survivors = [u for u in p.users if u != k and u not in cset]
-    alive = np.zeros(p.K + 1, dtype=bool)
-    alive[survivors] = True
+    alive = np.ones(p.K + 1, dtype=bool)
+    alive[[0, *coalition]] = False
     inside = np.flatnonzero(alive[p.members].all(axis=1))  # the surviving groups
-    return Matrix(p.field, precoder.key_map(survivors, inside))
+    return Matrix(p.field, precoder.key_map(np.flatnonzero(alive), inside))
 
 
 @dataclass(frozen=True)
 class RankCheck:
-    k: int
-    colluders: tuple[int, ...]
+    coalition: tuple[int, ...]
     required: int
     achieved: int
 
@@ -124,12 +126,11 @@ class RankCheck:
         return self.achieved >= self.required
 
 
-def rank_condition(precoder: Precoder, k: int, colluders: Sequence[int]) -> RankCheck:
-    """Required vs achieved rank of the surviving-key submatrix."""
-    cset = tuple(sorted(colluders))
-    achieved = submatrix_hhat(precoder, k, cset).rank()  # checks the collusion set
-    required = (precoder.params.K - len(cset) - 2) * precoder.L
-    return RankCheck(k, cset, required, achieved)
+def rank_condition(precoder: Precoder, coalition: Sequence[int]) -> RankCheck:
+    """Required vs achieved rank of Ĥ(D) for the coalition D, in any order."""
+    coalition = _coalition(precoder, coalition)
+    required = (precoder.params.K - len(coalition) - 1) * precoder.L
+    return RankCheck(coalition, required, _hhat(precoder, coalition).rank())
 
 
 def _first_failure(precoder: Precoder) -> RankCheck | None:
@@ -139,7 +140,7 @@ def _first_failure(precoder: Precoder) -> RankCheck | None:
     sizes = [p.T + 1] if precoder.zero_sum_ok() else range(p.T + 1, 0, -1)
     for size in sizes:
         for coalition in itertools.combinations(p.users, size):
-            check = rank_condition(precoder, coalition[0], coalition[1:])
+            check = rank_condition(precoder, coalition)
             if not check.ok:
                 return check
     return None
@@ -367,27 +368,26 @@ def audit_security(precoder: Precoder | AuditContext) -> list[SecurityCheck]:
     users' inputs beyond the global sum, the receiver's own material, and
     the colluders' material. Both it and the rank depend only on the
     coalition D = {k} ∪ C (module docstring), so each is computed once per
-    coalition and reported for every pair that forms it. The achieved rank
-    is H(X_S | W, Z_D) = rank Ĥ(D), read from the MI's own cached stacks
-    with no further rank call; ``rank_condition`` is the independent
-    per-pair reference. Entries are emitted in (user, set size,
-    lexicographic) order so reports diff cleanly across runs.
+    coalition, as one MI and one ``RankCheck`` that every pair forming it
+    shares. The achieved rank is H(X_S | W, Z_D) = rank Ĥ(D), read from
+    the MI's own cached stacks with no further rank call; ``rank_condition``
+    is the independent per-coalition reference. Entries are emitted in
+    (user, set size, lexicographic) order so reports diff cleanly.
     """
     ctx = _context(precoder)
     p = ctx.precoder.params
-    per_coalition: dict[tuple[int, ...], tuple[int, int]] = {}
+    per_coalition: dict[tuple[int, ...], tuple[int, RankCheck]] = {}
     checks: list[SecurityCheck] = []
     for k in p.users:
         for cset in collusion_sets(p.K, k, p.T):
             coalition = tuple(sorted((k, *cset)))
             if coalition not in per_coalition:
                 a, b, view = ctx.security_terms(coalition)
-                per_coalition[coalition] = (
-                    infocalc.mutual_information(a, b, view, cache=ctx.cache),
-                    infocalc.conditional_entropy(a, b + view, cache=ctx.cache))
-            mi, achieved = per_coalition[coalition]
-            rank = RankCheck(k, cset, (p.K - len(coalition) - 1) * ctx.precoder.L, achieved)
-            checks.append(SecurityCheck(k, cset, mi, rank))
+                mi = infocalc.mutual_information(a, b, view, cache=ctx.cache)
+                achieved = infocalc.conditional_entropy(a, b + view, cache=ctx.cache)
+                required = (p.K - len(coalition) - 1) * ctx.precoder.L
+                per_coalition[coalition] = mi, RankCheck(coalition, required, achieved)
+            checks.append(SecurityCheck(k, cset, *per_coalition[coalition]))
     return checks
 
 

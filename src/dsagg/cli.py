@@ -26,7 +26,7 @@ from .scheme import (
     ParamsOutOfModelError,
     SchemeFormatError,
     SchemeParams,
-    _binomial_up_to,
+    _check_precoder_size,
     build_precoder,
     capacity,
     load_scheme,
@@ -42,10 +42,6 @@ EXIT_USAGE = 1
 EXIT_INFEASIBLE = 2
 EXIT_FORMAT = 3
 EXIT_CHECKS_FAILED = 4
-
-# Largest precoder build and oracle will construct: 2**24 int64 entries is
-# 128 MB of coefficients.
-MAX_PRECODER_ENTRIES = 2**24
 
 
 class _Parser(argparse.ArgumentParser):
@@ -121,20 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # -- subcommands -------------------------------------------------------------
-
-
-def _check_precoder_size(params: SchemeParams) -> None:
-    """Refuse feasible parameters whose precoder, K*C(K-1,G-1) blocks of
-    L x L_S with L = m*C(K-T-1,G), would be too large, before any group is
-    enumerated. Each binomial is counted only up to the limit; every factor
-    is at least 1, so a capped binomial alone puts the product over it."""
-    K, T, G, m, cap = params.K, params.T, params.G, params.m, MAX_PRECODER_ENTRIES
-    entries = (K * _binomial_up_to(K - 1, G - 1, cap)
-               * m * _binomial_up_to(K - T - 1, G, cap) * params.L_S)
-    if entries > cap:
-        raise ParamsOutOfModelError(
-            f"the precoder would hold more than the limit of {cap} entries"
-        )
 
 
 def _cmd_feasible(args) -> int:

@@ -271,14 +271,6 @@ class Matrix:
     def __repr__(self) -> str:
         return f"Matrix(F_{self.field.q}, {self.rows}x{self.cols})"
 
-    # -- text ---------------------------------------------------------------
-
-    def to_text(self) -> str:
-        """Serialize as a 'rows cols' header plus row-major decimal entries."""
-        lines = [f"{self.rows} {self.cols}"]
-        lines += (" ".join(map(str, row)) for row in self.data.tolist())
-        return "\n".join(lines) + "\n"
-
 
 # -- randomness ---------------------------------------------------------------
 

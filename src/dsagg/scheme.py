@@ -35,6 +35,10 @@ SCHEME_MAGIC = "DSA1"
 # holds: no sign, underscore or leading zero, so each scheme has one text.
 _DECIMALS = re.compile(r"(?:\s*(?:[1-9][0-9]*|0)(?![0-9]))*\s*")
 
+# Largest precoder a draw will construct: 2**24 int64 entries is 128 MB of
+# coefficients. No more groups than that are enumerated either.
+_MAX_PRECODER_ENTRIES = 2**24
+
 
 def _integers(values: Sequence[int], what: str, lo: int, hi: int) -> np.ndarray:
     """``values`` (each a ``what``) as a flat intp array; TypeError for
@@ -112,8 +116,24 @@ def _infeasibility(K: int, T: int, G: int) -> InfeasibilityReason | None:
     return None
 
 
+def _binomial_up_to(n: int, k: int, cap: int) -> int:
+    """C(n, k) if it is at most ``cap``, else cap + 1. The partial products
+    C(n - k + i, i) only grow with i, so none exceeds cap * n."""
+    k = min(k, n - k)
+    c = int(k >= 0)
+    for i in range(1, k + 1):
+        c = c * (n - k + i) // i
+        if c > cap:
+            return cap + 1
+    return c
+
+
 def groups_of(K: int, G: int) -> tuple[tuple[int, ...], ...]:
-    """All G-subsets of users 1..K in lexicographic order."""
+    """All G-subsets of users 1..K in lexicographic order; ParamsOutOfModelError,
+    before enumerating any, if there are more than the precoder size limit."""
+    if _binomial_up_to(K, G, _MAX_PRECODER_ENTRIES) > _MAX_PRECODER_ENTRIES:
+        raise ParamsOutOfModelError(
+            f"more than the limit of {_MAX_PRECODER_ENTRIES} groups")
     return tuple(itertools.combinations(range(1, K + 1), G))
 
 
@@ -383,11 +403,26 @@ class Precoder:
         return self.params == other.params and np.array_equal(self.blocks, other.blocks)
 
 
+def _check_precoder_size(params: SchemeParams,
+                         L: int | None = None, L_S: int | None = None) -> None:
+    """Refuse a precoder of K*C(K-1,G-1) blocks of L x L_S, with L = m*C(K-T-1,G)
+    and L_S = m*(K-T-2) unless given, over the size limit, before any group
+    is enumerated. Each binomial is counted only up to the limit, so a capped
+    one alone puts a product of positive factors over it."""
+    K, T, G, cap = params.K, params.T, params.G, _MAX_PRECODER_ENTRIES
+    L = params.m * _binomial_up_to(K - T - 1, G, cap) if L is None else L
+    L_S = params.L_S if L_S is None else L_S
+    if K * _binomial_up_to(K - 1, G - 1, cap) * L * L_S > cap:
+        raise ParamsOutOfModelError(
+            f"the precoder would hold more than the limit of {cap} entries")
+
+
 def random_precoder(params: SchemeParams, seed: int,
                     L: int | None = None, L_S: int | None = None) -> Precoder:
-    """One seeded zero-sum draw with no rank verification: in each group
-    the G-1 lowest-index members get i.i.d. uniform blocks and the
-    highest-index member absorbs the negated sum."""
+    """One seeded zero-sum draw with no rank verification: in each group the
+    G-1 lowest-index members get i.i.d. uniform blocks and the highest-index
+    member absorbs the negated sum; ParamsOutOfModelError past the size limit."""
+    _check_precoder_size(params, L, L_S)
     L = params.L if L is None else L
     L_S = params.L_S if L_S is None else L_S
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -586,7 +621,8 @@ def recover(precoder: Precoder, masks: np.ndarray, messages: np.ndarray) -> np.n
 
 def scheme_to_text(precoder: Precoder) -> str:
     """Serialize: header '{magic} K T G q m', then every block in group
-    lexicographic order, members ascending, in the matrix text format.
+    lexicographic order, members ascending, as an 'L L_S' line and its L
+    rows of L_S decimals.
 
     Raises ValueError for a precoder whose blocks are not the L x L_S its
     parameters derive, which the file format cannot carry.
@@ -596,7 +632,9 @@ def scheme_to_text(precoder: Precoder) -> str:
         raise ValueError(f"blocks are {precoder.L}x{precoder.L_S}; a scheme file "
                          f"for these parameters holds {p.L}x{p.L_S} blocks")
     parts = [f"{SCHEME_MAGIC} {p.K} {p.T} {p.G} {p.q} {p.m}\n"]
-    parts += (Matrix(p.field, b).to_text() for b in precoder.blocks.reshape(-1, p.L, p.L_S))
+    head = f"{p.L} {p.L_S}\n"
+    parts += (head + "".join(" ".join(map(str, row)) + "\n" for row in block.tolist())
+              for block in precoder.blocks.reshape(-1, p.L, p.L_S))
     return "".join(parts)
 
 
@@ -606,18 +644,6 @@ def scheme_from_text(text: str) -> Precoder:
     # split lines are freed before the precoder copies the blocks.
     params, blocks = _parse_scheme(text)
     return Precoder(params, blocks)
-
-
-def _binomial_up_to(n: int, k: int, cap: int) -> int:
-    """C(n, k) if it is at most ``cap``, else cap + 1. The partial products
-    C(n - k + i, i) only grow with i, so none exceeds cap * n."""
-    k = min(k, n - k)
-    c = int(k >= 0)
-    for i in range(1, k + 1):
-        c = c * (n - k + i) // i
-        if c > cap:
-            return cap + 1
-    return c
 
 
 def _parse_scheme(text: str) -> tuple[SchemeParams, np.ndarray]:

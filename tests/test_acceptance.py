@@ -110,7 +110,7 @@ def test_criterion_3_five_user_fixture_reproduction():
             for t in p.users:
                 if t == k:
                     continue
-                check = rank_condition(pre, k, (t,))
+                check = rank_condition(pre, (k, t))
                 assert check.required == 6
                 assert check.achieved == 6
 
@@ -219,7 +219,7 @@ def test_criterion_7_undersized_keys_always_fail():
                 for t in params.users:
                     if t == k:
                         continue
-                    check = rank_condition(pre, k, (t,))
+                    check = rank_condition(pre, (k, t))
                     assert check.achieved <= 3 < 6 == check.required
                     assert not check.ok
 
@@ -275,4 +275,4 @@ def test_criterion_9_structured_inputs_keep_working():
         # and that certificate holds for every (user, collusion set)
         for k in p.users:
             for cset in collusion_sets(5, k, 1):
-                assert rank_condition(pre, k, cset).ok
+                assert rank_condition(pre, (k, *cset)).ok

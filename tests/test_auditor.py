@@ -54,14 +54,14 @@ def test_collusion_sets_order_and_count():
 
 def test_hhat_shape_and_rank_on_fixture():
     pre = fixture_example2()
-    hh = submatrix_hhat(pre, 1, (2,))
+    hh = submatrix_hhat(pre, (1, 2))
     assert hh.shape == (9, 6)
     assert hh.rank() == 6
 
 
 def test_hhat_three_user_single_survivor_pair():
     pre = fixture_example1()
-    hh = submatrix_hhat(pre, 1, ())
+    hh = submatrix_hhat(pre, (1,))
     assert hh.shape == (2, 1)
     assert hh.data.ravel().tolist() == [1, 1]  # +1 and -1 over F_2
 
@@ -72,33 +72,54 @@ def test_hhat_empty_when_no_group_survives():
     params = SchemeParams(K=5, T=2, G=3, q=5)
     assert not params.feasible
     pre = zero_precoder(params, L=1, L_S=1)
-    hh = submatrix_hhat(pre, 1, (2, 3))
+    hh = submatrix_hhat(pre, (1, 2, 3))
     assert hh.shape == (2, 0)
-    check = rank_condition(pre, 1, (2, 3))
+    check = rank_condition(pre, (1, 2, 3))
     assert check.achieved == 0 and check.required == 1 and not check.ok
 
 
 def test_hhat_rejects_bad_collusion_sets():
     pre = fixture_example2()
     with pytest.raises(InvalidCollusionSetError):
-        submatrix_hhat(pre, 1, (1,))
+        submatrix_hhat(pre, (1, 1))
     with pytest.raises(InvalidCollusionSetError):
-        submatrix_hhat(pre, 1, (2, 3))  # exceeds T = 1
+        submatrix_hhat(pre, (1, 2, 3))  # exceeds T + 1 = 2
     with pytest.raises(InvalidCollusionSetError):
-        submatrix_hhat(pre, 9, ())
-    # Non-integer users used to pass: rank_condition(pre, 1, (2.5,)) removed
-    # no colluder and held the 12 x 12 H-hat's rank 9 against the 6 of one
-    # colluder, rank_condition(pre, 1.5, ()) passed with 12 >= 9, and
-    # collusion_sets(5, 2.5, 1) ranged over all five users.
-    for k, cset in ((1, (2.5,)), (1.5, ()), (True, (2,)), (1, (True,)), (1, (np.float64(2),))):
+        submatrix_hhat(pre, (9,))
+    # Non-integer users used to pass: a colluder 2.5 removed no user and
+    # held the 12 x 12 H-hat's rank 9 against the 6 of one colluder, a user
+    # 1.5 alone passed with 12 >= 9, and collusion_sets(5, 2.5, 1) ranged
+    # over all five users.
+    for coalition in ((1, 2.5), (1.5,), (True, 2), (1, True), (1, np.float64(2))):
         with pytest.raises(InvalidCollusionSetError, match="users must be integers"):
-            rank_condition(pre, k, cset)
+            rank_condition(pre, coalition)
     for k in (2.5, True):
         with pytest.raises(InvalidCollusionSetError, match="users must be integers"):
             list(collusion_sets(5, k, 1))
     # Integer arrays' scalars still pass.
-    assert rank_condition(pre, np.int64(1), (np.int64(2),)) == rank_condition(pre, 1, (2,))
+    assert rank_condition(pre, (np.int64(1), np.int64(2))) == rank_condition(pre, (1, 2))
     assert list(collusion_sets(5, np.int64(2), 1)) == list(collusion_sets(5, 2, 1))
+
+
+@pytest.mark.parametrize("coalition", [(), (1, 1), (2, 1, 2), (1, 2, 3), (0,), (1, 6),
+                                       (True,), (1, 2.5), (1, None), ("x",), "x"])
+def test_both_certificate_entries_refuse_a_bad_coalition(coalition):
+    # fixture_example2 is (5,1,2): a coalition holds one or two of users 1..5.
+    pre = fixture_example2()
+    for entry in (rank_condition, submatrix_hhat):
+        with pytest.raises(InvalidCollusionSetError):
+            entry(pre, coalition)
+
+
+def test_every_order_of_a_coalition_gives_one_rank_check_of_ints():
+    pre = random_precoder(SchemeParams(K=6, T=2, G=2, q=101), seed=0)
+    for d in [(1, 2, 3), (2, 4, 6), (1, 5), (6,)]:
+        checks = [rank_condition(pre, order) for order in itertools.permutations(d)]
+        checks.append(rank_condition(pre, np.array(d[::-1])))
+        assert all(c == checks[0] for c in checks)
+        assert checks[0].coalition == d
+        assert all(type(u) is int for c in checks for u in c.coalition)
+        assert submatrix_hhat(pre, d[::-1]) == submatrix_hhat(pre, d)
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +130,7 @@ def test_rank_condition_on_fixture_all_pairs():
     pre = fixture_example2()
     for k in pre.params.users:
         for cset in collusion_sets(5, k, 1):
-            check = rank_condition(pre, k, cset)
+            check = rank_condition(pre, (k, *cset))
             assert check.required == (5 - len(cset) - 2) * 3
             assert check.ok
 
@@ -118,7 +139,7 @@ def test_rank_condition_detects_zeroed_block():
     pre = fixture_example2()
     zero = Matrix.zeros(pre.params.field, 3, 2)
     broken = pre.replace_block(3, (3, 4), zero).replace_block(4, (3, 4), zero)
-    check = rank_condition(broken, 1, (2,))
+    check = rank_condition(broken, (1, 2))
     assert check.achieved < 6 and not check.ok
 
 
@@ -132,7 +153,7 @@ def test_rank_condition_undersized_keys_always_fail():
             for cset in collusion_sets(5, k, 1):
                 if len(cset) != 1:
                     continue
-                check = rank_condition(pre, k, cset)
+                check = rank_condition(pre, (k, *cset))
                 assert check.achieved <= 3 < 6 == check.required
                 assert not check.ok
 
@@ -218,8 +239,12 @@ def test_coalition_values_equal_every_pair(coalition_precoders, name):
     checks = audit_security(pre)
     pairs = [(k, cset) for k in p.users for cset in collusion_sets(p.K, k, p.T)]
     assert [(c.k, c.colluders) for c in checks] == pairs
+    shared = {}
     for c in checks:
-        assert c.rank == rank_condition(pre, c.k, c.colluders)
+        # The pairs of one coalition share one RankCheck object.
+        assert c.rank is shared.setdefault(c.rank.coalition, c.rank)
+        assert c.rank.coalition == tuple(sorted((c.k, *c.colluders)))
+        assert c.rank == rank_condition(pre, (c.k, *c.colluders))
         assert c.mi == infocalc.mutual_information(*pair_security_terms(pre, c.k, c.colluders))
     if name in ("zeroed block", "undersized"):
         assert any(not c.ok for c in checks)
@@ -266,13 +291,13 @@ def test_coalition_mi_matches_pair_enumeration(q, damaged):
 
 def every_pair_ok(pre):
     p = pre.params
-    return all(rank_condition(pre, k, cset).ok
+    return all(rank_condition(pre, (k, *cset)).ok
                for k in p.users for cset in collusion_sets(p.K, k, p.T))
 
 
 def largest_coalitions_ok(pre):
     p = pre.params
-    return all(rank_condition(pre, d[0], d[1:]).ok
+    return all(rank_condition(pre, d).ok
                for d in itertools.combinations(p.users, p.T + 1))
 
 

@@ -161,7 +161,7 @@ def test_rank_of_every_surviving_key_submatrix_equals_row_reduce():
     # The rank certificate of the (8,0,4) q=5 seed-0 draw: eight 245 x 210
     # submatrices, above the cutoff, some of them rank deficient.
     pre = random_precoder(SchemeParams(K=8, T=0, G=4, q=5), 0)
-    hhats = [submatrix_hhat(pre, k, ()) for k in pre.params.users]
+    hhats = [submatrix_hhat(pre, (k,)) for k in pre.params.users]
     assert all(min(h.shape) >= _RECURSIVE_MIN for h in hhats)
     ranks = [h.rank() for h in hhats]
     assert ranks == [_row_reduce(h.data.copy(), 5) for h in hhats]
@@ -269,22 +269,6 @@ def test_random_symbols_uniform_within_5_sigma():
     assert counts.sum() == n
     for c in counts:
         assert abs(c - mean) <= 5 * sigma
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def test_text_round_trip():
-    m = random_matrix(3, 2, F5, seed=8)
-    header, *rows = m.to_text().splitlines()
-    assert header == "3 2"
-    assert np.array_equal(np.array([row.split() for row in rows], dtype=np.int64), m.data)
-
-
-def test_text_format_canonical():
-    m = Matrix(F5, [[1, 2], [3, 4]])
-    assert m.to_text() == "2 2\n1 2\n3 4\n"
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -141,6 +142,21 @@ def test_params_validation():
 def test_groups_enumeration():
     assert groups_of(3, 2) == ((1, 2), (1, 3), (2, 3))
     assert len(groups_of(5, 2)) == 10
+
+
+def test_library_refuses_an_oversized_precoder_before_enumerating_groups():
+    # C(60, 30) is about 1.2e17 groups: drawing them used to run for
+    # seconds before a MemoryError, or without end with no memory limit.
+    params = SchemeParams(K=60, T=0, G=30, q=101)
+    small = SchemeParams(K=6, T=1, G=2, q=101)
+    for draw in (lambda: random_precoder(params, 0), lambda: params.members,
+                 lambda: groups_of(60, 30),
+                 lambda: random_precoder(small, 0, L_S=10**6)):  # the L_S it draws
+        start = time.perf_counter()
+        with pytest.raises(ParamsOutOfModelError) as info:
+            draw()
+        assert time.perf_counter() - start < 1.0
+        assert "limit of" in str(info.value) and len(str(info.value)) < 200
 
 
 # ---------------------------------------------------------------------------
@@ -401,8 +417,18 @@ def test_build_failure_names_each_seeds_first_failing_coalition():
     for seed, check in enumerate(failures):
         assert check.achieved < check.required and not check.ok
         # Zero-sum draws are ranked on the coalitions of size T+1 only.
-        assert len(check.colluders) == p.T
-        assert check == rank_condition(random_precoder(p, seed), check.k, check.colluders)
+        assert len(check.coalition) == p.T + 1
+        assert check == rank_condition(random_precoder(p, seed), check.coalition)
+
+
+def test_build_failures_at_q13_are_coalitions_of_size_t_plus_one():
+    # (7,3,3) at q=13 needs 22 seeds, so the first 16 all fail.
+    p = SchemeParams(K=7, T=3, G=3, q=13)
+    with pytest.raises(ConstructionFailedError) as info:
+        build_precoder(p, seed=0, max_retries=16)
+    for seed, check in enumerate(info.value.failures):
+        assert not check.ok and len(check.coalition) == p.T + 1
+        assert check == rank_condition(random_precoder(p, seed), check.coalition)
 
 
 @pytest.mark.parametrize("K,T,G,calls", [(7, 3, 3, 35), (8, 2, 3, 99)])
@@ -489,6 +515,24 @@ def test_scheme_text_round_trip_bit_exact():
         again = scheme_from_text(text)
         assert again == pre
         assert scheme_to_text(again) == text
+
+
+def test_text_round_trip():
+    # Each block is an 'L L_S' line, then its L rows of decimals.
+    pre = random_precoder(SchemeParams(K=5, T=1, G=2, q=101), seed=8)
+    _, *lines = scheme_to_text(pre).splitlines()
+    blocks = pre.blocks.reshape(-1, pre.L, pre.L_S)
+    assert len(lines) == len(blocks) * (pre.L + 1)
+    for i, block in enumerate(blocks):
+        header, *rows = lines[i * (pre.L + 1):(i + 1) * (pre.L + 1)]
+        assert header == "3 2"
+        assert np.array_equal(np.array([row.split() for row in rows], dtype=np.int64), block)
+
+
+def test_text_format_canonical():
+    # (3,0,2) at m=2 holds six 2 x 2 blocks.
+    pre = Precoder(SchemeParams(K=3, T=0, G=2, q=5, m=2), np.tile([[1, 2], [3, 4]], (3, 2, 1, 1)))
+    assert scheme_to_text(pre) == "DSA1 3 0 2 5 2\n" + "2 2\n1 2\n3 4\n" * 6
 
 
 def test_scheme_params_refuse_non_integer_sizes():
@@ -652,4 +696,4 @@ def test_stored_form_agrees_with_its_blocks(drawn):
                 np.hstack([stored(u, g) for g in surviving]
                           or [np.zeros((pre.L, 0), dtype=np.int64)])
                 for u in survivors])
-            assert np.array_equal(submatrix_hhat(pre, k, cset).data, expected)
+            assert np.array_equal(submatrix_hhat(pre, (k, *cset)).data, expected)
