@@ -85,7 +85,10 @@ def _coalition(precoder: Precoder, users: Sequence[int]) -> tuple[int, ...]:
     """``users`` as a sorted tuple of ints; InvalidCollusionSetError unless
     they are 1 to T+1 distinct users of 1..K."""
     p = precoder.params
-    coalition = tuple(sorted(_user(u, p.K) for u in users))
+    try:
+        coalition = tuple(sorted(_user(u, p.K) for u in users))
+    except TypeError:  # users is not iterable; _user raises no TypeError
+        raise InvalidCollusionSetError(f"coalition {users!r} is not a collection") from None
     if not 1 <= len(set(coalition)) == len(coalition) <= p.T + 1:
         raise InvalidCollusionSetError(
             f"coalition {coalition} must be 1 to T+1={p.T + 1} distinct users")

@@ -31,9 +31,9 @@ from .linalg import DimensionMismatchError, Matrix
 
 SCHEME_MAGIC = "DSA1"
 
-# Whitespace-separated plain decimals, the only number form a scheme file
-# holds: no sign, underscore or leading zero, so each scheme has one text.
-_DECIMALS = re.compile(r"(?:\s*(?:[1-9][0-9]*|0)(?![0-9]))*\s*")
+# A scheme file's one number form, so each scheme has one text: a plain
+# decimal of at most 18 digits (it fits int64), no sign or leading zero.
+_NUMBER = re.compile(r"(?:0|[1-9][0-9]{0,17})")
 
 # Largest precoder a draw will construct: 2**24 int64 entries is 128 MB of
 # coefficients. No more groups than that are enumerated either.
@@ -42,12 +42,16 @@ _MAX_PRECODER_ENTRIES = 2**24
 
 def _integers(values: Sequence[int], what: str, lo: int, hi: int) -> np.ndarray:
     """``values`` (each a ``what``) as a flat intp array; TypeError for
-    floats, bools or anything else that is not an integer, which a cast
-    would round, and KeyError for one outside lo..hi. Every user id and
-    group id of the public API passes this one check."""
-    arr = np.asarray(values).reshape(-1)
-    if arr.size and arr.dtype.kind not in "iu":
-        raise TypeError(f"{what}s must be integers, not {arr.dtype}")
+    floats, bools, nested or ragged input or anything else a cast would
+    round or flatten, and KeyError for one outside lo..hi. Every user id
+    and group id of the public API passes this one check."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # ragged
+        arr = np.asarray(values, dtype=object)
+    if arr.ndim > 1 or arr.size and arr.dtype.kind not in "iu":
+        raise TypeError(f"{what}s must be integers, not {arr.ndim}-d {arr.dtype}")
+    arr = arr.reshape(-1)
     # NumPy makes [True, 5] an integer array, so a list is checked by item.
     if arr.size and not isinstance(values, np.ndarray) and any(
             isinstance(v, (bool, np.bool_)) for v in np.asarray(values, dtype=object).flat):
@@ -639,28 +643,19 @@ def scheme_to_text(precoder: Precoder) -> str:
 
 
 def scheme_from_text(text: str) -> Precoder:
-    """Parse a scheme file; raises SchemeFormatError with a line number."""
-    # The precoder is built once _parse_scheme has returned, so the file's
-    # split lines are freed before the precoder copies the blocks.
-    params, blocks = _parse_scheme(text)
-    return Precoder(params, blocks)
-
-
-def _parse_scheme(text: str) -> tuple[SchemeParams, np.ndarray]:
-    lines = text.splitlines()
+    """Parse exactly the text ``scheme_to_text`` writes; SchemeFormatError
+    naming the first line that differs."""
+    lines = text.split("\n")
+    if lines[-1] == "":
+        del lines[-1]  # what follows the final newline
     if not lines:
         raise SchemeFormatError("empty scheme file", 1)
-    header = lines[0].split()
+    header = lines[0].split(" ")
     if len(header) != 6 or header[0] != SCHEME_MAGIC:
-        raise SchemeFormatError(
-            f"header must be '{SCHEME_MAGIC} K T G q m'", 1
-        )
-    try:
-        if not _DECIMALS.fullmatch(" ".join(header[1:])):
-            raise ValueError
-        K, T, G, q, m = (int(t) for t in header[1:])
-    except ValueError:
-        raise SchemeFormatError("header fields must be plain decimal integers", 1) from None
+        raise SchemeFormatError(f"header must be '{SCHEME_MAGIC} K T G q m'", 1)
+    if not all(_NUMBER.fullmatch(t) for t in header[1:]):
+        raise SchemeFormatError("header fields must be plain decimal integers", 1)
+    K, T, G, q, m = map(int, header[1:])
     try:
         params = SchemeParams(K=K, T=T, G=G, q=q, m=m)
         params._require_feasible()
@@ -684,41 +679,32 @@ def _parse_scheme(text: str) -> tuple[SchemeParams, np.ndarray]:
             f"file has {len(text)} characters; {rows} rows of {L_S} entries "
             f"need at least {rows * 2 * L_S}", 1)
 
-    pos = 1  # 0-based index of the next unread line
-
-    def read_block() -> list[list[int]]:
-        nonlocal pos
-        head = lines[pos].split()
-        if len(head) != 2 or head != [str(L), str(L_S)]:
-            raise SchemeFormatError(f"expected block header '{L} {L_S}'", pos + 1)
-        pos += 1
-        rows = []
-        for _ in range(L):
-            row = lines[pos].split()
-            if len(row) != L_S:
-                raise SchemeFormatError(f"expected {L_S} entries per row", pos + 1)
-            try:
-                if not _DECIMALS.fullmatch(lines[pos]):
-                    raise ValueError
-                vals = [int(t) for t in row]
-            except ValueError:
-                raise SchemeFormatError("matrix entries must be plain decimal integers",
-                                        pos + 1) from None
-            for v in vals:
-                if not 0 <= v < q:
-                    raise SchemeFormatError(f"entry {v} outside [0, {q})", pos + 1)
-            rows.append(vals)
-            pos += 1
-        return rows
-
+    head = f"{L} {L_S}"
+    row = re.compile(rf"{_NUMBER.pattern}(?: {_NUMBER.pattern}){{{L_S - 1}}}")
     blocks = np.empty((math.comb(K, G), G, L, L_S), dtype=np.int64)
-    for block in blocks.reshape(-1, L, L_S):  # a view, so each block is filled in place
-        block[...] = read_block()
-    if pos != len(lines):
-        extra = next((i for i in range(pos, len(lines)) if lines[i].strip()), None)
-        if extra is not None:
-            raise SchemeFormatError("trailing content after final block", extra + 1)
-    return params, blocks
+    out = blocks.reshape(-1, L, L_S)  # views, so each block is filled in place
+    for b, block in enumerate(out):
+        i = 1 + b * (L + 1)  # the block's 'L L_S' line; its L rows follow
+        if lines[i] != head:
+            raise SchemeFormatError(f"expected block header '{head}'", i + 1)
+        # The rows before the first bad one are converted and checked at
+        # once, so an entry outside the field is named before a later bad row.
+        body = lines[i + 1:i + 1 + L]
+        n = next((r for r, line in enumerate(body) if not row.fullmatch(line)), L)
+        block[:n] = np.fromstring(" ".join(body[:n]), dtype=np.int64, sep=" ").reshape(n, L_S)
+        bad = np.flatnonzero(block[:n] >= q)
+        if bad.size:
+            raise SchemeFormatError(f"entry {block.flat[bad[0]]} outside [0, {q})",
+                                    i + 2 + bad[0] // L_S)
+        if n < L:
+            raise SchemeFormatError(f"matrix entries must be plain decimal integers, "
+                                    f"{L_S} to a row, one space apart", i + 2 + n)
+    end = 1 + len(out) * (L + 1)  # lines in the file
+    if len(lines) > end or not text.endswith("\n"):  # the first line past it, or the last
+        raise SchemeFormatError("the file must end with the final block's newline",
+                                min(len(lines), end + 1))
+    del lines  # freed before the precoder copies the blocks
+    return Precoder(params, blocks)
 
 
 def save_scheme(precoder: Precoder, path: str | os.PathLike) -> None:
@@ -733,7 +719,7 @@ def load_scheme(path: str | os.PathLike) -> Precoder:
     try:
         text = data.decode("ascii")
     except UnicodeDecodeError as exc:
-        line = len((data[:exc.start] + b"x").decode("ascii").splitlines())
-        raise SchemeFormatError(f"non-ASCII byte 0x{data[exc.start]:02x}", line) from None
+        raise SchemeFormatError(f"non-ASCII byte 0x{data[exc.start]:02x}",
+                                data.count(b"\n", 0, exc.start) + 1) from None
     del data  # the file's bytes are not needed while the text is parsed
     return scheme_from_text(text)

@@ -93,7 +93,8 @@ def test_hhat_rejects_bad_collusion_sets():
     for coalition in ((1, 2.5), (1.5,), (True, 2), (1, True), (1, np.float64(2))):
         with pytest.raises(InvalidCollusionSetError, match="users must be integers"):
             rank_condition(pre, coalition)
-    for k in (2.5, True):
+    # A nested user was flattened: collusion_sets(5, (1,), 1) took user 1.
+    for k in (2.5, True, (1,), [2], [[3]]):
         with pytest.raises(InvalidCollusionSetError, match="users must be integers"):
             list(collusion_sets(5, k, 1))
     # Integer arrays' scalars still pass.
@@ -102,9 +103,12 @@ def test_hhat_rejects_bad_collusion_sets():
 
 
 @pytest.mark.parametrize("coalition", [(), (1, 1), (2, 1, 2), (1, 2, 3), (0,), (1, 6),
-                                       (True,), (1, 2.5), (1, None), ("x",), "x"])
+                                       (True,), (1, 2.5), (1, None), ("x",), "x",
+                                       None, 3, 2.0, (1, (2, 3)), [[1, 2]], [(1,), 2]])
 def test_both_certificate_entries_refuse_a_bad_coalition(coalition):
     # fixture_example2 is (5,1,2): a coalition holds one or two of users 1..5.
+    # None, 3 and 2.0 raised a bare TypeError, (1, (2, 3)) and [[1, 2]] a
+    # bare ValueError, and [(1,), 2] passed as (1, 2).
     pre = fixture_example2()
     for entry in (rank_condition, submatrix_hhat):
         with pytest.raises(InvalidCollusionSetError):

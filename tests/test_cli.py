@@ -145,21 +145,27 @@ def test_audit_format_error_exit_3(tmp_path, capsys):
 
 
 def test_audit_signed_entry_exit_3(tmp_path, capsys):
-    lines = scheme_to_text(fixture_example2()).splitlines()
-    lines[2] = "+" + lines[2]
-    bad = tmp_path / "bad.dsa"
-    bad.write_text("\n".join(lines) + "\n")
-    code, _, err = run_cli(capsys, "audit", str(bad))
-    assert code == 3
-    assert "line 3: matrix entries must be plain decimal integers" in err
+    # A 20-digit entry does not fit int64: it raised OverflowError, which
+    # main does not catch.
+    for line, edit in ((3, lambda s: "+" + s), (4, lambda s: "1" * 20 + " 0")):
+        lines = scheme_to_text(fixture_example2()).splitlines()
+        lines[line - 1] = edit(lines[line - 1])
+        bad = tmp_path / "bad.dsa"
+        bad.write_text("\n".join(lines) + "\n")
+        code, _, err = run_cli(capsys, "audit", str(bad))
+        assert code == 3
+        assert f"line {line}: matrix entries must be plain decimal integers" in err
 
 
 def test_non_ascii_scheme_file_exit_3_naming_its_line(tmp_path, capsys):
-    bad = tmp_path / "bad.dsa"
-    bad.write_bytes(b"DSA1 3 0 2 101 1\n1 1\n5\xe9\n")
-    code, _, err = run_cli(capsys, "audit", str(bad))
-    assert code == 3
-    assert "line 3: non-ASCII byte 0xe9" in err
+    # Lines are counted at "\n" alone, as the reader counts them; splitting
+    # at the form feed as well reported line 4 for the second file.
+    for data in (b"DSA1 3 0 2 101 1\n1 1\n5\xe9\n", b"DSA1 3 0 2 101 1\n1 1\n\x0c5\xe9\n"):
+        bad = tmp_path / "bad.dsa"
+        bad.write_bytes(data)
+        code, _, err = run_cli(capsys, "audit", str(bad))
+        assert code == 3
+        assert "line 3: non-ASCII byte 0xe9" in err
 
 
 def test_short_scheme_file_exit_3_before_enumerating_groups(tmp_path, capsys, monkeypatch):
@@ -252,6 +258,20 @@ def test_oracle_matches_on_three_users(capsys):
     assert "MISMATCH" not in out.replace("MISMATCH FOUND", "")
     assert any(line.startswith("ORACLE security_mi k=1 rank=0 brute=0")
                for line in out.splitlines())
+
+
+def test_oracle_builds_a_scheme_where_no_reference_exists(capsys, monkeypatch):
+    # (5,0,4) is the one triple with no closed-form construction whose
+    # q**N fits the budget (q = 2, N = 20), so the oracle draws its scheme
+    # with build_precoder. At q = 2 few draws pass: seeds 100..115 hold 110.
+    built = []
+    build = dsagg.cli.build_precoder
+    monkeypatch.setattr(dsagg.cli, "build_precoder",
+                        lambda *a, **kw: built.append(kw) or build(*a, **kw))
+    code, out, _ = run_cli(capsys, "oracle", "-K", "5", "-T", "0", "-G", "4", "--q", "2",
+                           "--seed", "100")
+    assert code == 0 and out.endswith("ALL MATCH\n")
+    assert built == [{"seed": 100}]
 
 
 def test_oracle_checks_the_audits_cached_ranks(capsys, monkeypatch):

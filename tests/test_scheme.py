@@ -274,12 +274,17 @@ def test_float_and_bool_group_ids_and_users_are_refused():
     # an integer array, so key_map([True, 5], [9]) equalled key_map([1, 5], [9]).
     pre = fixture_example2()
     key_columns = layout_for(pre).key_columns
-    for ids in ([1.7], [True], np.array([1.0]), [True, 2], (2, np.True_)):
+    # Nested ids were flattened: key_map([[1, 5]], [9]) equalled
+    # key_map([1, 5], [9]) and key_columns([[1, 2]]) key_columns([1, 2]);
+    # ragged ones raised a bare ValueError.
+    for ids in ([1.7], [True], np.array([1.0]), [True, 2], (2, np.True_),
+                [[1, 2]], [[0, 9]], np.array([[0], [9]]), [1, [2, 3]]):
         with pytest.raises(TypeError, match="group ids must be integers"):
             key_columns(ids)
         with pytest.raises(TypeError, match="group ids must be integers"):
             pre.key_map([5], ids)
-    for users in ([5.9], [True], np.array([5.0]), [True, 5], [[5], [True]]):
+    for users in ([5.9], [True], np.array([5.0]), [True, 5], [[5], [True]],
+                  [[1, 5]], [1, [2, 3]], [[1], [2, 3]], np.array([[1, 5]])):
         with pytest.raises(TypeError, match="users must be integers"):
             pre.key_map(users, [9])
     # The single-user entry points used to skip that check: user_index(2.5)
@@ -297,6 +302,7 @@ def test_float_and_bool_group_ids_and_users_are_refused():
     assert np.array_equal(key_columns(np.array([1], dtype=np.uint8)), key_columns([1]))
     assert np.array_equal(pre.key_map(np.array([5]), [9]), pre.key_map([5], range(9, 10)))
     assert key_columns([]).size == 0 and pre.key_map([], []).shape == (0, 0)
+    assert np.array_equal(pre.key_map(5, 9), pre.key_map([5], [9]))
     assert pre.params.user_index(np.int64(2)) == 1
     assert observe_input(lay, np.int64(2)) == observe_input(lay, 2)
     assert pre.replace_block(np.int64(1), (1, 2), block) == pre
@@ -586,11 +592,13 @@ def test_scheme_format_errors_carry_line_numbers():
 
 @pytest.mark.parametrize("row,field,token", [
     (2, 0, "+0_1"), (2, 0, "01"), (2, 0, "+1"), (2, 0, "1_0"),
-    (0, 1, "+3"), (0, 3, "02"),
+    (0, 1, "+3"), (0, 3, "02"), (2, 0, "1" * 19), (4, 0, "9" * 20), (0, 4, "1" + "0" * 19),
 ])
 def test_scheme_numbers_must_be_plain_decimals(row, field, token):
     # Each token is a number int() accepts, in range for F_11, that the
-    # writer never emits; one scheme must have exactly one file.
+    # writer never emits; one scheme must have exactly one file. Past 18
+    # digits a number may not fit int64: unbounded, a 20-digit entry raised
+    # OverflowError instead of a format error.
     lines = scheme_to_text(reference_precoder(SchemeParams(K=3, T=0, G=2, q=11))).splitlines()
     fields = lines[row].split()
     fields[field] = token
@@ -598,6 +606,100 @@ def test_scheme_numbers_must_be_plain_decimals(row, field, token):
     with pytest.raises(SchemeFormatError) as info:
         scheme_from_text("\n".join(lines) + "\n")
     assert info.value.line == row + 1
+
+
+def perturbed(text, line, edit):
+    lines = text.split("\n")
+    lines[line - 1] = edit(lines[line - 1])
+    return "\n".join(lines)
+
+
+_EDITS = {
+    "doubled space": lambda s: s.replace(" ", "  ", 1),
+    "CR line end": lambda s: s + "\r",
+    "leading space": lambda s: " " + s,
+    "trailing space": lambda s: s + " ",
+    "trailing tab": lambda s: s + "\t",
+}
+_WHOLE_FILE = {  # fixture_example2's text has 81 lines
+    "CRLF line ends": (lambda t: t.replace("\n", "\r\n"), 1),
+    "blank line after the last block": (lambda t: t + "\n", 82),
+    "blank lines after the last block": (lambda t: t + "\n\n\n", 82),
+    "spaces after the last block": (lambda t: t + "  ", 82),
+    "no final newline": (lambda t: t[:-1], 81),
+}
+
+
+@pytest.mark.parametrize("case", [(edit, line) for edit in _EDITS for line in (1, 2, 3, 5, 81)]
+                         + list(_WHOLE_FILE), ids=lambda c: c if isinstance(c, str) else
+                         f"{c[0]} on line {c[1]}")
+def test_scheme_text_has_one_form(case):
+    # Each of these used to load to the same precoder as the canonical text;
+    # one scheme must have exactly one file, refused at the line that differs.
+    text = scheme_to_text(fixture_example2())
+    if case in _WHOLE_FILE:
+        perturb, line = _WHOLE_FILE[case]
+        bad = perturb(text)
+    else:
+        edit, line = case
+        bad = perturbed(text, line, _EDITS[edit])
+    assert bad != text
+    with pytest.raises(SchemeFormatError) as info:
+        scheme_from_text(bad)
+    assert info.value.line == line
+
+
+def test_block_header_must_be_l_and_l_s():
+    text = scheme_to_text(fixture_example2())  # blocks of 3 x 2, headers on lines 2, 6, ...
+    for line, head in ((2, "3 3"), (2, "2 3"), (6, "3 1"), (78, "03 2")):
+        with pytest.raises(SchemeFormatError, match="expected block header '3 2'") as info:
+            scheme_from_text(perturbed(text, line, lambda s: head))
+        assert info.value.line == line
+
+
+@pytest.mark.parametrize("header", [
+    "DSA1 2 0 2 5 1",  # K < 3
+    "DSA1 5 3 2 5 1",  # T > K - 3
+    "DSA1 5 1 6 5 1",  # G > K
+    "DSA1 5 1 2 5 0",  # m < 1
+    "DSA1 5 1 2 4 1",  # q not prime
+    "DSA1 5 1 1 5 1",  # infeasible: G = 1
+    "DSA1 5 1 4 5 1",  # infeasible: G >= K - T
+])
+def test_header_out_of_model_or_infeasible_names_line_1(header):
+    rest = scheme_to_text(fixture_example2()).split("\n", 1)[1]
+    with pytest.raises(SchemeFormatError) as info:
+        scheme_from_text(header + "\n" + rest)
+    assert info.value.line == 1
+
+
+@pytest.mark.parametrize("text", ["", "\n"])
+def test_empty_scheme_file_names_line_1(text):
+    with pytest.raises(SchemeFormatError) as info:
+        scheme_from_text(text)
+    assert info.value.line == 1
+
+
+def test_entry_outside_the_field_is_named_before_a_later_bad_row():
+    text = perturbed(scheme_to_text(fixture_example2()), 4, lambda s: "1 5")
+    for bad in (perturbed(text, 5, lambda s: s + " "), perturbed(text, 9, lambda s: "x")):
+        with pytest.raises(SchemeFormatError, match="entry 5 outside") as info:
+            scheme_from_text(bad)
+        assert info.value.line == 4
+
+
+@pytest.mark.parametrize("K, T, G, q", [
+    (7, 3, 3, 101), (7, 3, 3, 13), (8, 2, 3, 101), (8, 0, 4, 101), (8, 0, 4, 5),
+    (9, 0, 4, 2**31 - 1),
+])
+def test_benchmark_scheme_files_round_trip_byte_identically(K, T, G, q):
+    # Each benchmark setting, built as the benchmark builds it; the fixtures
+    # are test_scheme_text_round_trip_bit_exact's.
+    pre = build_precoder(SchemeParams(K=K, T=T, G=G, q=q), seed=0, max_retries=64)
+    text = scheme_to_text(pre)
+    again = scheme_from_text(text)
+    assert again == pre
+    assert scheme_to_text(again) == text
 
 
 def test_loader_checks_length_before_enumerating_groups(monkeypatch):
