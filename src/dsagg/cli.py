@@ -64,20 +64,21 @@ def build_parser() -> argparse.ArgumentParser:
     out.add_argument("--out", default=None, help="write output to this path")
     seeded = argparse.ArgumentParser(add_help=False)
     seeded.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    field = argparse.ArgumentParser(add_help=False)
-    field.add_argument("--q", type=int, default=101, help="prime field modulus (default 101)")
-    field.add_argument("--m", type=int, default=1, help="block scale (default 1)")
+    triple = argparse.ArgumentParser(add_help=False)
+    for flag in ("-K", "-T", "-G"):
+        triple.add_argument(flag, type=int, required=True)
+    drawn = argparse.ArgumentParser(add_help=False)
+    drawn.add_argument("--q", type=int, default=101, help="prime field modulus (default 101)")
+    drawn.add_argument("--m", type=int, default=1, help="block scale (default 1)")
+    drawn.add_argument("--max-retries", type=int, default=16, help="seeds to draw (default 16)")
 
     parser = _Parser(prog="dsagg",
                      description="Construct, simulate, and audit decentralized "
                                  "secure aggregation schemes with groupwise keys.")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("feasible", parents=[out],
+    p = sub.add_parser("feasible", parents=[triple, out],
                        help="rate region for a (K, T, G) triple")
-    p.add_argument("-K", type=int, required=True)
-    p.add_argument("-T", type=int, required=True)
-    p.add_argument("-G", type=int, required=True)
     p.add_argument("--format", choices=("text", "csv"), default="text",
                    help="output format (default text)")
 
@@ -86,15 +87,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-K", type=int, required=True)
     p.add_argument("-T", type=int, required=True)
 
-    p = sub.add_parser("build", parents=[seeded, field, out],
+    p = sub.add_parser("build", parents=[triple, seeded, drawn, out],
                        help="construct and save a scheme")
-    p.add_argument("-K", type=int, required=True)
-    p.add_argument("-T", type=int, required=True)
-    p.add_argument("-G", type=int, required=True)
     p.add_argument("--fixture", choices=sorted(FIXTURES),
                    help="write a bundled worked-example scheme instead of drawing "
                         "one (its own field size and block scale apply)")
-    p.add_argument("--max-retries", type=int, default=16)
 
     p = sub.add_parser("simulate", parents=[seeded, out],
                        help="run one broadcast round from a scheme file")
@@ -106,11 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="verify a scheme file; exit 0 only if all checks pass")
     p.add_argument("scheme", help="scheme file path")
 
-    p = sub.add_parser("oracle", parents=[seeded, field, out],
+    p = sub.add_parser("oracle", parents=[triple, seeded, drawn, out],
                        help="cross-check rank calculus against full enumeration")
-    p.add_argument("-K", type=int, required=True)
-    p.add_argument("-T", type=int, required=True)
-    p.add_argument("-G", type=int, required=True)
     p.add_argument("--queries", type=int, default=5,
                    help="extra random observable queries (default 5)")
     return parser
@@ -207,7 +201,7 @@ def _cmd_audit(args) -> int:
 def _cmd_oracle(args) -> int:
     if args.queries < 0:
         raise ValueError(f"--queries must be at least 0, got {args.queries}")
-    params =SchemeParams(K=args.K, T=args.T, G=args.G, q=args.q, m=args.m)
+    params = SchemeParams(K=args.K, T=args.T, G=args.G, q=args.q, m=args.m)
     if not params.feasible:
         _write("INFEASIBLE: no scheme to cross-check\n", args.out)
         return EXIT_INFEASIBLE
@@ -224,7 +218,7 @@ def _cmd_oracle(args) -> int:
     try:
         precoder = reference_precoder(params)
     except ValueError:
-        precoder = build_precoder(params, seed=args.seed)
+        precoder = build_precoder(params, seed=args.seed, max_retries=args.max_retries)
     ctx = AuditContext(precoder)
     layout = ctx.layout
 

@@ -373,19 +373,35 @@ class Precoder:
 
     def masks(self, keys: "GroupKeySet") -> np.ndarray:
         """Every user's key mask as a K x L array: row k-1 is the sum over
-        the groups g holding k of H_{k,g} S_g."""
-        p = self.params
+        the groups g holding k of H_{k,g} S_g.
+
+        One batched product of the groups' blocks with their keys, a sum over
+        each user's n = C(K-1, G-1) seats, one reduction mod q: exact while
+        n*L_S*(q-1)**2 < 2**63 (at m=1, every q below 2**25 up to K=12). Past
+        it the keys split into 16-bit limbs, each product summed per user and
+        then reduced: exact while n*L_S*(q-1)*(2**16-1) < 2**63 (q=2**31-1 up
+        to K=15). Past that the symbols go in chunks whose products fit, each
+        seat's reduced before the users' sums."""
+        p, q, L = self.params, self.params.q, self.L
         if (keys.params, keys.L_S) != (p, self.L_S):
             raise DimensionMismatchError(f"keys of {keys.L_S} symbols for {keys.params} "
                                          f"do not fit a precoder with L_S={self.L_S} for {p}")
-        # Each product is below q**2 <= 2**62 and is reduced before it is
-        # added, so no sum of L_S of them overflows int64.
-        per_seat = np.zeros(self.blocks.shape[:3], dtype=np.int64)
-        for s in range(self.L_S):
-            per_seat += self.blocks[..., s] * keys.table[:, None, None, s] % p.q
-        out = np.zeros((p.K, self.L), dtype=np.int64)
-        np.add.at(out, p.members - 1, per_seat % p.q)
-        return out % p.q
+        n = len(p.groups) * p.G // p.K
+        split = n * self.L_S * (q - 1) ** 2 >= 2**63
+        top = (q - 1) * (2**16 - 1 if split else q - 1)  # the largest product
+        whole = n * self.L_S * top < 2**63
+        width = (self.L_S or 1) if whole else (2**63 - 1) // top
+        seats = np.argsort(p.members, axis=None, kind="stable")  # user 1's n, then 2's, ...
+        blocks = self.blocks.reshape(len(p.groups), p.G * L, self.L_S)
+        out = 0
+        for s in range(0, self.L_S or 1, width):
+            part = keys.table[:, s:s + width]
+            limbs = np.stack([part >> 16, part & 0xFFFF]) if split else part[None]
+            prod = np.matmul(blocks[..., s:s + width], limbs[..., None])
+            prod = (prod if whole else prod % q).reshape(len(limbs), -1, L)[:, seats]
+            sums = prod.reshape(len(limbs), p.K, n, L).sum(axis=2) % q
+            out = (out + (sums[0] << 16) + sums[1] if split else out + sums[0]) % q
+        return out
 
     def replace_block(self, k: int, group: Sequence[int], mat: Matrix) -> "Precoder":
         """A copy with one block swapped (used by damage/mutation tests)."""

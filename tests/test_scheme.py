@@ -749,6 +749,17 @@ def small_precoders(draw):
     return random_precoder(params, seed, L=L, L_S=L_S), seed
 
 
+def per_group_masks(pre, keys):
+    """Every user's key mask summed group by group, each product by _safe_dot."""
+    p = pre.params
+    out = np.zeros((p.K, pre.L), dtype=np.int64)
+    for i, g in enumerate(p.groups):
+        for seat, k in enumerate(g):
+            term = _safe_dot(pre.blocks[i, seat], keys.table[i, :, None], p.q)[:, 0]
+            out[k - 1] = (out[k - 1] + term) % p.q
+    return out
+
+
 @settings(max_examples=50, deadline=None)
 @given(small_precoders())
 def test_stored_form_agrees_with_its_blocks(drawn):
@@ -772,13 +783,9 @@ def test_stored_form_agrees_with_its_blocks(drawn):
     inputs = rng.integers(0, p.q, size=(p.K, pre.L))
     source = np.concatenate([inputs.ravel(), keys.vector])[:, None]  # inputs, then keys
     masks = pre.masks(keys)
+    assert np.array_equal(masks, per_group_masks(pre, keys))
     sent = encode(pre, masks, inputs)
     for k in p.users:
-        mask = np.zeros(pre.L, dtype=np.int64)
-        for i, g in enumerate(p.groups):
-            if k in g:
-                mask = (mask + _safe_dot(stored(k, g), keys.table[i, :, None], p.q)[:, 0]) % p.q
-        assert np.array_equal(masks[k - 1], mask)
         assert np.array_equal(_safe_dot(observe_message(pre, k).matrix.data, source, p.q)[:, 0],
                               sent[k - 1])
 
@@ -799,3 +806,23 @@ def test_stored_form_agrees_with_its_blocks(drawn):
                           or [np.zeros((pre.L, 0), dtype=np.int64)])
                 for u in survivors])
             assert np.array_equal(submatrix_hhat(pre, (k, *cset)).data, expected)
+
+
+# The largest prime below 2**28: one product is exact while n*L_S <= 128.
+_Q28 = 268435399
+
+
+@pytest.mark.parametrize("q, L_S", [
+    (_Q28, 64),               # n*L_S = 128: one product
+    (_Q28, 65),               # 130: 16-bit key limbs
+    (2**31 - 1, 2**15 - 1),   # 65,534: limbs, each user's sum exact
+    (2**31 - 1, 2**15 + 3),   # 65,542: one chunk, each seat reduced first
+    (2**31 - 1, 2**16 + 2),   # 131,076: two chunks of at most 65,537 symbols
+])
+def test_masks_are_exact_on_both_sides_of_each_bound(q, L_S):
+    # At (3,0,2) each user holds n = 2 seats. Blocks and keys of q-1 make
+    # every product, and every sum of them, the largest the field allows.
+    p = SchemeParams(K=3, T=0, G=2, q=q)
+    pre = Precoder(p, np.full((3, 2, 1, L_S), q - 1))
+    keys = GroupKeySet(p, np.full((3, L_S), q - 1))
+    assert np.array_equal(pre.masks(keys), per_group_masks(pre, keys))
