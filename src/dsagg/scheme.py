@@ -372,16 +372,14 @@ class Precoder:
         return out.reshape(users.size * self.L, ids.size * self.L_S)
 
     def masks(self, keys: "GroupKeySet") -> np.ndarray:
-        """Every user's key mask as a K x L array: row k-1 is the sum over
-        the groups g holding k of H_{k,g} S_g.
-
-        One batched product of the groups' blocks with their keys, a sum over
-        each user's n = C(K-1, G-1) seats, one reduction mod q: exact while
-        n*L_S*(q-1)**2 < 2**63 (at m=1, every q below 2**25 up to K=12). Past
-        it the keys split into 16-bit limbs, each product summed per user and
-        then reduced: exact while n*L_S*(q-1)*(2**16-1) < 2**63 (q=2**31-1 up
-        to K=15). Past that the symbols go in chunks whose products fit, each
-        seat's reduced before the users' sums."""
+        """Every user's key mask as a K x L array: row k-1 is the sum over the
+        groups g holding k of H_{k,g} S_g. One batched product of the groups'
+        blocks with their keys, a sum over each user's n = C(K-1, G-1) seats
+        and one reduction mod q: exact while n*L_S*(q-1)**2 < 2**63 (at m=1,
+        every q below 2**25 up to K=12). Past it the keys split into 16-bit
+        limbs, each product summed per user, then reduced: exact while
+        n*L_S*(q-1)*(2**16-1) < 2**63 (q=2**31-1 up to K=15). Past that the
+        symbols go in chunks whose products fit, each seat's reduced first."""
         p, q, L = self.params, self.params.q, self.L
         if (keys.params, keys.L_S) != (p, self.L_S):
             raise DimensionMismatchError(f"keys of {keys.L_S} symbols for {keys.params} "
