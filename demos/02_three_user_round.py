@@ -16,7 +16,7 @@ w = np.array([[1], [0], [1]])
 keys = GroupKeySet(params, [[1], [0], [1]])  # one row per pair, lexicographic
 
 print("inputs :", w.ravel().tolist())
-print("keys   :", {g: int(v[0]) for g, v in zip(params.groups, keys.table)})
+print("keys   :", {tuple(g): int(v[0]) for g, v in zip(params.members.tolist(), keys.table)})
 
 masks = pre.masks(keys)  # row k-1 is user k's key mask
 messages = encode(pre, masks, w)  # row k-1 is user k's broadcast

@@ -25,9 +25,7 @@ from .scheme import (
     encode,
     fixture_example1,
     fixture_example2,
-    groups_of,
     load_scheme,
-    optimal_group_size,
     optimal_group_size_report,
     random_precoder,
     recover,

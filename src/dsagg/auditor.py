@@ -270,10 +270,6 @@ class AuditReport:
     rates: RateCheck | None = None
 
     @property
-    def security_consistent(self) -> bool:
-        return all(c.consistent for c in self.security)
-
-    @property
     def all_ok(self) -> bool:
         checks: list[bool] = [c.ok for c in self.recovery]
         checks += [c.ok and c.consistent for c in self.security]

@@ -97,8 +97,8 @@ class SourceLayout:
         return slice(start, start + self.L)
 
     def key_columns(self, ids: Sequence[int]) -> np.ndarray:
-        """Source coordinates of the keys of the groups ``ids`` (positions in
-        ``params.groups``), in that order; KeyError for an id outside
+        """Source coordinates of the keys of the groups ``ids`` (rows of
+        ``params.members``), in that order; KeyError for an id outside
         range(C(K, G))."""
         ids = self.params.group_ids(ids)
         return self.params.K * self.L + (ids[:, None] * self.L_S + np.arange(self.L_S)).ravel()

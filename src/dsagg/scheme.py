@@ -36,7 +36,7 @@ SCHEME_MAGIC = "DSA1"
 _NUMBER = re.compile(r"(?:0|[1-9][0-9]{0,17})")
 
 # Largest precoder a draw will construct: 2**24 int64 entries is 128 MB of
-# coefficients. No more groups than that are enumerated either.
+# coefficients. ``SchemeParams.members`` holds no more entries than that either.
 _MAX_PRECODER_ENTRIES = 2**24
 
 
@@ -132,15 +132,6 @@ def _binomial_up_to(n: int, k: int, cap: int) -> int:
     return c
 
 
-def groups_of(K: int, G: int) -> tuple[tuple[int, ...], ...]:
-    """All G-subsets of users 1..K in lexicographic order; ParamsOutOfModelError,
-    before enumerating any, if there are more than the precoder size limit."""
-    if _binomial_up_to(K, G, _MAX_PRECODER_ENTRIES) > _MAX_PRECODER_ENTRIES:
-        raise ParamsOutOfModelError(
-            f"more than the limit of {_MAX_PRECODER_ENTRIES} groups")
-    return tuple(itertools.combinations(range(1, K + 1), G))
-
-
 # -- rate region ---------------------------------------------------------------
 
 
@@ -216,11 +207,6 @@ def optimal_group_size_report(K: int, T: int) -> GroupSizeReport:
     return GroupSizeReport(minimizers[0], formula, minimizers)
 
 
-def optimal_group_size(K: int, T: int) -> int:
-    """The smallest feasible G minimizing the per-group key rate."""
-    return optimal_group_size_report(K, T).best
-
-
 # -- parameters ----------------------------------------------------------------
 
 
@@ -278,26 +264,21 @@ class SchemeParams:
     def users(self) -> range:
         return range(1, self.K + 1)
 
-    @cached_property
-    def groups(self) -> tuple[tuple[int, ...], ...]:
-        return groups_of(self.K, self.G)
-
-    @cached_property
-    def _group_ids(self) -> dict[tuple[int, ...], int]:
-        return {g: i for i, g in enumerate(self.groups)}
-
     def group_index(self, group: Sequence[int]) -> int:
-        """Position of ``group`` in ``groups``; KeyError if it is not one."""
+        """Row of ``group`` in ``members``; TypeError unless its users are
+        integers, KeyError if it is not a group."""
         try:
-            return self._group_ids[tuple(group)]
-        except KeyError:
-            raise KeyError(f"{tuple(group)} is not a size-{self.G} group of "
-                           f"[1..{self.K}]") from None
+            users = _integers(group, "user", 1, self.K)
+            if users.size == self.G:
+                return int(np.flatnonzero((self.members == users).all(axis=1))[0])
+        except (KeyError, IndexError):  # a user outside 1..K, or no such row
+            pass
+        raise KeyError(f"{tuple(group)} is not a size-{self.G} group of [1..{self.K}]")
 
     def group_ids(self, ids: Sequence[int]) -> np.ndarray:
-        """``ids`` as a flat array of positions in ``groups``; TypeError
-        unless they are integers, KeyError unless each is in range(C(K, G))."""
-        return _integers(ids, "group id", 0, len(self.groups) - 1)
+        """``ids`` as a flat array of rows of ``members``; TypeError unless
+        they are integers, KeyError unless each is in range(C(K, G))."""
+        return _integers(ids, "group id", 0, len(self.members) - 1)
 
     def user_index(self, k: int) -> int:
         """0-based position of user k; TypeError unless it is an integer,
@@ -306,9 +287,16 @@ class SchemeParams:
 
     @cached_property
     def members(self) -> np.ndarray:
-        """``groups`` as a read-only (C(K, G), G) array of users, members
-        ascending: the first two axes of a precoder's block array."""
-        arr = np.array(self.groups, dtype=np.intp).reshape(len(self.groups), self.G)
+        """Every G-subset of users 1..K as a read-only (C(K, G), G) array,
+        groups in lexicographic order, members ascending: the first two axes
+        of a precoder's block array. ParamsOutOfModelError, before any group
+        is enumerated, if it would hold more than the precoder size limit."""
+        n = _binomial_up_to(self.K, self.G, _MAX_PRECODER_ENTRIES)
+        if n * self.G > _MAX_PRECODER_ENTRIES:
+            raise ParamsOutOfModelError(
+                f"the groups would hold more than the limit of {_MAX_PRECODER_ENTRIES} entries")
+        groups = itertools.combinations(self.users, self.G)
+        arr = np.fromiter(groups, dtype=(np.intp, self.G), count=n)
         arr.setflags(write=False)
         return arr
 
@@ -333,7 +321,7 @@ class Precoder:
 
     def __init__(self, params: SchemeParams, blocks: np.ndarray) -> None:
         blocks = np.asarray(blocks)
-        expected = (len(params.groups), params.G)
+        expected = (len(params.members), params.G)
         if blocks.ndim != 4 or blocks.shape[:2] != expected or blocks.shape[2] < 1:
             raise DimensionMismatchError(
                 f"block array has shape {blocks.shape}, expected {expected} + (L, L_S), L >= 1")
@@ -358,7 +346,7 @@ class Precoder:
 
     def key_map(self, users: Sequence[int], ids: Sequence[int]) -> np.ndarray:
         """The coefficients of ``users``' masks on the keys of the groups
-        ``ids`` (positions in ``params.groups``), both in the order given:
+        ``ids`` (rows of ``params.members``), both in the order given:
         a (len(users) * L) x (len(ids) * L_S) array whose (i, j) block is
         the block of users[i] for group ids[j], zero if it is outside.
         TypeError unless both are integers; KeyError for a user outside 1..K
@@ -384,13 +372,13 @@ class Precoder:
         if (keys.params, keys.L_S) != (p, self.L_S):
             raise DimensionMismatchError(f"keys of {keys.L_S} symbols for {keys.params} "
                                          f"do not fit a precoder with L_S={self.L_S} for {p}")
-        n = len(p.groups) * p.G // p.K
+        n = len(p.members) * p.G // p.K
         split = n * self.L_S * (q - 1) ** 2 >= 2**63
         top = (q - 1) * (2**16 - 1 if split else q - 1)  # the largest product
         whole = n * self.L_S * top < 2**63
         width = (self.L_S or 1) if whole else (2**63 - 1) // top
         seats = np.argsort(p.members, axis=None, kind="stable")  # user 1's n, then 2's, ...
-        blocks = self.blocks.reshape(len(p.groups), p.G * L, self.L_S)
+        blocks = self.blocks.reshape(len(p.members), p.G * L, self.L_S)
         out = 0
         for s in range(0, self.L_S or 1, width):
             part = keys.table[:, s:s + width]
@@ -403,16 +391,16 @@ class Precoder:
 
     def replace_block(self, k: int, group: Sequence[int], mat: Matrix) -> "Precoder":
         """A copy with one block swapped (used by damage/mutation tests)."""
-        g = tuple(group)
-        i = self.params.group_index(g)
-        if self.params.user_index(k) + 1 not in g:  # TypeError unless k is an integer
-            raise KeyError(f"user {k} carries no block for {g}")
+        i = self.params.group_index(group)
+        seat = np.flatnonzero(self.params.members[i] == self.params.user_index(k) + 1)
+        if not seat.size:
+            raise KeyError(f"user {k} carries no block for {tuple(group)}")
         if mat.field != self.params.field:
             raise FieldMismatchError(f"block over F_{mat.field.q}, expected F_{self.params.q}")
         if mat.shape != (self.L, self.L_S):
             raise DimensionMismatchError(f"block is {mat.shape}, expected {(self.L, self.L_S)}")
         blocks = self.blocks.copy()
-        blocks[i, g.index(k)] = mat.data
+        blocks[i, seat[0]] = mat.data
         return Precoder(self.params, blocks)
 
     def __eq__(self, other) -> bool:
@@ -444,7 +432,7 @@ def random_precoder(params: SchemeParams, seed: int,
     L = params.L if L is None else L
     L_S = params.L_S if L_S is None else L_S
     rng = np.random.Generator(np.random.PCG64(seed))
-    blocks = np.empty((len(params.groups), params.G, L, L_S), dtype=np.int64)
+    blocks = np.empty((len(params.members), params.G, L, L_S), dtype=np.int64)
     blocks[:, :-1] = rng.integers(0, params.q, size=blocks[:, :-1].shape, dtype=np.int64)
     blocks[:, -1] = -blocks[:, :-1].sum(axis=1)
     return Precoder(params, blocks)
@@ -503,7 +491,7 @@ def reference_precoder(params: SchemeParams) -> Precoder:
     if not params.feasible:
         raise InfeasibleSchemeError("reference construction needs a feasible triple")
     m = params.m
-    n = len(params.groups)
+    n = len(params.members)
     eye = np.eye(m, dtype=np.int64)
 
     if params.G == 2 and params.K - params.T - 1 == 2:
@@ -515,7 +503,8 @@ def reference_precoder(params: SchemeParams) -> Precoder:
             np.array([[1, 0], [0, 0], [0, 1]], dtype=np.int64),
         )
         matching_class = {(1, 2): 0, (3, 4): 0, (1, 3): 1, (2, 4): 1, (1, 4): 2, (2, 3): 2}
-        mats = np.stack([np.kron(patterns[matching_class[g]], eye) for g in params.groups])
+        mats = np.stack([np.kron(patterns[matching_class[tuple(g)]], eye)
+                         for g in params.members.tolist()])
         blocks = np.stack([mats, -mats], axis=1)
     elif (params.K, params.T, params.G) == (4, 0, 3):
         zero = np.zeros((m, m), dtype=np.int64)
@@ -563,7 +552,8 @@ def fixture_example2() -> Precoder:
     the higher-index user carries -H.
     """
     params = SchemeParams(K=5, T=1, G=2, q=5, m=1)
-    h = np.array([_EXAMPLE2_PAIR_BLOCKS[g] for g in params.groups], dtype=np.int64)
+    h = np.array([_EXAMPLE2_PAIR_BLOCKS[tuple(g)] for g in params.members.tolist()],
+                 dtype=np.int64)
     return Precoder(params, np.stack([h, -h], axis=1))
 
 
@@ -582,9 +572,9 @@ class GroupKeySet:
 
     def __init__(self, params: SchemeParams, table: np.ndarray):
         table = params.field.reduce(table)
-        if table.ndim != 2 or table.shape[0] != len(params.groups):
+        if table.ndim != 2 or table.shape[0] != len(params.members):
             raise DimensionMismatchError(
-                f"key table has shape {table.shape}, expected ({len(params.groups)}, L_S)")
+                f"key table has shape {table.shape}, expected ({len(params.members)}, L_S)")
         table.setflags(write=False)
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "L_S", table.shape[1])
@@ -600,7 +590,7 @@ def sample_keys(precoder: Precoder, seed) -> GroupKeySet:
     deterministically in seed, in one draw of the whole table."""
     p = precoder.params
     rng = np.random.Generator(np.random.PCG64(seed))
-    return GroupKeySet(p, rng.integers(0, p.q, size=(len(p.groups), precoder.L_S),
+    return GroupKeySet(p, rng.integers(0, p.q, size=(len(p.members), precoder.L_S),
                                        dtype=np.int64))
 
 

@@ -34,7 +34,7 @@ from dsagg.scheme import (
 def zero_precoder(params, L=None, L_S=None):
     L = params.L if L is None else L
     L_S = params.L_S if L_S is None else L_S
-    return Precoder(params, np.zeros((len(params.groups), params.G, L, L_S), dtype=np.int64))
+    return Precoder(params, np.zeros((len(params.members), params.G, L, L_S), dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +452,7 @@ def test_audit_converse_three_user():
 def test_full_audit_fixture():
     report = audit(fixture_example2())
     assert report.all_ok
-    assert report.security_consistent
+    assert all(c.consistent for c in report.security)
     assert len(report.security) == expected_check_count(5, 1)
     assert report.rates.tight
 
@@ -477,7 +477,7 @@ def test_audit_of_an_undersized_precoder_reports_every_failure():
     assert len(report.security) == 25
     assert not any(c.rank.ok for c in report.security)
     assert all(c.mi > 0 for c in report.security)
-    assert report.security_consistent
+    assert all(c.consistent for c in report.security)
     assert not report.rates.ok
 
 
@@ -506,7 +506,7 @@ def test_monotone_damage_no_silent_degradation():
     pre = fixture_example2()
     base_recovery = [c.residual_entropy for c in audit_recovery(pre)]
     base_security = [(c.mi, c.rank.achieved) for c in audit_security(pre)]
-    for g in pre.params.groups:
+    for g in pre.params.members.tolist():
         for k in g:
             if not pre.block(k, g).data.any():
                 continue

@@ -169,10 +169,10 @@ def test_non_ascii_scheme_file_exit_3_naming_its_line(tmp_path, capsys):
 
 
 def test_short_scheme_file_exit_3_before_enumerating_groups(tmp_path, capsys, monkeypatch):
-    def refuse(K, G):
+    def refuse(params):
         raise AssertionError("groups enumerated before the length check")
 
-    monkeypatch.setattr(dsagg.scheme, "groups_of", refuse)
+    monkeypatch.setattr(dsagg.scheme.SchemeParams, "members", property(refuse))
     short = tmp_path / "short.dsa"
     short.write_text("DSA1 20 0 10 101 1\n")
     code, _, err = run_cli(capsys, "audit", str(short))
@@ -307,9 +307,9 @@ def refuse_to_enumerate(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("groups enumerated or scheme built before the size check")
 
-    for mod, name in ((dsagg.scheme, "groups_of"), (dsagg.cli, "build_precoder"),
-                      (dsagg.cli, "reference_precoder")):
-        monkeypatch.setattr(mod, name, refuse)
+    monkeypatch.setattr(dsagg.scheme.SchemeParams, "members", property(refuse))
+    for name in ("build_precoder", "reference_precoder"):
+        monkeypatch.setattr(dsagg.cli, name, refuse)
 
 
 def test_oversized_precoder_exit_1_before_enumerating_groups(capsys, monkeypatch):

@@ -48,7 +48,7 @@ from conftest import plain_rank
 
 
 def zero_precoder(params):
-    shape = (len(params.groups), params.G, params.L, params.L_S)
+    shape = (len(params.members), params.G, params.L, params.L_S)
     return Precoder(params, np.zeros(shape, dtype=np.int64))
 
 
@@ -69,7 +69,7 @@ def test_layout_segments_cover_source():
     for layout in (lay, keyless):
         covered = [i for k in layout.params.users
                    for i in range(layout.N)[layout.input_slice(k)]]
-        covered += layout.key_columns(range(len(layout.params.groups))).tolist()
+        covered += layout.key_columns(range(len(layout.params.members))).tolist()
         assert covered == list(range(layout.N))
 
 
@@ -843,7 +843,7 @@ def dense_observables(pre):
         out[f"Z{k}"] = np.zeros((cols.size, lay.N), dtype=np.int64)
         out[f"Z{k}"][np.arange(cols.size), cols] = 1
         out[f"X{k}"] = inp(k)
-        out[f"X{k}"][:, p.K * lay.L:] = pre.key_map([k], range(len(p.groups)))
+        out[f"X{k}"][:, p.K * lay.L:] = pre.key_map([k], range(len(p.members)))
     return out
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import time
 from fractions import Fraction
 
@@ -26,9 +27,7 @@ from dsagg.scheme import (
     encode,
     fixture_example1,
     fixture_example2,
-    groups_of,
     load_scheme,
-    optimal_group_size,
     optimal_group_size_report,
     random_precoder,
     recover,
@@ -92,7 +91,7 @@ def test_key_rate_monotone_in_collusion_bound():
 
 def test_optimal_group_size():
     rep = optimal_group_size_report(20, 0)
-    assert optimal_group_size(20, 0) == 9
+    assert rep.best == 9
     assert rep.formula == 9
     assert rep.minimizers == (9, 10)  # binomial symmetry tie
 
@@ -103,11 +102,11 @@ def test_optimal_group_size():
     assert rep.minimizers == (2,)
     assert capacity(5, 1, 2).r_s_star < capacity(5, 1, 3).r_s_star
 
-    assert optimal_group_size(7, 0) == 3
-    assert optimal_group_size(4, 1) == 2  # single feasible size
+    assert optimal_group_size_report(7, 0).best == 3
+    assert optimal_group_size_report(4, 1).best == 2  # single feasible size
 
     with pytest.raises(ParamsOutOfModelError):
-        optimal_group_size(4, 2)  # no feasible group size at all
+        optimal_group_size_report(4, 2)  # no feasible group size at all
 
 
 # ---------------------------------------------------------------------------
@@ -140,18 +139,21 @@ def test_params_validation():
 
 
 def test_groups_enumeration():
-    assert groups_of(3, 2) == ((1, 2), (1, 3), (2, 3))
-    assert len(groups_of(5, 2)) == 10
+    assert SchemeParams(K=3, T=0, G=2, q=2).members.tolist() == [[1, 2], [1, 3], [2, 3]]
+    assert len(SchemeParams(K=5, T=0, G=2, q=2).members) == 10
 
 
 def test_library_refuses_an_oversized_precoder_before_enumerating_groups():
     # C(60, 30) is about 1.2e17 groups: drawing them used to run for
     # seconds before a MemoryError, or without end with no memory limit.
+    # The 5.85 million groups of C(30, 8) pass a cap on the group count
+    # alone, and building them as tuples used to take seconds and about 1 GB.
     params = SchemeParams(K=60, T=0, G=30, q=101)
     small = SchemeParams(K=6, T=1, G=2, q=101)
+    wide = SchemeParams(K=30, T=0, G=8, q=101)
     for draw in (lambda: random_precoder(params, 0), lambda: params.members,
-                 lambda: groups_of(60, 30),
-                 lambda: random_precoder(small, 0, L_S=10**6)):  # the L_S it draws
+                 lambda: random_precoder(small, 0, L_S=10**6),  # the L_S it draws
+                 lambda: wide.members, lambda: layout_for(wide).key_columns([0])):
         start = time.perf_counter()
         with pytest.raises(ParamsOutOfModelError) as info:
             draw()
@@ -182,7 +184,7 @@ def test_fixture_example1_signs():
     pre = fixture_example1()
     assert pre.params.q == 2
     assert pre.zero_sum_ok()
-    for g in pre.params.groups:
+    for g in pre.params.members.tolist():
         assert pre.block(g[0], g).data.tolist() == [[1]]
         assert pre.block(g[1], g).data.tolist() == [[1]]  # -1 == 1 mod 2
 
@@ -297,6 +299,15 @@ def test_float_and_bool_group_ids_and_users_are_refused():
                       lambda k: pre.replace_block(k, (1, 2), block)):
             with pytest.raises(TypeError, match="users must be integers"):
                 entry(k)
+    # Group lookups cast their users the same way: group_index((True, 2)),
+    # group_index((1.0, 2.0)) and group_index([np.float64(1), 2]) gave group
+    # (1, 2), block(1, (True, 2)) was user 1's block for it, and
+    # replace_block(1, (True, 2.0), block) swapped it.
+    for group in ((True, 2), (1.0, 2.0), [np.float64(1), 2], (True, 2.0)):
+        for entry in (pre.params.group_index, lambda g: pre.block(1, g),
+                      lambda g: pre.replace_block(1, g, block)):
+            with pytest.raises(TypeError, match="users must be integers"):
+                entry(group)
     # Integer lists, ranges and integer arrays still pass, empty ones too.
     assert key_columns([1]).tolist() == key_columns(range(1, 2)).tolist() == [17, 18]
     assert np.array_equal(key_columns(np.array([1], dtype=np.uint8)), key_columns([1]))
@@ -306,13 +317,18 @@ def test_float_and_bool_group_ids_and_users_are_refused():
     assert pre.params.user_index(np.int64(2)) == 1
     assert observe_input(lay, np.int64(2)) == observe_input(lay, 2)
     assert pre.replace_block(np.int64(1), (1, 2), block) == pre
+    assert pre.params.group_index((np.int64(1), 2)) == 0
+    assert pre.replace_block(1, (np.int64(1), 2), block) == pre
 
 
 def test_group_outside_the_scheme_raises_key_error_naming_it():
     pre = fixture_example2()
-    for lookup in (pre.params.group_index, lambda g: pre.block(1, g)):
-        with pytest.raises(KeyError, match=r"\(1, 6\) is not a size-2 group"):
-            lookup((1, 6))
+    block = pre.block(1, (1, 2))
+    for lookup in (pre.params.group_index, lambda g: pre.block(1, g),
+                   lambda g: pre.replace_block(1, g, block)):
+        for group in ((1, 6), (2, 1)):
+            with pytest.raises(KeyError, match=re.escape(f"{group} is not a size-2 group")):
+                lookup(group)
 
 
 def test_key_sets_of_the_wrong_shape_are_refused():
@@ -705,10 +721,10 @@ def test_benchmark_scheme_files_round_trip_byte_identically(K, T, G, q):
 def test_loader_checks_length_before_enumerating_groups(monkeypatch):
     # A one-line file claiming C(20, 10) groups of 10 blocks of C(19, 10)
     # rows each must be refused before any group is enumerated.
-    def refuse(K, G):
+    def refuse(params):
         raise AssertionError("groups enumerated before the length check")
 
-    monkeypatch.setattr(dsagg.scheme, "groups_of", refuse)
+    monkeypatch.setattr(dsagg.scheme.SchemeParams, "members", property(refuse))
     with pytest.raises(SchemeFormatError) as info:
         scheme_from_text("DSA1 20 0 10 101 1\n")
     assert info.value.line == 1
@@ -753,7 +769,7 @@ def per_group_masks(pre, keys):
     """Every user's key mask summed group by group, each product by _safe_dot."""
     p = pre.params
     out = np.zeros((p.K, pre.L), dtype=np.int64)
-    for i, g in enumerate(p.groups):
+    for i, g in enumerate(p.members.tolist()):
         for seat, k in enumerate(g):
             term = _safe_dot(pre.blocks[i, seat], keys.table[i, :, None], p.q)[:, 0]
             out[k - 1] = (out[k - 1] + term) % p.q
@@ -774,12 +790,13 @@ def test_stored_form_agrees_with_its_blocks(drawn):
             return np.zeros((pre.L, pre.L_S), dtype=np.int64)
         return blocks[p.group_index(g), g.index(u)]
 
-    for g in p.groups:
+    groups = [tuple(g) for g in p.members.tolist()]
+    for g in groups:
         for k in p.users:
             assert np.array_equal(stored(k, g), pre.block(k, g).data)
 
     rng = np.random.Generator(np.random.PCG64(seed))
-    keys = GroupKeySet(p, rng.integers(0, p.q, size=(len(p.groups), pre.L_S)))
+    keys = GroupKeySet(p, rng.integers(0, p.q, size=(len(groups), pre.L_S)))
     inputs = rng.integers(0, p.q, size=(p.K, pre.L))
     source = np.concatenate([inputs.ravel(), keys.vector])[:, None]  # inputs, then keys
     masks = pre.masks(keys)
@@ -793,14 +810,14 @@ def test_stored_form_agrees_with_its_blocks(drawn):
     # repeats included.
     order = np.random.Generator(np.random.PCG64(seed))
     users = order.integers(1, p.K + 1, size=3).tolist()
-    ids = order.integers(0, len(p.groups), size=3).tolist()
-    expected = np.vstack([np.hstack([stored(u, p.groups[i]) for i in ids]) for u in users])
+    ids = order.integers(0, len(groups), size=3).tolist()
+    expected = np.vstack([np.hstack([stored(u, groups[i]) for i in ids]) for u in users])
     assert np.array_equal(pre.key_map(users, ids), expected)
 
     for k in p.users:
         for cset in collusion_sets(p.K, k, p.T):
             survivors = [u for u in p.users if u != k and u not in cset]
-            surviving = [g for g in p.groups if set(g) <= set(survivors)]
+            surviving = [g for g in groups if set(g) <= set(survivors)]
             expected = np.vstack([
                 np.hstack([stored(u, g) for g in surviving]
                           or [np.zeros((pre.L, 0), dtype=np.int64)])
