@@ -51,7 +51,7 @@ from .infocalc import (
     observe_total,
 )
 from .linalg import Matrix
-from .scheme import Precoder, SchemeParams, _integers, capacity
+from .scheme import Precoder, SchemeParams, _integers, _validate_collusion, capacity
 from .sim import run_round
 
 
@@ -69,15 +69,20 @@ def _user(k: int, K: int) -> int:
 
 
 def collusion_sets(K: int, k: int, T: int) -> Iterator[tuple[int, ...]]:
-    """All subsets of [1..K] \\ {k} of size 0..T, lexicographic within each size."""
+    """All subsets of [1..K] \\ {k} of size 0..T, lexicographic within each
+    size; ParamsOutOfModelError, at the call, for K < 3 or T outside
+    [0, K-3]."""
+    _validate_collusion(K, T)
     k = _user(k, K)
     others = [u for u in range(1, K + 1) if u != k]
-    for size in range(T + 1):
-        yield from itertools.combinations(others, size)
+    return itertools.chain.from_iterable(
+        itertools.combinations(others, size) for size in range(T + 1))
 
 
 def expected_check_count(K: int, T: int) -> int:
-    """Number of (user, collusion set) pairs an exhaustive audit must cover."""
+    """Number of (user, collusion set) pairs an exhaustive audit must cover;
+    ParamsOutOfModelError for K < 3 or T outside [0, K-3]."""
+    _validate_collusion(K, T)
     return K * sum(math.comb(K - 1, t) for t in range(T + 1))
 
 

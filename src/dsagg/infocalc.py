@@ -21,9 +21,14 @@ rank([P_S; A]) = |S| + rank(A[:, not S]) with S the columns of such rows. A
 column with one nonzero makes its row independent of the others. A column
 with two nonzeros is merged: a multiple of one row clears it in the other,
 leaving it one nonzero. Within one rank cache each distinct remainder is
-ranked once, with merges when both its sides reach ``linalg._RECURSIVE_MIN``
-(the recovery stacks, whose messages clear the total's rows, then end with
-nothing left). Only what is left is built as a matrix, for ``Matrix.rank``.
+ranked once, with merges when both its sides reach ``_MERGE_MIN``. In the
+recovery and security stacks, once the viewer's inputs and keys are
+peeled, each other input column holds two nonzeros, in its user's message
+and in the total, so the merges fold every message into the total. The
+recovery stacks then end with nothing left, and the security stack
+[X_S; sum W; W_D; Z_D] with the messages' key sums over the surviving
+keys, which are zero for a zero-sum precoder. Only what is left is built as
+a matrix, for ``Matrix.rank``.
 
 A rank cache is keyed by the ids of the observables it ranked and holds
 them, so no other object can take those ids: labels are only names.
@@ -36,6 +41,7 @@ what justifies using ranks as the general auditor.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,10 +50,17 @@ from typing import Sequence
 import numpy as np
 
 from .gf import PrimeField
-from .linalg import _RECURSIVE_MIN, Matrix, _safe_dot
+from .linalg import Matrix, _safe_dot
 from .scheme import Precoder, SchemeParams
 
 DEFAULT_BUDGET = 2**24
+# Remainders whose smaller side reaches this go through the merge rounds
+# before the kernel. Measured on the security phases of (8,2,3), (9,3,3) and
+# (10,4,3) at q=101 (build seed 0): gates of 16, 32 and 48 make the same
+# kernel calls and tie within noise; 64 makes 1.4-1.6x as many and 96, the
+# kernel's recursion cutoff, 2x as many, and at 96 the phases take 1.6-2x
+# as long.
+_MERGE_MIN = 32
 
 
 class LayoutMismatchError(ValueError):
@@ -205,17 +218,14 @@ def observe_message(precoder: Precoder, k: int) -> LinearObservable:
 
 
 def _common_layout(groups: Sequence[Sequence[LinearObservable]]) -> SourceLayout:
-    layout = None
-    for obs_list in groups:
-        for obs in obs_list:
-            if layout is None:
-                layout = obs.layout
-            elif obs.layout != layout:
-                raise LayoutMismatchError(
-                    f"observable {obs.label!r} uses a different source layout"
-                )
-    if layout is None:
+    # One comparison per distinct layout object, not one per observable.
+    distinct = {id(obs.layout): obs.layout for obs_list in groups for obs in obs_list}
+    if not distinct:
         raise LayoutMismatchError("no observables given")
+    layout, *others = distinct.values()
+    if any(other != layout for other in others):
+        bad = next(obs for obs_list in groups for obs in obs_list if obs.layout != layout)
+        raise LayoutMismatchError(f"observable {bad.label!r} uses a different source layout")
     return layout
 
 
@@ -284,17 +294,18 @@ def _peeled_rank(obs: Sequence[LinearObservable], layout: SourceLayout,
     ``_peel`` on the rest. The remainder, live rows over live columns, is
     keyed in ``memo`` by the ids and live rows of the observables it came
     from, which the entry holds, and by its columns, so each is ranked once.
-    On a miss, a remainder whose smaller side reaches ``_RECURSIVE_MIN``
-    (below it the kernel's row loop is cheaper) alternates ``_merge`` rounds
-    with ``_peel``; what is left then goes densely to ``Matrix.rank``."""
+    On a miss, a remainder whose smaller side reaches ``_MERGE_MIN`` (below
+    it the kernel's row loop is cheaper) alternates ``_merge`` rounds with
+    ``_peel``; what is left then goes densely to ``Matrix.rank``."""
     peeled = np.zeros(layout.N, dtype=bool)
-    for o in obs:
-        if o._unit:
-            peeled[o._c] = True
+    units = [o._c for o in obs if o._unit]
+    if units:
+        peeled[np.concatenate(units)] = True
     rest = [o for o in obs if not o._unit]
     if not rest:
         return int(np.count_nonzero(peeled))
-    offsets = np.cumsum([0] + [o.rows for o in rest])
+    sizes = [o.rows for o in rest]
+    offsets = list(itertools.accumulate(sizes, initial=0))
     r = np.concatenate([o._r + off for o, off in zip(rest, offsets)])
     c = np.concatenate([o._c for o in rest])
     v = np.concatenate([o._v for o in rest])
@@ -303,18 +314,19 @@ def _peeled_rank(obs: Sequence[LinearObservable], layout: SourceLayout,
     rank = int(np.count_nonzero(peeled) + np.count_nonzero(dead))
     if r.size == 0:
         return rank
-    live_r, live_c = np.bincount(r) > 0, np.bincount(c) > 0
-    rows = np.flatnonzero(live_r)
-    by_obs = np.split(rows, np.searchsorted(rows, offsets[1:-1]))
-    parts = tuple((id(o), tuple((own - off).tolist()))
-                  for o, off, own in zip(rest, offsets, by_obs) if own.size)
-    # Its items are tuples, so no full-stack key (a tuple of ids) equals it.
-    key = (parts, tuple(np.flatnonzero(live_c).tolist()))
+    live_r = np.bincount(r, minlength=dead.size) > 0
+    live_c = np.bincount(c, minlength=peeled.size) > 0
+    held = np.logical_or.reduceat(live_r, offsets[:-1])  # each observable in rest has rows
+    # The observables with live rows, which of their rows those are, and the
+    # live columns. Its first item is a tuple, so no full-stack key (a tuple
+    # of ids) equals it.
+    key = (tuple(id(o) for o, h in zip(rest, held.tolist()) if h),
+           live_r[np.repeat(held, sizes)].tobytes(), live_c.tobytes())
     if key in memo:
         return rank + memo[key][0]
     marked = rank
-    if min(np.count_nonzero(live_r), np.count_nonzero(live_c)) >= _RECURSIVE_MIN:
-        while (merged := _merge(r, c, v, layout.field.q, layout.N)) is not None:
+    if min(np.count_nonzero(live_r), np.count_nonzero(live_c)) >= _MERGE_MIN:
+        while r.size and (merged := _merge(r, c, v, layout.field.q, layout.N)) is not None:
             r, c, v = _peel(*merged, peeled, dead)
             # Each round leaves its pivots a column of their own, so the peel
             # must mark one; a round that marks nothing would repeat forever.
@@ -340,9 +352,10 @@ def _stacked_rank(obs: Sequence[LinearObservable], layout: SourceLayout,
         return 0
     cache = {} if cache is None else cache
     key = tuple(sorted(map(id, obs)))
-    if key not in cache:
-        cache[key] = (_peeled_rank(obs, layout, cache), tuple(obs))
-    return cache[key][0]
+    entry = cache.get(key)
+    if entry is None:
+        entry = cache[key] = (_peeled_rank(obs, layout, cache), tuple(obs))
+    return entry[0]
 
 
 def entropy(obs: Sequence[LinearObservable], cache: dict | None = None) -> int:

@@ -102,11 +102,15 @@ class InfeasibilityReason(enum.Enum):
     GROUP_TOO_LARGE = "group_too_large"
 
 
-def _validate_model(K: int, T: int, G: int) -> None:
+def _validate_collusion(K: int, T: int) -> None:
     if K < 3:
         raise ParamsOutOfModelError(f"need at least 3 users, got K={K}")
     if not 0 <= T <= K - 3:
         raise ParamsOutOfModelError(f"collusion bound T={T} outside [0, {K - 3}]")
+
+
+def _validate_model(K: int, T: int, G: int) -> None:
+    _validate_collusion(K, T)
     if not 1 <= G <= K:
         raise ParamsOutOfModelError(f"group size G={G} outside [1, {K}]")
 
@@ -414,7 +418,12 @@ def _check_precoder_size(params: SchemeParams,
     """Refuse a precoder of K*C(K-1,G-1) blocks of L x L_S, with L = m*C(K-T-1,G)
     and L_S = m*(K-T-2) unless given, over the size limit, before any group
     is enumerated. Each binomial is counted only up to the limit, so a capped
-    one alone puts a product of positive factors over it."""
+    one alone puts a product of positive factors over it. A given L < 1 or
+    L_S < 0 is refused first, as ``Precoder`` refuses L = 0: a negative
+    length would make the product negative, and so under the limit."""
+    if (L is not None and L < 1) or (L_S is not None and L_S < 0):
+        raise DimensionMismatchError(
+            f"block lengths need L >= 1 and L_S >= 0, got L={L}, L_S={L_S}")
     K, T, G, cap = params.K, params.T, params.G, _MAX_PRECODER_ENTRIES
     L = params.m * _binomial_up_to(K - T - 1, G, cap) if L is None else L
     L_S = params.L_S if L_S is None else L_S

@@ -21,6 +21,7 @@ from dsagg.auditor import (
 )
 from dsagg.linalg import Matrix
 from dsagg.scheme import (
+    ParamsOutOfModelError,
     Precoder,
     SchemeParams,
     build_precoder,
@@ -46,6 +47,16 @@ def test_collusion_sets_order_and_count():
     assert sets == [(), (2,), (3,), (4,), (5,)]
     assert len(list(collusion_sets(7, 3, 2))) == 1 + 6 + 15
     assert expected_check_count(5, 1) == 25
+
+
+@pytest.mark.parametrize("K,T", [(5, -1), (5, 3), (5, 9), (2, 0), (0, 0)])
+def test_collusion_sets_refuse_a_bound_outside_the_model(K, T):
+    # T = -1 used to give no sets and a count of 0, and T = 9 stopped
+    # silently at the 4 other users.
+    with pytest.raises(ParamsOutOfModelError):
+        collusion_sets(K, 1, T)
+    with pytest.raises(ParamsOutOfModelError):
+        expected_check_count(K, T)
 
 
 # ---------------------------------------------------------------------------
@@ -258,9 +269,10 @@ def test_coalition_values_equal_every_pair(coalition_precoders, name):
 
 def test_security_audit_ranks_only_its_mi_stacks(monkeypatch):
     # The rank certificate is H(X_S | W, Z_D), read from the MI's own
-    # cached stacks: the audit makes no rank call beyond the MI's. Those are
-    # two remainders per coalition (8 + 28 + 56 of sizes 1 to T + 1), each
-    # below the merge cutoff.
+    # cached stacks: the audit makes no rank call beyond the MI's. The
+    # merges peel [X_S; sum W; W_D; Z_D] whole, so that is one remainder per
+    # coalition (8 + 28 + 56 of sizes 1 to T + 1): the keys that survive D
+    # under X_S, where no column has two nonzeros.
     pre = build_precoder(SchemeParams(K=8, T=2, G=3, q=101), seed=0)
     calls = []
     plain_rank = Matrix.rank
@@ -273,7 +285,7 @@ def test_security_audit_ranks_only_its_mi_stacks(monkeypatch):
     for size in range(1, pre.params.T + 2):
         for coalition in itertools.combinations(pre.params.users, size):
             infocalc.mutual_information(*ctx.security_terms(coalition), cache=ctx.cache)
-    assert audited == len(calls) == 184
+    assert audited == len(calls) == 92
 
 
 # q=3 runs on the damaged precoder only: each enumeration there takes about

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import dsagg.infocalc
-from dsagg.auditor import AuditContext, audit, audit_recovery
+from dsagg.auditor import AuditContext, audit, audit_recovery, rank_certificate_ok
 from dsagg.gf import PrimeField
 from dsagg.infocalc import (
     DEFAULT_BUDGET,
@@ -17,6 +17,7 @@ from dsagg.infocalc import (
     LinearObservable,
     NonPowerOfQSupportError,
     SourceLayout,
+    _MERGE_MIN,
     _peel,
     _peeled_rank,
     _stacked_rank,
@@ -31,7 +32,7 @@ from dsagg.infocalc import (
     observe_message,
     observe_total,
 )
-from dsagg.linalg import _RECURSIVE_MIN, Matrix, _safe_dot, random_matrix
+from dsagg.linalg import Matrix, _safe_dot, random_matrix
 from dsagg.scheme import (
     Precoder,
     SchemeParams,
@@ -391,8 +392,8 @@ def test_remainder_memo_ranks_a_different_observable_under_a_known_label(monkeyp
     assert shapes == [(3, 3)] * 2
 
 
-# Remainders below the kernel cutoff skip the merges, so these cases are
-# tiled until what the singleton peel leaves reaches _RECURSIVE_MIN on each
+# Remainders below the merge gate skip the merges, so these cases are
+# tiled until what the singleton peel leaves reaches _MERGE_MIN on each
 # side: copies of a small pattern with every row and column scaled, which
 # keeps each cancellation in it. The comments describe q > 2; at q = 2 some
 # entries vanish and the steps differ.
@@ -433,12 +434,12 @@ def peeled_shape(a):
 
 def tiled(pattern, q, seed):
     """Block-diagonal copies of ``pattern`` until the peeled remainder
-    reaches _RECURSIVE_MIN on both sides, each row and column of each copy
+    reaches _MERGE_MIN on both sides, each row and column of each copy
     scaled by a nonzero, and rows and columns shuffled."""
     rng = np.random.Generator(np.random.PCG64(seed))
     block = np.array(pattern, dtype=np.int64) % q
     # At q = 2 the peel clears some patterns whole; those tile as if unpeeled.
-    copies = -(-_RECURSIVE_MIN // (min(peeled_shape(block)) or min(block.shape)))
+    copies = -(-_MERGE_MIN // (min(peeled_shape(block)) or min(block.shape)))
     m, n = block.shape
     a = np.zeros((copies * m, copies * n), dtype=np.int64)
     for i in range(copies):
@@ -459,7 +460,7 @@ def one_observable_rank(a, field):
 def test_merges_match_dense_rank(monkeypatch, name, q):
     field = PrimeField(q)
     a = tiled(MERGE_PATTERNS[name], q, seed=q)
-    assert peeled_shape(a) == (0, 0) or min(peeled_shape(a)) >= _RECURSIVE_MIN
+    assert peeled_shape(a) == (0, 0) or min(peeled_shape(a)) >= _MERGE_MIN
     plain = plain_rank(field, a)
     shapes = count_remainders(monkeypatch)
     assert one_observable_rank(a, field) == plain
@@ -479,10 +480,37 @@ def test_a_merge_round_that_leaves_nothing_to_peel_raises(monkeypatch):
 
     monkeypatch.setattr(dsagg.infocalc, "_merge", stalled)
     a = tiled(MERGE_PATTERNS["ring"], 101, seed=101)
-    assert min(peeled_shape(a)) >= _RECURSIVE_MIN
+    assert min(peeled_shape(a)) >= _MERGE_MIN
     with pytest.raises(RuntimeError, match="nothing for the peel to mark"):
         one_observable_rank(a, PrimeField(101))
     assert calls == [101]
+
+
+def scaled_ring(n, q, seed):
+    """n rows of two scaled nonzeros on columns i and i + 1 mod n: every row
+    and column holds two, so the singleton peel leaves the whole n x n."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    a = np.zeros((n, n), dtype=np.int64)
+    i = np.arange(n)
+    a[i, i] = rng.integers(1, q, size=n)
+    a[i, (i + 1) % n] = rng.integers(1, q, size=n)
+    return a
+
+
+def test_merges_start_at_the_gate(monkeypatch):
+    # One row under the gate the ring reaches the kernel unmerged; at the
+    # gate the merge rounds shrink it from its ends and peel it whole.
+    field = PrimeField(101)
+    shapes = count_remainders(monkeypatch)
+    below = scaled_ring(_MERGE_MIN - 1, 101, seed=1)
+    assert peeled_shape(below) == below.shape
+    assert one_observable_rank(below, field) == plain_rank(field, below)
+    assert shapes == [below.shape]
+    shapes.clear()
+    at = scaled_ring(_MERGE_MIN, 101, seed=1)
+    assert peeled_shape(at) == at.shape
+    assert one_observable_rank(at, field) == plain_rank(field, at)
+    assert shapes == []
 
 
 @st.composite
@@ -491,11 +519,12 @@ def merge_matrices(draw):
     form chains, stars and cycles; scaled copies and sums of earlier rows;
     and up to two dense rows. A row of one nonzero could start a peel that
     unravels the rest; without them, what the peel leaves mostly reaches
-    _RECURSIVE_MIN on each side, as it must for the merges to run."""
+    _MERGE_MIN on each side, as it must for the merges to run, and is
+    mostly below the kernel's recursion cutoff."""
     q = draw(st.sampled_from((2, 101, 2**31 - 1)))
     rng = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2**32 - 1))))
-    n = 4 * _RECURSIVE_MIN // 3 + draw(st.integers(0, 24))
-    m = n + 48 + draw(st.integers(0, 24))
+    n = 4 * _MERGE_MIN // 3 + draw(st.integers(0, 24))
+    m = n + _MERGE_MIN // 2 + draw(st.integers(0, 24))
     a = np.zeros((m, n), dtype=np.int64)
     for i in range(m):
         kind = rng.choice(["sparse"] * 8 + ["sum", "copy"]) if i else "sparse"
@@ -513,7 +542,7 @@ def merge_matrices(draw):
 @given(merge_matrices())
 def test_merged_rank_matches_dense_rank(case):
     q, a = case
-    assume(min(peeled_shape(a)) >= _RECURSIVE_MIN)
+    assume(min(peeled_shape(a)) >= _MERGE_MIN)
     field = PrimeField(q)
     assert one_observable_rank(a, field) == plain_rank(field, a)
 
@@ -524,7 +553,7 @@ def wide_precoder():
 
 
 def test_every_recovery_stack_matches_plain_elimination(monkeypatch, wide_precoder):
-    # (8,0,4) recovery remainders are above the cutoff: this runs the merges.
+    # (8,0,4) recovery remainders are above the merge gate: this runs the merges.
     verdicts = []
 
     def checked(obs, layout, cache):
@@ -536,6 +565,52 @@ def test_every_recovery_stack_matches_plain_elimination(monkeypatch, wide_precod
     monkeypatch.setattr(dsagg.infocalc, "_stacked_rank", checked)
     assert all(c.ok for c in audit_recovery(wide_precoder))
     assert len(verdicts) == 16 and all(verdicts)
+
+
+@pytest.mark.parametrize("zero_sum", [True, False])
+def test_merged_security_stacks_match_plain_elimination(monkeypatch, zero_sum):
+    # (8,2,3) q=3 seed 0 fails its certificate. Its [X_S; sum W; W_D; Z_D]
+    # stacks leave remainders of 60 to 80 rows over 90 to 210 columns,
+    # between the merge gate and the kernel's recursion cutoff. Once W_D and
+    # Z_D are peeled, each surviving message's input column holds its row
+    # and the total's, so the merges run and peel the stack whole, unless
+    # the perturbed group's key survives: its sum over the messages is not
+    # zero, and is left to the kernel. Checking every stack takes seconds
+    # per draw, so three coalitions of each size are sampled.
+    params = SchemeParams(K=8, T=2, G=3, q=3)
+    pre = random_precoder(params, seed=0)
+    assert not rank_certificate_ok(pre)
+    if not zero_sum:
+        blocks = pre.blocks.copy()
+        blocks[params.group_index((2, 5, 7)), 0] += 1  # user 2's block only
+        pre = Precoder(params, blocks)
+    assert pre.zero_sum_ok() == zero_sum
+    rounds = []
+    plain_merge = dsagg.infocalc._merge
+
+    def counted(*args):
+        merged = plain_merge(*args)
+        rounds.append(merged is not None)
+        return merged
+
+    monkeypatch.setattr(dsagg.infocalc, "_merge", counted)
+    shapes = count_remainders(monkeypatch)
+    ctx = AuditContext(pre)
+    rng = np.random.Generator(np.random.PCG64(0))
+    left = []  # per coalition: whether the perturbed key survives, and a + view's kernel calls
+    for size in range(1, params.T + 2):
+        coalitions = list(itertools.combinations(params.users, size))
+        for i in rng.choice(len(coalitions), size=3, replace=False):
+            a, b, view = ctx.security_terms(coalitions[i])
+            for stack in (a + view, b + view, a + b + view, view):
+                plain = plain_rank(params.field, np.vstack([o.matrix.data for o in stack]))
+                assert _stacked_rank(stack, ctx.layout, ctx.cache) == plain
+            shapes.clear()
+            _stacked_rank(a + view, ctx.layout, None)
+            left.append((not zero_sum and not {2, 5, 7} & set(coalitions[i]), len(shapes)))
+    assert any(rounds)
+    assert left == [(survives, int(survives)) for survives, _ in left]
+    assert any(survives for survives, _ in left) == (not zero_sum)
 
 
 def test_recovery_makes_no_rank_call(monkeypatch, wide_precoder):
@@ -551,7 +626,7 @@ def test_recovery_makes_no_rank_call(monkeypatch, wide_precoder):
 def test_whole_audit_work_is_pinned(monkeypatch):
     # Rank calls and full-stack cache misses of one whole audit, build seed
     # 0: a cache or memo hit lost shows here as more of either.
-    expected = {(7, 3, 3): (193, 722), (8, 2, 3): (240, 849), (8, 0, 4): (64, 257)}
+    expected = {(7, 3, 3): (193, 722), (8, 2, 3): (148, 849), (8, 0, 4): (64, 257)}
     precoders = {t: build_precoder(SchemeParams(*t, q=101), seed=0) for t in expected}
     shapes, sizes = count_remainders(monkeypatch), count_stacks(monkeypatch)
     for triple, pre in precoders.items():

@@ -509,6 +509,20 @@ def test_precoder_refuses_empty_input_blocks():
     assert not audit(random_precoder(params, 0, L_S=0)).all_ok
 
 
+@pytest.mark.parametrize("L,L_S", [(3, -1), (-3, -1), (-1, None), (None, -2), (0, 5)])
+def test_block_lengths_out_of_range_are_refused_before_allocation(monkeypatch, L, L_S):
+    # A negative product passed the size check as under the limit; the draw
+    # then died in np.empty with a bare ValueError, or two negative lengths
+    # read as over the limit.
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("allocated before the lengths were checked")
+
+    params = SchemeParams(K=8, T=2, G=3, q=3)
+    monkeypatch.setattr(np, "empty", no_allocation)
+    with pytest.raises(DimensionMismatchError, match="L >= 1 and L_S >= 0"):
+        random_precoder(params, 0, L=L, L_S=L_S)
+
+
 def test_replace_block_refuses_blocks_that_do_not_fit():
     # A 1x2 block must not be broadcast into a 3x2 slot. Blocks from another
     # field are refused too (test_gf.test_mismatched_fields_rejected).
