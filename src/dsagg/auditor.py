@@ -44,10 +44,10 @@ import numpy as np
 from . import infocalc
 from .infocalc import (
     LinearObservable,
+    _message,
     layout_for,
     observe_input,
     observe_key_bundle,
-    observe_message,
     observe_total,
 )
 from .linalg import Matrix
@@ -328,7 +328,7 @@ class AuditContext:
         p = precoder.params
         self.precoder = precoder
         self.layout = layout_for(precoder)
-        self.messages = {k: observe_message(precoder, k) for k in p.users}
+        self.messages = {k: _message(precoder, self.layout, k) for k in p.users}
         self.inputs = {k: observe_input(self.layout, k) for k in p.users}
         self.bundles = {k: observe_key_bundle(self.layout, k) for k in p.users}
         self.total = observe_total(self.layout)

@@ -30,6 +30,14 @@ recovery stacks then end with nothing left, and the security stack
 keys, which are zero for a zero-sum precoder. Only what is left is built as
 a matrix, for ``Matrix.rank``.
 
+The rank path holds about one copy of a stack's nonzeros at a time, which
+matters at T=0, where each recovery and security stack holds the K-1 other
+messages. A wide stack is built without the nonzeros on its unit columns. A
+merge round rebuilds only the rows it changes, its targets', summing their
+fill-in a piece at a time; as in structured elimination, the other rows are
+left as they are. The nonzeros are dropped before the kernel gets the
+remainder's matrix.
+
 A rank cache is keyed by the ids of the observables it ranked and holds
 them, so no other object can take those ids: labels are only names.
 
@@ -41,6 +49,7 @@ what justifies using ranks as the general auditor.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -61,6 +70,12 @@ DEFAULT_BUDGET = 2**24
 # kernel's recursion cutoff, 2x as many, and at 96 the phases take 1.6-2x
 # as long.
 _MERGE_MIN = 32
+# The working set's unit, in nonzeros: a merge round sums its fill-in a
+# piece of about this many at a time (``_merge``), and a stack of more is
+# built without the nonzeros on its unit columns (``_peeled_rank``).
+_PIECE = 2**14
+# Pivots are inverted through a table of every inverse below this q.
+_TABLE_Q = 2**16
 
 
 class LayoutMismatchError(ValueError):
@@ -206,7 +221,12 @@ def observe_key_bundle(layout: SourceLayout, k: int) -> LinearObservable:
 def observe_message(precoder: Precoder, k: int) -> LinearObservable:
     """User k's broadcast: its input plus its key mask, which reads only the
     keys of the groups holding k."""
-    layout = layout_for(precoder)
+    return _message(precoder, layout_for(precoder), k)
+
+
+def _message(precoder: Precoder, layout: SourceLayout, k: int) -> LinearObservable:
+    """``observe_message`` over ``layout``, which must be ``precoder``'s: the
+    messages of one ``AuditContext`` share its layout object."""
     ids = np.flatnonzero((precoder.params.members == k).any(axis=1))
     block = np.hstack([np.eye(layout.L, dtype=np.int64), precoder.key_map([k], ids)])
     cols = np.concatenate([np.arange(layout.N)[layout.input_slice(k)], layout.key_columns(ids)])
@@ -232,19 +252,60 @@ def _common_layout(groups: Sequence[Sequence[LinearObservable]]) -> SourceLayout
 def _peel(r: np.ndarray, c: np.ndarray, v: np.ndarray, peeled: np.ndarray,
           dead: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Both singleton steps on row-major nonzeros (row ``r``, column ``c``,
-    value ``v``), repeated until neither finds anything; returns the
-    nonzeros left. A row with one nonzero peels its column into ``peeled``,
-    a column with one nonzero its row into ``dead`` (module docstring), and
-    each new mark is rank + 1."""
+    value ``v``), none of them on a ``peeled`` column or a ``dead`` row,
+    repeated until neither finds anything; returns the nonzeros left. A row
+    with one nonzero peels its column into ``peeled``, a column with one
+    nonzero its row into ``dead`` (module docstring), and each new mark is
+    rank + 1."""
     while True:
-        live = ~(peeled[c] | dead[r])
-        r, c, v = r[live], c[live], v[live]
-        unit = np.bincount(r, minlength=dead.size)[r] == 1
-        lone = np.bincount(c, minlength=peeled.size)[c] == 1
+        unit = (np.bincount(r, minlength=dead.size) == 1)[r]
+        lone = (np.bincount(c, minlength=peeled.size) == 1)[c]
         if not (unit.any() or lone.any()):
             return r, c, v
         peeled[c[unit]] = True
         dead[r[lone & ~unit]] = True  # an isolated nonzero counts once, as a column
+        live = ~(peeled[c] | dead[r])
+        r, c, v = r[live], c[live], v[live]
+
+
+@functools.lru_cache(maxsize=None)
+def _inverse_table(q: int) -> np.ndarray:
+    table = _fermat_inverses(np.arange(q, dtype=np.int64), q)
+    table.setflags(write=False)
+    return table
+
+
+def _fermat_inverses(x: np.ndarray, q: int) -> np.ndarray:
+    """x**(q-2) mod q elementwise, by squaring: the inverse of each nonzero
+    x in [0, q). Every product is below q**2 <= 2**62."""
+    out, base, e = np.ones_like(x), x, q - 2
+    while e:
+        if e & 1:
+            out = out * base % q
+        base = base * base % q
+        e >>= 1
+    return out
+
+
+def _inverses(x: np.ndarray, q: int) -> np.ndarray:
+    """The inverse mod q of each nonzero x in [0, q): one lookup in a cached
+    table of every inverse for q below ``_TABLE_Q``, Fermat otherwise."""
+    return _inverse_table(q)[x] if q < _TABLE_Q else _fermat_inverses(x, q)
+
+
+def _runs(start: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """The indices start[i] .. start[i] + size[i] - 1, one run after
+    another, for at least one run."""
+    ends = np.cumsum(size)
+    return np.repeat(start - ends + size, size) + np.arange(ends[-1])
+
+
+def _starts(x: np.ndarray) -> np.ndarray:
+    """Where each run of equal values in ``x`` starts."""
+    new = np.empty(x.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(x[1:], x[:-1], out=new[1:])
+    return np.flatnonzero(new)
 
 
 def _merge(r: np.ndarray, c: np.ndarray, v: np.ndarray, q: int,
@@ -258,33 +319,85 @@ def _merge(r: np.ndarray, c: np.ndarray, v: np.ndarray, q: int,
     the denser row, the earlier on a tie; each pivot merges one column, and
     no target is a pivot, so targets update from unchanged rows. The
     candidate whose target comes last in that order is never excluded, so
-    each round merges."""
+    each round merges.
+
+    Only the targets' rows are rebuilt, a piece of whole target rows at a
+    time: each piece sums its rows' nonzeros and their pivots' scaled
+    nonzeros, about ``_PIECE`` of them, so the round never holds the fill-in
+    of the whole stack. The other rows are copied as they are. When the
+    targets' rows come out empty and sat at one end of the stack, as the
+    total does in the recovery and security stacks of a zero-sum precoder,
+    the rest is returned as views of the input, without a copy."""
     row_w = np.bincount(r)
-    pair = np.flatnonzero(np.bincount(c)[c] == 2)
+    pair = np.flatnonzero((np.bincount(c) == 2)[c])
     if pair.size == 0:
         return None
     pair = pair[np.argsort(c[pair], kind="stable")]  # by column, each column's rows in order
     first, last = pair[0::2], pair[1::2]
     denser = row_w[r[first]] >= row_w[r[last]]
     piv, tgt = np.where(denser, first, last), np.where(denser, last, first)
-    _, once = np.unique(r[piv], return_index=True)  # one column per pivot
+    by_row = np.argsort(r[piv], kind="stable")
+    once = by_row[_starts(r[piv[by_row]])]  # one column per pivot
     piv, tgt = piv[once], tgt[once]
-    free = ~np.isin(r[tgt], r[piv])
+    is_pivot = np.zeros(row_w.size, dtype=bool)
+    is_pivot[r[piv]] = True
+    free = ~is_pivot[r[tgt]]
     piv, tgt = piv[free], tgt[free]
-    coef = v[tgt] * np.array([pow(int(x), -1, q) for x in v[piv]], dtype=np.int64) % q
-    # Every nonzero of each pivot row, scaled into its target. Each product
-    # is below q**2 <= 2**62 and is reduced before it is summed.
-    size = row_w[r[piv]]
-    src = np.repeat((np.cumsum(row_w) - row_w)[r[piv]] - (np.cumsum(size) - size), size)
-    src += np.arange(src.size)  # the pivot rows' nonzeros, one row after another
-    key = np.concatenate([r * width + c, np.repeat(r[tgt], size) * width + c[src]])
-    val = np.concatenate([v, -(np.repeat(coef, size) * v[src] % q)])
-    order = np.argsort(key, kind="stable")
-    key, val = key[order], val[order]
-    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-    key, val = key[starts], np.add.reduceat(val, starts) % q
-    key, val = key[val != 0], val[val != 0]
-    return key // width, key % width, val
+    by_target = np.argsort(r[tgt], kind="stable")
+    piv, tgt = piv[by_target], tgt[by_target]
+    coef = v[tgt] * _inverses(v[piv], q) % q
+    t_row, p_row = r[tgt], r[piv]
+    at = _starts(t_row)  # each target's first merge
+    targets = t_row[at]
+    start = np.cumsum(row_w) - row_w  # each row's first nonzero
+    # Pieces of whole target rows: a piece ends where the nonzeros summed
+    # so far pass another multiple of _PIECE.
+    load = np.cumsum(row_w[targets] + np.add.reduceat(row_w[p_row], at)) // _PIECE
+    cut = _starts(load)[1:].tolist()
+    bound = at.tolist() + [piv.size]
+    keys, vals = [], []
+    for a, b in zip([0] + cut, cut + [targets.size]):
+        own = _runs(start[targets[a:b]], row_w[targets[a:b]])
+        m = slice(bound[a], bound[b])
+        size = row_w[p_row[m]]
+        src = _runs(start[p_row[m]], size)  # the pivot rows' nonzeros
+        # Each product is below q**2 <= 2**62 and is reduced before it is summed.
+        key = np.concatenate([r[own] * width + c[own], np.repeat(t_row[m], size) * width + c[src]])
+        val = np.concatenate([v[own], -(np.repeat(coef[m], size) * v[src] % q)])
+        order = np.argsort(key)
+        key, val = key[order], val[order]
+        starts = _starts(key)
+        key, val = key[starts], np.add.reduceat(val, starts) % q
+        keys.append(key[val != 0])
+        vals.append(val[val != 0])
+    key, val = np.concatenate(keys), np.concatenate(vals)
+    gone = int(row_w[targets].sum())  # the targets' old nonzeros
+    if val.size == 0 and start[targets[0]] + gone == start[targets[-1]] + row_w[targets[-1]]:
+        # The targets' rows are one run; with nothing left in them the
+        # rest is at most two runs, and at the stack's ends only one.
+        lo = start[targets[0]]
+        if lo == 0:
+            return r[gone:], c[gone:], v[gone:]
+        if lo + gone == r.size:
+            return r[:lo], c[:lo], v[:lo]
+    tr = key // width
+    new_w = row_w.copy()
+    new_w[targets] = 0
+    new_w += np.bincount(tr, minlength=row_w.size)
+    # Each new nonzero's place: its row's start, plus its place in the row.
+    before = np.cumsum(new_w) - new_w
+    slot = np.zeros(r.size - gone + val.size, dtype=bool)
+    slot[before[tr] + np.arange(tr.size) - np.searchsorted(tr, tr)] = True
+    is_target = np.zeros(row_w.size, dtype=bool)
+    is_target[targets] = True
+    kept, other = ~is_target[r], ~slot
+    out = []
+    for old, new in ((r, tr), (c, key % width), (v, val)):
+        arr = np.empty(slot.size, dtype=np.int64)
+        arr[slot] = new
+        arr[other] = old[kept]
+        out.append(arr)
+    return tuple(out)
 
 
 def _peeled_rank(obs: Sequence[LinearObservable], layout: SourceLayout,
@@ -296,7 +409,8 @@ def _peeled_rank(obs: Sequence[LinearObservable], layout: SourceLayout,
     from, which the entry holds, and by its columns, so each is ranked once.
     On a miss, a remainder whose smaller side reaches ``_MERGE_MIN`` (below
     it the kernel's row loop is cheaper) alternates ``_merge`` rounds with
-    ``_peel``; what is left then goes densely to ``Matrix.rank``."""
+    ``_peel``; what is left then goes densely to ``Matrix.rank``, once the
+    nonzeros are dropped (module docstring)."""
     peeled = np.zeros(layout.N, dtype=bool)
     units = [o._c for o in obs if o._unit]
     if units:
@@ -306,9 +420,21 @@ def _peeled_rank(obs: Sequence[LinearObservable], layout: SourceLayout,
         return int(np.count_nonzero(peeled))
     sizes = [o.rows for o in rest]
     offsets = list(itertools.accumulate(sizes, initial=0))
-    r = np.concatenate([o._r + off for o, off in zip(rest, offsets)])
-    c = np.concatenate([o._c for o in rest])
-    v = np.concatenate([o._v for o in rest])
+    # The stack's nonzeros off the unit columns. A wide stack drops the
+    # others observable by observable, so it is never held twice; a narrow
+    # one is filtered once, which takes fewer calls.
+    if sum([o._c.size for o in rest]) > _PIECE:
+        off = [~peeled[o._c] for o in rest]
+        r = np.concatenate([o._r[k] + at for o, k, at in zip(rest, off, offsets)])
+        c = np.concatenate([o._c[k] for o, k in zip(rest, off)])
+        v = np.concatenate([o._v[k] for o, k in zip(rest, off)])
+        del off
+    else:
+        r = np.concatenate([o._r + at for o, at in zip(rest, offsets)])
+        c = np.concatenate([o._c for o in rest])
+        v = np.concatenate([o._v for o in rest])
+        off = ~peeled[c]
+        r, c, v = r[off], c[off], v[off]
     dead = np.zeros(offsets[-1], dtype=bool)  # peeled rows
     r, c, v = _peel(r, c, v, peeled, dead)
     rank = int(np.count_nonzero(peeled) + np.count_nonzero(dead))
@@ -327,7 +453,8 @@ def _peeled_rank(obs: Sequence[LinearObservable], layout: SourceLayout,
     marked = rank
     if min(np.count_nonzero(live_r), np.count_nonzero(live_c)) >= _MERGE_MIN:
         while r.size and (merged := _merge(r, c, v, layout.field.q, layout.N)) is not None:
-            r, c, v = _peel(*merged, peeled, dead)
+            (r, c, v), merged = merged, None  # the stack before the round is dropped
+            r, c, v = _peel(r, c, v, peeled, dead)
             # Each round leaves its pivots a column of their own, so the peel
             # must mark one; a round that marks nothing would repeat forever.
             before, marked = marked, int(np.count_nonzero(peeled) + np.count_nonzero(dead))
@@ -336,10 +463,21 @@ def _peeled_rank(obs: Sequence[LinearObservable], layout: SourceLayout,
         live_r, live_c = np.bincount(r) > 0, np.bincount(c) > 0
     remainder_rank = marked - rank
     if r.size:
-        at_r, at_c = np.cumsum(live_r), np.cumsum(live_c)  # 1 + position among the live
-        data = np.zeros((at_r[-1], at_c[-1]), dtype=np.int64)
-        data[at_r[r] - 1, at_c[c] - 1] = v
-        remainder_rank += Matrix(layout.field, data).rank()
+        at_r, at_c = np.cumsum(live_r) - 1, np.cumsum(live_c) - 1  # position among the live
+        shape = (at_r[-1] + 1, at_c[-1] + 1)
+        # Each array is dropped once read, and the kernel gets the matrix
+        # alone, without the unreduced copy.
+        flat = at_r[r]
+        del r
+        flat *= shape[1]
+        flat += at_c[c]
+        del c
+        data = np.zeros(shape, dtype=np.int64)
+        data.ravel()[flat] = v
+        del flat, v
+        remainder = Matrix(layout.field, data)
+        del data
+        remainder_rank += remainder.rank()
     memo[key] = (remainder_rank, rest)
     return rank + remainder_rank
 

@@ -19,6 +19,7 @@ import itertools
 import math
 import os
 import re
+import sys
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 from fractions import Fraction
@@ -420,7 +421,12 @@ def _check_precoder_size(params: SchemeParams,
     is enumerated. Each binomial is counted only up to the limit, so a capped
     one alone puts a product of positive factors over it. A given L < 1 or
     L_S < 0 is refused first, as ``Precoder`` refuses L = 0: a negative
-    length would make the product negative, and so under the limit."""
+    length would make the product negative, and so under the limit. A
+    given length that is not an integer (a float, a bool) is refused by
+    name before that."""
+    for name, n in (("L", L), ("L_S", L_S)):
+        if n is not None:
+            _integers([n], f"{name} value", -sys.maxsize, sys.maxsize)
     if (L is not None and L < 1) or (L_S is not None and L_S < 0):
         raise DimensionMismatchError(
             f"block lengths need L >= 1 and L_S >= 0, got L={L}, L_S={L_S}")

@@ -8,7 +8,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import dsagg.infocalc
-from dsagg.auditor import AuditContext, audit, audit_recovery, rank_certificate_ok
+from dsagg.auditor import (
+    AuditContext,
+    audit,
+    audit_recovery,
+    audit_security,
+    rank_certificate_ok,
+)
 from dsagg.gf import PrimeField
 from dsagg.infocalc import (
     DEFAULT_BUDGET,
@@ -18,6 +24,9 @@ from dsagg.infocalc import (
     NonPowerOfQSupportError,
     SourceLayout,
     _MERGE_MIN,
+    _fermat_inverses,
+    _inverses,
+    _merge,
     _peel,
     _peeled_rank,
     _stacked_rank,
@@ -623,6 +632,143 @@ def test_recovery_makes_no_rank_call(monkeypatch, wide_precoder):
     assert len(shapes) <= 64
 
 
+def reference_merge(r, c, v, q, width):
+    """``_merge`` as first written, kept as the reference: each round sorts
+    every nonzero of the stack together with all the fill-in, and inverts
+    each pivot with ``pow``."""
+    row_w = np.bincount(r)
+    pair = np.flatnonzero(np.bincount(c)[c] == 2)
+    if pair.size == 0:
+        return None
+    pair = pair[np.argsort(c[pair], kind="stable")]
+    first, last = pair[0::2], pair[1::2]
+    denser = row_w[r[first]] >= row_w[r[last]]
+    piv, tgt = np.where(denser, first, last), np.where(denser, last, first)
+    _, once = np.unique(r[piv], return_index=True)
+    piv, tgt = piv[once], tgt[once]
+    free = ~np.isin(r[tgt], r[piv])
+    piv, tgt = piv[free], tgt[free]
+    coef = v[tgt] * np.array([pow(int(x), -1, q) for x in v[piv]], dtype=np.int64) % q
+    size = row_w[r[piv]]
+    src = np.repeat((np.cumsum(row_w) - row_w)[r[piv]] - (np.cumsum(size) - size), size)
+    src += np.arange(src.size)
+    key = np.concatenate([r * width + c, np.repeat(r[tgt], size) * width + c[src]])
+    val = np.concatenate([v, -(np.repeat(coef, size) * v[src] % q)])
+    order = np.argsort(key, kind="stable")
+    key, val = key[order], val[order]
+    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    key, val = key[starts], np.add.reduceat(val, starts) % q
+    key, val = key[val != 0], val[val != 0]
+    return key // width, key % width, val
+
+
+def same_merge(got, expected):
+    """Whether two merge rounds returned the same int64 (r, c, v)."""
+    if got is None or expected is None:
+        return got is expected
+    return all(a.dtype == np.int64 and np.array_equal(a, b) for a, b in zip(got, expected))
+
+
+def check_merges(monkeypatch):
+    """Run every merge round against ``reference_merge`` as well; returns
+    one verdict per round."""
+    verdicts = []
+    merge = dsagg.infocalc._merge
+
+    def checked(r, c, v, q, width):
+        got = merge(r, c, v, q, width)
+        verdicts.append(same_merge(got, reference_merge(r, c, v, q, width)))
+        return got
+
+    monkeypatch.setattr(dsagg.infocalc, "_merge", checked)
+    return verdicts
+
+
+@settings(max_examples=60, deadline=None)
+@given(merge_matrices(), st.sampled_from((1, 7, 2**16)))
+def test_merge_rounds_equal_the_full_sort_reference(case, piece):
+    # Every round of a drawn remainder, in pieces of one target row, of a
+    # few, and of all of them.
+    q, a = case
+    r, c = np.nonzero(a)
+    peeled, dead = np.zeros(a.shape[1], dtype=bool), np.zeros(a.shape[0], dtype=bool)
+    r, c, v = _peel(r, c, a[r, c], peeled, dead)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dsagg.infocalc, "_PIECE", piece)
+        while r.size:
+            expected = reference_merge(r, c, v, q, a.shape[1])
+            assert same_merge(_merge(r, c, v, q, a.shape[1]), expected)
+            if expected is None:
+                break
+            r, c, v = _peel(*expected, peeled, dead)
+
+
+@pytest.fixture(scope="module")
+def k10_precoder():
+    return random_precoder(SchemeParams(K=10, T=0, G=4, q=101), 0)
+
+
+def test_recovery_merges_equal_the_full_sort_reference(monkeypatch, k10_precoder):
+    # Each (10,0,4) recovery stack folds 1,134 message rows into the total's
+    # 126 in one round of several pieces, which leaves the total's rows
+    # empty at the front of the stack.
+    verdicts = check_merges(monkeypatch)
+    assert all(c.ok for c in audit_recovery(k10_precoder))
+    assert len(verdicts) == 10 and all(verdicts)
+
+
+def test_security_merges_equal_the_full_sort_reference(monkeypatch):
+    # At (8,2,3) the total's rows come after the messages, and every stack
+    # merges in one piece.
+    verdicts = check_merges(monkeypatch)
+    assert all(c.ok for c in audit_security(build_precoder(SchemeParams(8, 2, 3, q=101), seed=0)))
+    assert len(verdicts) == 184 and all(verdicts)
+
+
+def test_wide_recovery_holds_a_bounded_working_set(k10_precoder):
+    # After the peel a (10,0,4) recovery stack holds about 12 MB of
+    # nonzeros. Stacking them before the peel and sorting a round's fill-in
+    # with the whole stack took the phase 61 MB above its context; it takes
+    # about 17 MB now.
+    ctx = AuditContext(k10_precoder)
+    tracemalloc.start()
+    try:
+        assert all(c.ok for c in audit_recovery(ctx))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 10**6
+
+
+def test_stacks_in_small_pieces_match_plain_elimination(monkeypatch, wide_precoder):
+    # With pieces of 256 nonzeros every (8,0,4) stack is wide: it is built
+    # without the nonzeros on its unit columns, and each merge round sums
+    # its fill-in in many pieces.
+    monkeypatch.setattr(dsagg.infocalc, "_PIECE", 2**8)
+    verdicts = check_merges(monkeypatch)
+    ctx = AuditContext(wide_precoder)
+    a, b, view = ctx.security_terms((3,))
+    for stack in ([ctx.total] + ctx.recovery_view(1), [ctx.total] + ctx.recovery_view(8),
+                  a + view, b + view, a + b + view):
+        plain = plain_rank(ctx.layout.field, np.vstack([o.matrix.data for o in stack]))
+        assert _stacked_rank(stack, ctx.layout, ctx.cache) == plain
+    assert len(verdicts) == 4 and all(verdicts)
+
+
+@pytest.mark.parametrize("q", (2, 3, 13, 101))
+def test_pivot_inverses_match_pow_for_every_unit(q):
+    x = np.arange(1, q, dtype=np.int64)
+    expected = [pow(int(a), -1, q) for a in x]
+    assert _inverses(x, q).tolist() == expected
+    assert _fermat_inverses(x, q).tolist() == expected
+
+
+def test_pivot_inverses_match_pow_at_a_word_size_prime():
+    q = 2**31 - 1
+    x = np.random.Generator(np.random.PCG64(0)).integers(1, q, size=1000, dtype=np.int64)
+    assert _inverses(np.r_[1, q - 1, x], q).tolist() == [pow(int(a), -1, q) for a in np.r_[1, q - 1, x]]
+
+
 def test_whole_audit_work_is_pinned(monkeypatch):
     # Rank calls and full-stack cache misses of one whole audit, build seed
     # 0: a cache or memo hit lost shows here as more of either.
@@ -634,6 +780,28 @@ def test_whole_audit_work_is_pinned(monkeypatch):
         sizes.clear()
         assert audit(pre).all_ok
         assert (len(shapes), len(sizes)) == expected[triple], triple
+
+
+def test_a_whole_audit_compares_no_layouts(monkeypatch):
+    # The context's messages share its layout object with its other
+    # observables, so _common_layout compares no two layouts by value. When
+    # each message had a layout of its own, a (7,3,3) and an (8,2,3) audit
+    # made 4,523 such comparisons.
+    precoders = [build_precoder(SchemeParams(*t, q=101), seed=0) for t in ((7, 3, 3), (8, 2, 3))]
+    calls = []
+    equal = SourceLayout.__eq__
+
+    def counted(self, other):
+        calls.append(other)
+        return equal(self, other)
+
+    monkeypatch.setattr(SourceLayout, "__eq__", counted)
+    for pre in precoders:
+        assert audit(pre).all_ok
+    assert calls == []
+    ctx = AuditContext(precoders[0])
+    assert all(ctx.messages[k].layout is ctx.layout for k in ctx.messages)
+    assert ctx.messages[3] == observe_message(precoders[0], 3)
 
 
 def test_every_audit_stack_matches_plain_elimination(monkeypatch):

@@ -523,6 +523,15 @@ def test_block_lengths_out_of_range_are_refused_before_allocation(monkeypatch, L
         random_precoder(params, 0, L=L, L_S=L_S)
 
 
+@pytest.mark.parametrize("length", [dict(L=2.5), dict(L_S=1.5), dict(L=True)])
+def test_block_lengths_that_are_not_integers_are_refused_by_name(length):
+    # Each raised numpy's bare TypeError from np.empty ("'float' object
+    # cannot be interpreted as an integer", "an integer is required").
+    (name, _), = length.items()
+    with pytest.raises(TypeError, match=f"^{name} values must be integers"):
+        random_precoder(SchemeParams(5, 1, 2, q=7), 0, **length)
+
+
 def test_replace_block_refuses_blocks_that_do_not_fit():
     # A 1x2 block must not be broadcast into a 3x2 slot. Blocks from another
     # field are refused too (test_gf.test_mismatched_fields_rejected).
