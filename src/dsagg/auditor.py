@@ -50,7 +50,7 @@ from .infocalc import (
     observe_key_bundle,
     observe_total,
 )
-from .linalg import Matrix
+from .linalg import Matrix, _left_null, _mod_addmul
 from .scheme import Precoder, SchemeParams, _integers, _validate_collusion, capacity
 from .sim import run_round
 
@@ -141,17 +141,51 @@ def rank_condition(precoder: Precoder, coalition: Sequence[int]) -> RankCheck:
     return RankCheck(coalition, required, _hhat(precoder, coalition).rank())
 
 
+def _top_checks(precoder: Precoder) -> Iterator[RankCheck]:
+    """``rank_condition`` of every coalition of size T+1, lexicographic, for
+    a zero-sum precoder, through the identity and the sharing rule proved in
+    ``rank_certificate_ok``: one ``Matrix.rank`` call per coalition, on
+    N_X·A, and one elimination of X = Ĥ(D ∪ {u}) for consecutive
+    coalitions that share D ∪ {u}."""
+    p = precoder.params
+    required = (p.K - p.T - 2) * precoder.L
+    members = p.members
+    e = ()  # the E = D ∪ {u} whose X is held
+    for coalition in itertools.combinations(p.users, p.T + 1):
+        fresh = not set(coalition) <= set(e)
+        if fresh:
+            survivors = [v for v in p.users if v not in coalition]
+            e = tuple(sorted((*coalition, next(
+                (v for v in survivors if v > coalition[-1]), survivors[0]))))
+            alive = np.ones(p.K + 1, dtype=bool)  # the survivors of E
+            alive[[0, *e]] = False
+            rows = np.flatnonzero(alive)
+            x_ids = np.flatnonzero(alive[members].all(axis=1))  # the groups inside them
+        u = next(v for v in e if v not in coalition)
+        alive[u] = True  # the surviving groups of D that hold u
+        a_ids = np.flatnonzero(alive[members].all(axis=1) & (members == u).any(axis=1))
+        alive[u] = False
+        # One map per coalition: [X A] for a new E, A alone for a held one.
+        nx = x_ids.size * precoder.L_S if fresh else 0
+        xa = precoder.key_map(rows, np.concatenate([x_ids, a_ids]) if fresh else a_ids)
+        if fresh:
+            pivots, rest, z = _left_null(xa[:, :nx], p.q)
+        a = xa[:, nx:]
+        reduced = a[rest]  # N_X·A = A[rest] + z·A[pivots]
+        _mod_addmul(reduced, z, a[pivots], p.q)
+        yield RankCheck(coalition, required, pivots.size + Matrix(p.field, reduced).rank())
+
+
 def _first_failure(precoder: Precoder) -> RankCheck | None:
     """The first coalition, in ``rank_certificate_ok``'s order, whose rank
     condition fails; None if the certificate holds."""
     p = precoder.params
-    sizes = [p.T + 1] if precoder.zero_sum_ok() else range(p.T + 1, 0, -1)
-    for size in sizes:
-        for coalition in itertools.combinations(p.users, size):
-            check = rank_condition(precoder, coalition)
-            if not check.ok:
-                return check
-    return None
+    if precoder.zero_sum_ok():
+        checks = _top_checks(precoder)
+    else:
+        checks = (rank_condition(precoder, coalition) for size in range(p.T + 1, 0, -1)
+                  for coalition in itertools.combinations(p.users, size))
+    return next((check for check in checks if not check.ok), None)
 
 
 def rank_certificate_ok(precoder: Precoder) -> bool:
@@ -187,6 +221,30 @@ def rank_certificate_ok(precoder: Precoder) -> bool:
       w, are independent, and rank B = L.
 
     By induction downward from t = T, every coalition passes.
+
+    Each coalition D of size T+1 is ranked through a smaller matrix
+    (Marsaglia & Styan, "Equalities and inequalities for ranks of
+    matrices", Linear and Multilinear Algebra 1974). Pick a survivor u of
+    D and write E = D ∪ {u}, so X = Ĥ(E) has the rows of S - {u}.
+
+    - Each group inside S has all its members in S, and its blocks sum to
+      zero, so u's rows of Ĥ(D) are minus the sum of the other survivors'
+      rows. Dropping them keeps the rank: rank Ĥ(D) = rank [X A], where A
+      holds the rows of S - {u} on the groups inside S that hold u.
+    - Eliminate X's rows (``linalg._left_null``): pivot rows P span its
+      row space and are independent, and each other row r satisfies
+      X[r] + z_r X[P] = 0. The same row operations on [X A] leave
+      [[X[P], A[P]], [0, N_X·A]], with N_X·A = A[rest] + z A[P] for the
+      left null basis N_X of X. X[P] has full row rank, so
+      rank [X A] = rank X + rank(N_X·A), and rank X = |P|.
+
+    Only N_X·A reaches ``Matrix.rank``: (C(K-T-2, G-1) L_S)-wide, against
+    C(K-T-1, G) L_S for Ĥ(D). X depends on E alone, so one elimination
+    serves every D inside E. The coalitions go in lexicographic order, one
+    elimination held at a time: the held E is reused when it contains D;
+    otherwise u is the first survivor after max(D), wrapping around to the
+    lowest. At T=0 that pairs {1},{2} / {3},{4} / ...; at T>0 about every
+    other coalition reuses its E.
     """
     return _first_failure(precoder) is None
 

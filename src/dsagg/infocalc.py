@@ -161,6 +161,9 @@ class LinearObservable:
         self._fill(label, layout, matrix.rows, r, c, matrix.data[r, c])
 
     def _fill(self, label, layout, rows, r, c, v) -> "LinearObservable":
+        # Copies: np.nonzero returns r and c as strided views of one
+        # (nnz, 2) buffer, which would hold every column index twice.
+        r, c = np.array(r), np.array(c)
         for arr in (r, c, v):
             arr.setflags(write=False)
         unit = np.array_equal(r, np.arange(rows))

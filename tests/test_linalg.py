@@ -11,6 +11,7 @@ from dsagg.linalg import (
     _RECURSIVE_MIN,
     Matrix,
     _eliminate_leaf,
+    _left_null,
     _mod_addmul,
     _row_reduce,
     _safe_dot,
@@ -81,6 +82,12 @@ _SIDES = st.integers(0, _RECURSIVE_MIN - 1) | st.integers(_RECURSIVE_MIN, 2 * _R
        kind=st.sampled_from(["dense", "product", "copies", "zero"]),
        seed=st.integers(0, 2**32 - 1))
 def test_rank_equals_row_reduce(q, rows, cols, kind, seed):
+    data = drawn_matrix(q, rows, cols, kind, seed)
+    m = Matrix(PrimeField(q), data)
+    assert m.rank() == _row_reduce(data.copy(), q)
+
+
+def drawn_matrix(q, rows, cols, kind, seed):
     rng = np.random.Generator(np.random.PCG64(seed))
     data = rng.integers(0, q, size=(rows, cols), dtype=np.int64)
     if kind == "product":
@@ -97,8 +104,32 @@ def test_rank_equals_row_reduce(q, rows, cols, kind, seed):
                 view[i] = (view[j] + c * view[k]) % q
     elif kind == "zero":
         data[:] = 0
-    m = Matrix(PrimeField(q), data)
-    assert m.rank() == _row_reduce(data.copy(), q)
+    return data
+
+
+# The left null basis is eliminated without transposing, so the shapes cover
+# both orientations: no rows, no columns, wide, and tall past the leaf
+# width and the recursion cutoff.
+_NULL_SHAPES = (st.tuples(st.just(0), st.integers(0, 40))
+                | st.tuples(st.integers(0, 40), st.just(0))
+                | st.tuples(st.integers(1, 40), st.integers(41, 200))
+                | st.tuples(st.integers(41, 2 * _RECURSIVE_MIN + 20), st.integers(1, 130)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=st.sampled_from([2, 101, 2**31 - 1]), shape=_NULL_SHAPES,
+       kind=st.sampled_from(["dense", "product", "copies", "zero"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_left_null_equals_row_reduce(q, shape, kind, seed):
+    a = drawn_matrix(q, *shape, kind, seed)
+    before = a.copy()
+    pivots, rest, z = _left_null(a, q)
+    assert np.array_equal(a, before)
+    assert len(pivots) == _row_reduce(a.copy(), q)
+    assert sorted([*pivots.tolist(), *rest.tolist()]) == list(range(shape[0]))
+    assert z.shape == (rest.size, pivots.size)
+    assert z.min(initial=0) >= 0 and z.max(initial=0) < q
+    assert not np.any((a[rest] + _safe_dot(z, a[pivots], q)) % q)
 
 
 def staircase(q, rows, cols):
