@@ -72,7 +72,7 @@ def collusion_sets(K: int, k: int, T: int) -> Iterator[tuple[int, ...]]:
     """All subsets of [1..K] \\ {k} of size 0..T, lexicographic within each
     size; ParamsOutOfModelError, at the call, for K < 3 or T outside
     [0, K-3]."""
-    _validate_collusion(K, T)
+    K, T = _validate_collusion(K, T)
     k = _user(k, K)
     others = [u for u in range(1, K + 1) if u != k]
     return itertools.chain.from_iterable(
@@ -82,7 +82,7 @@ def collusion_sets(K: int, k: int, T: int) -> Iterator[tuple[int, ...]]:
 def expected_check_count(K: int, T: int) -> int:
     """Number of (user, collusion set) pairs an exhaustive audit must cover;
     ParamsOutOfModelError for K < 3 or T outside [0, K-3]."""
-    _validate_collusion(K, T)
+    K, T = _validate_collusion(K, T)
     return K * sum(math.comb(K - 1, t) for t in range(T + 1))
 
 

@@ -78,10 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  "secure aggregation schemes with groupwise keys.")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("feasible", parents=[triple, out],
-                       help="rate region for a (K, T, G) triple")
-    p.add_argument("--format", choices=("text", "csv"), default="text",
-                   help="output format (default text)")
+    sub.add_parser("feasible", parents=[triple, out], help="rate region for a (K, T, G) triple")
 
     p = sub.add_parser("rates-sweep", parents=[out],
                        help="CSV of optimal rates for every group size")
@@ -121,14 +118,8 @@ def _cmd_feasible(args) -> int:
         tag = "G=1" if region.infeasibility_reason.value == "group_size_one" else "G>=K-T"
         _write(f"INFEASIBLE: {tag}\n", args.out)
         return EXIT_INFEASIBLE
-    if args.format == "csv":
-        text = ("K,T,G,R_X,R_S,R_Z,R_ZSigma\n"
-                f"{args.K},{args.T},{args.G},{region.r_x_star},{region.r_s_star},"
-                f"{region.r_z_star},{region.r_z_sigma_star}\n")
-    else:
-        text = (f"FEASIBLE R_X*={region.r_x_star} R_S*={region.r_s_star} "
-                f"R_Z*={region.r_z_star} R_ZSigma*={region.r_z_sigma_star}\n")
-    _write(text, args.out)
+    _write(f"FEASIBLE R_X*={region.r_x_star} R_S*={region.r_s_star} "
+           f"R_Z*={region.r_z_star} R_ZSigma*={region.r_z_sigma_star}\n", args.out)
     return EXIT_OK
 
 

@@ -49,7 +49,6 @@ what justifies using ranks as the general auditor.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -74,8 +73,6 @@ _MERGE_MIN = 32
 # piece of about this many at a time (``_merge``), and a stack of more is
 # built without the nonzeros on its unit columns (``_peeled_rank``).
 _PIECE = 2**14
-# Pivots are inverted through a table of every inverse below this q.
-_TABLE_Q = 2**16
 
 
 class LayoutMismatchError(ValueError):
@@ -271,13 +268,6 @@ def _peel(r: np.ndarray, c: np.ndarray, v: np.ndarray, peeled: np.ndarray,
         r, c, v = r[live], c[live], v[live]
 
 
-@functools.lru_cache(maxsize=None)
-def _inverse_table(q: int) -> np.ndarray:
-    table = _fermat_inverses(np.arange(q, dtype=np.int64), q)
-    table.setflags(write=False)
-    return table
-
-
 def _fermat_inverses(x: np.ndarray, q: int) -> np.ndarray:
     """x**(q-2) mod q elementwise, by squaring: the inverse of each nonzero
     x in [0, q). Every product is below q**2 <= 2**62."""
@@ -288,12 +278,6 @@ def _fermat_inverses(x: np.ndarray, q: int) -> np.ndarray:
         base = base * base % q
         e >>= 1
     return out
-
-
-def _inverses(x: np.ndarray, q: int) -> np.ndarray:
-    """The inverse mod q of each nonzero x in [0, q): one lookup in a cached
-    table of every inverse for q below ``_TABLE_Q``, Fermat otherwise."""
-    return _inverse_table(q)[x] if q < _TABLE_Q else _fermat_inverses(x, q)
 
 
 def _runs(start: np.ndarray, size: np.ndarray) -> np.ndarray:
@@ -327,10 +311,11 @@ def _merge(r: np.ndarray, c: np.ndarray, v: np.ndarray, q: int,
     Only the targets' rows are rebuilt, a piece of whole target rows at a
     time: each piece sums its rows' nonzeros and their pivots' scaled
     nonzeros, about ``_PIECE`` of them, so the round never holds the fill-in
-    of the whole stack. The other rows are copied as they are. When the
-    targets' rows come out empty and sat at one end of the stack, as the
-    total does in the recovery and security stacks of a zero-sum precoder,
-    the rest is returned as views of the input, without a copy."""
+    of the whole stack. Each target's new nonzeros are inserted where its
+    old ones were, among the other rows as they are. When the targets' rows
+    come out empty and sat at one end of the stack, as the total does in the
+    recovery and security stacks of a zero-sum precoder, the rest is
+    returned as views of the input, without a copy."""
     row_w = np.bincount(r)
     pair = np.flatnonzero((np.bincount(c) == 2)[c])
     if pair.size == 0:
@@ -348,7 +333,7 @@ def _merge(r: np.ndarray, c: np.ndarray, v: np.ndarray, q: int,
     piv, tgt = piv[free], tgt[free]
     by_target = np.argsort(r[tgt], kind="stable")
     piv, tgt = piv[by_target], tgt[by_target]
-    coef = v[tgt] * _inverses(v[piv], q) % q
+    coef = v[tgt] * _fermat_inverses(v[piv], q) % q
     t_row, p_row = r[tgt], r[piv]
     at = _starts(t_row)  # each target's first merge
     targets = t_row[at]
@@ -384,23 +369,13 @@ def _merge(r: np.ndarray, c: np.ndarray, v: np.ndarray, q: int,
         if lo + gone == r.size:
             return r[:lo], c[:lo], v[:lo]
     tr = key // width
-    new_w = row_w.copy()
-    new_w[targets] = 0
-    new_w += np.bincount(tr, minlength=row_w.size)
-    # Each new nonzero's place: its row's start, plus its place in the row.
-    before = np.cumsum(new_w) - new_w
-    slot = np.zeros(r.size - gone + val.size, dtype=bool)
-    slot[before[tr] + np.arange(tr.size) - np.searchsorted(tr, tr)] = True
     is_target = np.zeros(row_w.size, dtype=bool)
     is_target[targets] = True
-    kept, other = ~is_target[r], ~slot
-    out = []
-    for old, new in ((r, tr), (c, key % width), (v, val)):
-        arr = np.empty(slot.size, dtype=np.int64)
-        arr[slot] = new
-        arr[other] = old[kept]
-        out.append(arr)
-    return tuple(out)
+    kept = ~is_target[r]
+    where = np.searchsorted(r[kept], tr)
+    # One array at a time: each old[kept] is freed before the next is taken.
+    return tuple(np.insert(old[kept], where, new)
+                 for old, new in ((r, tr), (c, key % width), (v, val)))
 
 
 def _peeled_rank(obs: Sequence[LinearObservable], layout: SourceLayout,

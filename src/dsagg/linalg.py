@@ -8,14 +8,14 @@ construction reproducible across runs and platforms.
 
 ``Matrix.rank`` runs one row loop, ``_eliminate_leaf``, on every matrix
 whose smaller side is below ``_RECURSIVE_MIN``, and hands larger ones to
-``_recursive_eliminate``, the recursive rank-profile elimination of
-Jeannerod, Pernet & Storjohann (JSC 2013): eliminate the left half of the
-columns, update the right half of the remaining rows with one matrix
-product, recurse on it, down to blocks of ``_LEAF`` columns that the same
-row loop eliminates. The products are float64 BLAS products of integers,
-arranged as in FFLAS-FFPACK (Dumas, Giorgi & Pernet, ACM TOMS 2008) so that
-every sum stays below 2**53 and is exact; each is reduced mod q in int64, so
-the rank is exact too.
+``_left_null``, which the build's certificate also calls for a left null
+basis. It is the recursive rank-profile elimination of Jeannerod, Pernet &
+Storjohann (JSC 2013): eliminate the left half of the columns, update the
+right half of the remaining rows with one matrix product, recurse on it,
+down to blocks of ``_LEAF`` columns that the same row loop eliminates. The
+products are float64 BLAS products of integers, arranged as in FFLAS-FFPACK
+(Dumas, Giorgi & Pernet, ACM TOMS 2008) so that every sum stays below 2**53
+and is exact; each is reduced mod q in int64, so the rank is exact too.
 
 The row loop delays its reductions as FFLAS-FFPACK does. Each step reduces
 only the pivot column and the pivot row, and updates the rows below on the
@@ -77,7 +77,7 @@ def _row_reduce(arr: np.ndarray, q: int) -> int:
     return r
 
 
-# Matrix.rank hands a matrix to _recursive_eliminate when its smaller side
+# Matrix.rank hands a matrix to _left_null when its smaller side
 # is at least this. Measured against the row loop on random matrices: from
 # 96 up the recursive kernel is 1.3-2.3x faster, and 2.3x on the 245 x 210
 # surviving-key matrices of (8,0,4) q=101; at 64 it ties, and below 64 it
@@ -188,31 +188,6 @@ def _eliminate_leaf(a: np.ndarray, q: int):
     return order[:r], order[r:], z
 
 
-def _recursive_eliminate(a: np.ndarray, q: int):
-    """``_eliminate_leaf`` for any width, ``a`` left unchanged: eliminate
-    the left half of the columns, update the right half of the rows that
-    are left with one product, and recurse on it."""
-    n = a.shape[1]
-    if n <= _LEAF:
-        return _eliminate_leaf(a, q)
-    half = n // 2
-    piv, rest, z = _recursive_eliminate(a[:, :half], q)
-    if rest.size == 0:
-        return piv, rest, z
-    # The right half of the rows that are left: zero on the left half.
-    b = a[rest, half:]
-    _mod_addmul(b, z, a[piv, half:], q)
-    piv_b, rest_b, z_b = _recursive_eliminate(b, q)
-    # Each row of b is a[rest[i]] + z[i] @ a[piv], so b[rest_b] + z_b @ b[piv_b]
-    # == 0 gives a[rest[rest_b]] + (z[rest_b] + z_b @ z[piv_b]) @ a[piv]
-    # + z_b @ a[rest[piv_b]] == 0.
-    out = np.empty((rest_b.size, piv.size + piv_b.size), dtype=np.int64)
-    out[:, : piv.size] = z[rest_b]
-    _mod_addmul(out[:, : piv.size], z_b, z[piv_b], q)
-    out[:, piv.size :] = z_b
-    return np.concatenate([piv, rest[piv_b]]), rest[rest_b], out
-
-
 def _left_null(a: np.ndarray, q: int):
     """A basis of the left null space of ``a``, whose entries must be in
     [0, q); ``a`` is left unchanged.
@@ -223,11 +198,29 @@ def _left_null(a: np.ndarray, q: int):
     len(rest) x len(pivots), with a[rest] + z @ a[pivots] == 0 (mod q). Row
     i of the basis is 1 at rest[i] and z[i] at the pivots, so it applies to
     any b with as many rows as ``a`` as b[rest] + z @ b[pivots]. The rows
-    are eliminated as given, never transposed, by ``_recursive_eliminate``,
-    which beat the row loop on every tall matrix measured, 120 x 80 to
-    2268 x 1134, by 1.4-20x.
+    are eliminated as given, never transposed, and recursively (module
+    docstring), which beat the row loop on every tall matrix measured,
+    120 x 80 to 2268 x 1134, by 1.4-20x.
     """
-    return _recursive_eliminate(a, q)
+    n = a.shape[1]
+    if n <= _LEAF:
+        return _eliminate_leaf(a, q)
+    half = n // 2
+    piv, rest, z = _left_null(a[:, :half], q)
+    if rest.size == 0:
+        return piv, rest, z
+    # The right half of the rows that are left: zero on the left half.
+    b = a[rest, half:]
+    _mod_addmul(b, z, a[piv, half:], q)
+    piv_b, rest_b, z_b = _left_null(b, q)
+    # Each row of b is a[rest[i]] + z[i] @ a[piv], so b[rest_b] + z_b @ b[piv_b]
+    # == 0 gives a[rest[rest_b]] + (z[rest_b] + z_b @ z[piv_b]) @ a[piv]
+    # + z_b @ a[rest[piv_b]] == 0.
+    out = np.empty((rest_b.size, piv.size + piv_b.size), dtype=np.int64)
+    out[:, : piv.size] = z[rest_b]
+    _mod_addmul(out[:, : piv.size], z_b, z[piv_b], q)
+    out[:, piv.size :] = z_b
+    return np.concatenate([piv, rest[piv_b]]), rest[rest_b], out
 
 
 class Matrix:
@@ -273,7 +266,7 @@ class Matrix:
         data = self.data.T if self.rows > self.cols else self.data
         if data.shape[0] < _RECURSIVE_MIN:
             return _eliminate_leaf(data, self.field.q)[0].size
-        return _recursive_eliminate(data, self.field.q)[0].size
+        return _left_null(data, self.field.q)[0].size
 
     # -- comparison / display ------------------------------------------
 

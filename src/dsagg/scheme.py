@@ -103,17 +103,31 @@ class InfeasibilityReason(enum.Enum):
     GROUP_TOO_LARGE = "group_too_large"
 
 
-def _validate_collusion(K: int, T: int) -> None:
+def _integer(name: str, value) -> int:
+    """``value`` as an int; TypeError, naming it, unless it is an integer
+    (NumPy's included, a bool not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
+    return int(value)
+
+
+def _validate_collusion(K: int, T: int) -> tuple[int, int]:
+    """(K, T) as ints; ParamsOutOfModelError for K < 3 or T outside [0, K-3]."""
+    K, T = _integer("K", K), _integer("T", T)
     if K < 3:
         raise ParamsOutOfModelError(f"need at least 3 users, got K={K}")
     if not 0 <= T <= K - 3:
         raise ParamsOutOfModelError(f"collusion bound T={T} outside [0, {K - 3}]")
+    return K, T
 
 
-def _validate_model(K: int, T: int, G: int) -> None:
-    _validate_collusion(K, T)
+def _validate_model(K: int, T: int, G: int) -> tuple[int, int, int]:
+    """(K, T, G) as ints; ParamsOutOfModelError as above or for G outside [1, K]."""
+    K, T = _validate_collusion(K, T)
+    G = _integer("G", G)
     if not 1 <= G <= K:
         raise ParamsOutOfModelError(f"group size G={G} outside [1, {K}]")
+    return K, T, G
 
 
 def _infeasibility(K: int, T: int, G: int) -> InfeasibilityReason | None:
@@ -173,7 +187,7 @@ def capacity(K: int, T: int, G: int) -> RateRegion:
     Raises ParamsOutOfModelError when K < 3, T outside [0, K-3], or G outside
     [1, K]; that is distinct from an in-model infeasible triple.
     """
-    _validate_model(K, T, G)
+    K, T, G = _validate_model(K, T, G)
     reason = _infeasibility(K, T, G)
     if reason is not None:
         return RateRegion(K, T, G, False, infeasibility_reason=reason)
@@ -203,8 +217,7 @@ class GroupSizeReport:
 
 
 def optimal_group_size_report(K: int, T: int) -> GroupSizeReport:
-    if K - T - 1 < 2:
-        raise ParamsOutOfModelError(f"no feasible group size for K={K}, T={T}")
+    K, T = _validate_collusion(K, T)  # so G = 2 is feasible: 2 < K - T
     formula = (K - T - 1) // 2
     rates = {G: capacity(K, T, G).r_s_star for G in range(2, K - T)}
     best_rate = min(rates.values())
@@ -233,12 +246,10 @@ class SchemeParams:
     field: PrimeField = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for name in ("K", "T", "G", "m"):  # q is checked by PrimeField
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
-            object.__setattr__(self, name, int(value))
-        _validate_model(self.K, self.T, self.G)
+        sizes = _validate_model(self.K, self.T, self.G) + (_integer("m", self.m),
+                                                             _integer("q", self.q))
+        for name, value in zip(("K", "T", "G", "m", "q"), sizes):
+            object.__setattr__(self, name, value)
         if self.m < 1:
             raise ValueError(f"block scale m must be >= 1, got {self.m}")
         object.__setattr__(self, "field", PrimeField(self.q))

@@ -53,6 +53,7 @@ def test_subcommands_reject_flags_they_do_not_read(tmp_path, capsys):
     for argv in (("audit", str(scheme), "--q", "7"),
                  ("simulate", str(scheme), "--format", "csv"),
                  ("feasible", "-K", "5", "-T", "1", "-G", "2", "--seed", "1"),
+                 ("feasible", "-K", "5", "-T", "1", "-G", "2", "--format", "csv"),
                  ("rates-sweep", "-K", "5", "-T", "1", "--m", "2")):
         code, _, err = run_cli(capsys, *argv)
         assert code == 1, argv

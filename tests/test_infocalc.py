@@ -25,7 +25,6 @@ from dsagg.infocalc import (
     SourceLayout,
     _MERGE_MIN,
     _fermat_inverses,
-    _inverses,
     _merge,
     _peel,
     _peeled_rank,
@@ -740,6 +739,51 @@ def test_wide_recovery_holds_a_bounded_working_set(k10_precoder):
     assert peak < 24 * 10**6
 
 
+def bumped(pre):
+    """``pre`` with one coefficient of user 1's block for its first group
+    raised by one, so it is no longer zero-sum."""
+    group = tuple(range(1, pre.params.G + 1))
+    block = pre.block(1, group).data.copy()
+    block[0, 0] = (block[0, 0] + 1) % pre.params.q
+    return pre.replace_block(1, group, Matrix(pre.params.field, block))
+
+
+def test_damaged_security_rebuilds_rows_as_the_reference(monkeypatch):
+    # A zero-sum precoder's merges empty the total's rows, so every round
+    # returns views. With one coefficient bumped, 25 of the 184 rounds of
+    # the (8,2,3) security phase leave nonzeros in their targets' rows and
+    # rebuild the stack: new arrays, sharing no memory with their input.
+    pre = bumped(random_precoder(SchemeParams(8, 2, 3, q=101), 0))
+    merge = dsagg.infocalc._merge
+    rounds = []
+
+    def checked(r, c, v, q, width):
+        got = merge(r, c, v, q, width)
+        rebuilt = got is not None and not any(
+            np.may_share_memory(a, b) for a in got for b in (r, c, v))
+        rounds.append((same_merge(got, reference_merge(r, c, v, q, width)), rebuilt))
+        return got
+
+    monkeypatch.setattr(dsagg.infocalc, "_merge", checked)
+    assert not all(c.ok for c in audit_security(pre))
+    assert len(rounds) == 184 and all(same for same, _ in rounds)
+    assert sum(rebuilt for _, rebuilt in rounds) == 25
+
+
+def test_damaged_wide_recovery_holds_a_bounded_working_set(k10_precoder):
+    # Six of the ten (10,0,4) recovery rounds of a damaged precoder rebuild
+    # their rows. Inserting the new nonzeros one array at a time peaks near
+    # 29 MB; the slot fill it replaced, 30 MB.
+    ctx = AuditContext(bumped(k10_precoder))
+    tracemalloc.start()
+    try:
+        assert not all(c.ok for c in audit_recovery(ctx))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 10**6
+
+
 def test_stacks_in_small_pieces_match_plain_elimination(monkeypatch, wide_precoder):
     # With pieces of 256 nonzeros every (8,0,4) stack is wide: it is built
     # without the nonzeros on its unit columns, and each merge round sums
@@ -759,14 +803,13 @@ def test_stacks_in_small_pieces_match_plain_elimination(monkeypatch, wide_precod
 def test_pivot_inverses_match_pow_for_every_unit(q):
     x = np.arange(1, q, dtype=np.int64)
     expected = [pow(int(a), -1, q) for a in x]
-    assert _inverses(x, q).tolist() == expected
     assert _fermat_inverses(x, q).tolist() == expected
 
 
 def test_pivot_inverses_match_pow_at_a_word_size_prime():
     q = 2**31 - 1
     x = np.random.Generator(np.random.PCG64(0)).integers(1, q, size=1000, dtype=np.int64)
-    assert _inverses(np.r_[1, q - 1, x], q).tolist() == [pow(int(a), -1, q) for a in np.r_[1, q - 1, x]]
+    assert _fermat_inverses(np.r_[1, q - 1, x], q).tolist() == [pow(int(a), -1, q) for a in np.r_[1, q - 1, x]]
 
 
 def test_whole_audit_work_is_pinned(monkeypatch):

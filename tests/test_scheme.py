@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dsagg.scheme
-from dsagg.auditor import (audit, collusion_sets, rank_certificate_ok, rank_condition,
-                           submatrix_hhat)
+from dsagg.auditor import (audit, collusion_sets, expected_check_count, rank_certificate_ok,
+                           rank_condition, submatrix_hhat)
 from dsagg.infocalc import layout_for, observe_input, observe_key_bundle, observe_message
 from dsagg.linalg import DimensionMismatchError, Matrix, _safe_dot
 from dsagg.scheme import (
@@ -590,11 +590,40 @@ def test_scheme_params_refuse_non_integer_sizes():
         sizes[name] = value
         with pytest.raises(TypeError, match=f"{name} must be an integer"):
             SchemeParams(q=101, **sizes)
-    # NumPy integers pass, stored as ints, so the header is the same.
-    params = SchemeParams(K=np.int64(5), T=np.int32(1), G=np.uint8(2), q=101, m=np.int64(1))
+    # NumPy integers pass, stored as ints, so the header is the same. q=int64
+    # raised "modulus must be an int, got int64".
+    params = SchemeParams(K=np.int64(5), T=np.int32(1), G=np.uint8(2), q=np.int64(101),
+                          m=np.int64(1))
     assert params == SchemeParams(K=5, T=1, G=2, q=101)
-    assert all(type(v) is int for v in (params.K, params.T, params.G, params.m))
+    assert all(type(v) is int for v in (params.K, params.T, params.G, params.q, params.m))
     assert scheme_to_text(random_precoder(params, 0)).startswith("DSA1 5 1 2 101 1\n")
+    with pytest.raises(TypeError, match="q must be an integer"):
+        SchemeParams(K=5, T=1, G=2, q=101.0)
+
+
+@pytest.mark.parametrize("call, name", [
+    # Each used to return: a region with T=True, an infeasible one with
+    # K=5.0, a check count for T=1 and a group size report.
+    (lambda: capacity(5, True, 2), "T"),
+    (lambda: capacity(5.0, 1, 1), "K"),
+    (lambda: expected_check_count(5, True), "T"),
+    (lambda: optimal_group_size_report(5, True), "T"),
+    # Each raised a bare TypeError from math.comb or range.
+    (lambda: capacity(5.0, 1, 2), "K"),
+    (lambda: capacity(5, 1, 2.0), "G"),
+    (lambda: list(collusion_sets(5, 1, 1.0)), "T"),
+])
+def test_size_arguments_refuse_non_integers_by_name(call, name):
+    with pytest.raises(TypeError, match=f"^{name} must be an integer"):
+        call()
+
+
+def test_size_arguments_take_numpy_integers_as_ints():
+    region = capacity(np.int64(5), np.int32(1), np.uint8(2))
+    assert region == capacity(5, 1, 2)
+    assert all(type(v) is int for v in (region.K, region.T, region.G))
+    assert expected_check_count(np.int64(5), np.int64(1)) == expected_check_count(5, 1)
+    assert optimal_group_size_report(np.int64(5), np.int64(1)) == optimal_group_size_report(5, 1)
 
 
 def test_scheme_text_header():
