@@ -20,6 +20,14 @@ class FieldMismatchError(ValueError):
     """Raised when an operation mixes elements of different fields."""
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int; TypeError, naming it, unless it is an integer
+    (NumPy's included, a bool not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
+    return int(value)
+
+
 def is_prime(n: int) -> bool:
     """Primality check by trial division, adequate for n <= 2**31."""
     if n < 2:
@@ -48,8 +56,7 @@ class PrimeField:
     q: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.q, int) or isinstance(self.q, bool):
-            raise TypeError(f"modulus must be an int, got {type(self.q).__name__}")
+        object.__setattr__(self, "q", _integer("modulus", self.q))
         if self.q > MAX_MODULUS:
             raise ValueError(f"modulus {self.q} exceeds the supported bound 2**31")
         if not is_prime(self.q):

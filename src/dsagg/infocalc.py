@@ -513,8 +513,21 @@ def mutual_information(a: Sequence[LinearObservable],
 _CHUNK = 1 << 16
 
 
-def _tally(layout: SourceLayout, stacked: np.ndarray, selections: Sequence[np.ndarray],
-           budget: int) -> tuple[list[np.ndarray], int]:
+def _enumeration_size(layout: SourceLayout) -> int:
+    """q**N, the points the oracle walks; BudgetExceededError past
+    DEFAULT_BUDGET. q >= 2, so q**N exceeds the budget once N reaches its
+    bit length; testing that first keeps q**N from being computed for a
+    huge N."""
+    q, N = layout.field.q, layout.N
+    if N >= DEFAULT_BUDGET.bit_length() or q**N > DEFAULT_BUDGET:
+        raise BudgetExceededError(
+            f"q**N = {q}**{N} exceeds the enumeration budget {DEFAULT_BUDGET}"
+        )
+    return q**N
+
+
+def _tally(layout: SourceLayout, stacked: np.ndarray,
+           selections: Sequence[np.ndarray]) -> tuple[list[np.ndarray], int]:
     """Walk the whole source space once and, for each selection of rows of
     ``stacked``, count how often each value of those rows occurs.
 
@@ -526,11 +539,7 @@ def _tally(layout: SourceLayout, stacked: np.ndarray, selections: Sequence[np.nd
     value in every chunk, and the chunks' tallies are merged at the end.
     """
     q, N = layout.field.q, layout.N
-    total = q**N
-    if total > budget:
-        raise BudgetExceededError(
-            f"q**N = {q}**{N} exceeds the enumeration budget {budget}"
-        )
+    total = _enumeration_size(layout)
     # Chunks of about _CHUNK points; any low up to N gives the same counts.
     low = min(N, max(1, int(math.log(_CHUNK, q))))
     # Values are held one row per stacked row, one column per point.
@@ -597,8 +606,7 @@ def _n_log_n(counts: np.ndarray, q: int) -> int:
     return int((counts * exponents).sum())
 
 
-def brute_force_entropy(obs: Sequence[LinearObservable],
-                        budget: int = DEFAULT_BUDGET) -> Fraction:
+def brute_force_entropy(obs: Sequence[LinearObservable]) -> Fraction:
     """Joint entropy by full enumeration, as an exact rational.
 
     Independent of the rank path: it only counts realizations. Each value's
@@ -607,14 +615,13 @@ def brute_force_entropy(obs: Sequence[LinearObservable],
     """
     layout = _common_layout([obs])
     stacked = np.vstack([o.matrix.data for o in obs])
-    (counts,), total = _tally(layout, stacked, [np.arange(stacked.shape[0])], budget)
+    (counts,), total = _tally(layout, stacked, [np.arange(stacked.shape[0])])
     return Fraction(layout.N * total - _n_log_n(counts, layout.field.q), total)
 
 
 def brute_force_mi(a: Sequence[LinearObservable],
                    b: Sequence[LinearObservable],
-                   given: Sequence[LinearObservable] = (),
-                   budget: int = DEFAULT_BUDGET) -> Fraction:
+                   given: Sequence[LinearObservable] = ()) -> Fraction:
     """I(a; b | given) by full enumeration, as an exact rational.
 
     Counts the values of (a, b, given), (a, given), (b, given) and given
@@ -631,6 +638,6 @@ def brute_force_mi(a: Sequence[LinearObservable],
     rab = ra + sum(o.rows for o in b)
     n = stacked.shape[0]
     selections = [np.arange(n), np.arange(rab, n), np.r_[0:ra, rab:n], np.arange(ra, n)]
-    counts, total = _tally(layout, stacked, selections, budget)
+    counts, total = _tally(layout, stacked, selections)
     s_abc, s_c, s_ac, s_bc = (_n_log_n(x, layout.field.q) for x in counts)
     return Fraction(s_abc + s_c - s_ac - s_bc, total)

@@ -285,19 +285,11 @@ class Matrix:
 # -- randomness ---------------------------------------------------------------
 
 
-def random_matrix(
-    rows: int,
-    cols: int,
-    field: PrimeField,
-    seed=None,
-    rng: np.random.Generator | None = None,
-) -> Matrix:
-    """A matrix with i.i.d. uniform entries from a seeded PCG64 stream.
-
-    The same seed always yields the same matrix. Pass ``rng`` instead of
-    ``seed`` to draw several matrices from one stream.
-    """
-    if rng is None:
-        rng = np.random.Generator(np.random.PCG64(seed))
+def random_matrix(rows: int, cols: int, field: PrimeField,
+                  rng: np.random.Generator | int) -> Matrix:
+    """A matrix with i.i.d. uniform entries drawn from ``rng``: a Generator,
+    to draw several matrices from one stream, or an int seed of a PCG64
+    stream, so the same seed always yields the same matrix."""
+    rng = np.random.default_rng(rng)
     data = rng.integers(0, field.q, size=(rows, cols), dtype=np.int64)
     return Matrix(field, data)

@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .gf import FieldMismatchError, PrimeField
+from .gf import FieldMismatchError, PrimeField, _integer
 from .linalg import DimensionMismatchError, Matrix
 
 SCHEME_MAGIC = "DSA1"
@@ -101,14 +101,6 @@ class SchemeFormatError(ValueError):
 class InfeasibilityReason(enum.Enum):
     GROUP_SIZE_ONE = "group_size_one"
     GROUP_TOO_LARGE = "group_too_large"
-
-
-def _integer(name: str, value) -> int:
-    """``value`` as an int; TypeError, naming it, unless it is an integer
-    (NumPy's included, a bool not)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
-    return int(value)
 
 
 def _validate_collusion(K: int, T: int) -> tuple[int, int]:

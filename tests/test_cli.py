@@ -9,7 +9,15 @@ import dsagg.cli
 import dsagg.infocalc
 import dsagg.scheme
 from dsagg.cli import main
-from dsagg.scheme import fixture_example2, load_scheme, scheme_to_text
+from dsagg.scheme import (
+    SchemeParams,
+    fixture_example2,
+    load_scheme,
+    random_precoder,
+    reference_precoder,
+    save_scheme,
+    scheme_to_text,
+)
 
 
 def run_cli(capsys, *argv):
@@ -54,7 +62,10 @@ def test_subcommands_reject_flags_they_do_not_read(tmp_path, capsys):
                  ("simulate", str(scheme), "--format", "csv"),
                  ("feasible", "-K", "5", "-T", "1", "-G", "2", "--seed", "1"),
                  ("feasible", "-K", "5", "-T", "1", "-G", "2", "--format", "csv"),
-                 ("rates-sweep", "-K", "5", "-T", "1", "--m", "2")):
+                 ("rates-sweep", "-K", "5", "-T", "1", "--m", "2"),
+                 # --q is no abbreviation of oracle's --queries
+                 ("oracle", str(scheme), "--q", "7"),
+                 ("oracle", str(scheme), "-K", "5", "--m", "1")):
         code, _, err = run_cli(capsys, *argv)
         assert code == 1, argv
         assert "unrecognized arguments" in err
@@ -99,8 +110,9 @@ def test_rates_sweep_small_setting_marks_infeasible_rows(capsys):
 
 
 def test_rates_sweep_requires_three_survivors(capsys):
-    code, _, err = run_cli(capsys, "rates-sweep", "-K", "4", "-T", "2")
-    assert code == 1 and "K - T" in err
+    code, out, err = run_cli(capsys, "rates-sweep", "-K", "4", "-T", "2")
+    assert code == 1 and out == ""
+    assert err == "error: collusion bound T=2 outside [0, 1]\n"
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +264,18 @@ def test_build_infeasible_exit_2(capsys):
 # oracle
 # ---------------------------------------------------------------------------
 
-def test_oracle_matches_on_three_users(capsys):
-    code, out, _ = run_cli(capsys, "oracle", "-K", "3", "-T", "0", "-G", "2", "--q", "2")
+def saved(tmp_path, precoder) -> str:
+    path = tmp_path / "s.dsa"
+    save_scheme(precoder, path)
+    return str(path)
+
+
+def three_users(tmp_path, q=2) -> str:
+    return saved(tmp_path, reference_precoder(SchemeParams(3, 0, 2, q=q)))
+
+
+def test_oracle_matches_on_three_users(tmp_path, capsys):
+    code, out, _ = run_cli(capsys, "oracle", three_users(tmp_path))
     assert code == 0
     assert out.strip().endswith("ALL MATCH")
     assert "MISMATCH" not in out.replace("MISMATCH FOUND", "")
@@ -261,21 +283,25 @@ def test_oracle_matches_on_three_users(capsys):
                for line in out.splitlines())
 
 
-def test_oracle_builds_a_scheme_where_no_reference_exists(capsys, monkeypatch):
-    # (5,0,4) is the one triple with no closed-form construction whose
-    # q**N fits the budget (q = 2, N = 20), so the oracle draws its scheme
-    # with build_precoder. At q = 2 few draws pass; the first is seed 110, so
-    # the default seed needs more than the build's default of 16 retries.
-    built = []
-    build = dsagg.cli.build_precoder
-    monkeypatch.setattr(dsagg.cli, "build_precoder",
-                        lambda *a, **kw: built.append(kw) or build(*a, **kw))
-    code, out, _ = run_cli(capsys, "oracle", "-K", "5", "-T", "0", "-G", "4", "--q", "2")
+def test_oracle_enumerates_a_draw_that_fails_its_audit(tmp_path, capsys):
+    # Seed 0 of (5,2,2) at q=2 leaks a nonzero MI to user 1; the oracle
+    # enumerates the same leak, so it agrees with the audit it checks.
+    scheme = saved(tmp_path, random_precoder(SchemeParams(5, 2, 2, q=2), 0))
+    code, _, _ = run_cli(capsys, "audit", scheme)
+    assert code == 4
+    code, out, _ = run_cli(capsys, "oracle", scheme)
     assert code == 0 and out.endswith("ALL MATCH\n")
-    assert built == [{"seed": 0, "max_retries": dsagg.cli.ORACLE_MAX_RETRIES}]
+    assert "ORACLE security_mi k=1 rank=2 brute=2 MATCH" in out.splitlines()
 
 
-def test_oracle_checks_the_audits_cached_ranks(capsys, monkeypatch):
+def test_oracle_malformed_scheme_exit_3(tmp_path, capsys):
+    bad = tmp_path / "bad.dsa"
+    bad.write_text("DSA1 5 1 2 5 1\n3 2\n1 1\n")
+    code, out, err = run_cli(capsys, "oracle", str(bad))
+    assert code == 3 and out == "" and "line" in err
+
+
+def test_oracle_checks_the_audits_cached_ranks(tmp_path, capsys, monkeypatch):
     # A fault only the cached path takes: +1 on every full-stack cache hit.
     # The oracle enumerates against the audit's own entries, so it sees it.
     # Each recovery residual reads the stack its user's security MI ranked.
@@ -285,8 +311,9 @@ def test_oracle_checks_the_audits_cached_ranks(capsys, monkeypatch):
         hit = cache is not None and tuple(sorted(map(id, obs))) in cache
         return stacked_rank(obs, layout, cache) + hit
 
+    scheme = three_users(tmp_path)
     monkeypatch.setattr(dsagg.infocalc, "_stacked_rank", faulty)
-    code, out, _ = run_cli(capsys, "oracle", "-K", "3", "-T", "0", "-G", "2", "--q", "2")
+    code, out, _ = run_cli(capsys, "oracle", scheme)
     lines = out.splitlines()
     assert code == 4 and lines[-1] == "MISMATCH FOUND"
     for k in (1, 2, 3):
@@ -294,8 +321,8 @@ def test_oracle_checks_the_audits_cached_ranks(capsys, monkeypatch):
         assert f"ORACLE recovery_residual k={k} rank=1 brute=0 MISMATCH" in lines
 
 
-def test_oracle_negative_query_count_exit_1(capsys, monkeypatch):
-    args = ("oracle", "-K", "3", "-T", "0", "-G", "2", "--q", "2", "--queries")
+def test_oracle_negative_query_count_exit_1(tmp_path, capsys, monkeypatch):
+    args = ("oracle", three_users(tmp_path), "--queries")
     code, out, _ = run_cli(capsys, *args, "0")
     assert code == 0 and "random_query" not in out and out.endswith("ALL MATCH\n")
     refuse_to_enumerate(monkeypatch)
@@ -304,25 +331,23 @@ def test_oracle_negative_query_count_exit_1(capsys, monkeypatch):
     assert "--queries must be at least 0, got -1" in err
 
 
-def refuse_to_enumerate(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("groups enumerated or scheme built before the size check")
+def refuse(*args, **kwargs):
+    raise AssertionError("work started before the size check")
 
+
+def refuse_to_enumerate(monkeypatch):
     monkeypatch.setattr(dsagg.scheme.SchemeParams, "members", property(refuse))
-    for name in ("build_precoder", "reference_precoder"):
-        monkeypatch.setattr(dsagg.cli, name, refuse)
 
 
 def test_oversized_precoder_exit_1_before_enumerating_groups(capsys, monkeypatch):
     refuse_to_enumerate(monkeypatch)
-    for command in ("build", "oracle"):
-        code, _, err = run_cli(capsys, command, "-K", "40", "-T", "0", "-G", "20")
-        assert code == 1
-        assert "precoder would hold" in err
+    code, _, err = run_cli(capsys, "build", "-K", "40", "-T", "0", "-G", "20")
+    assert code == 1
+    assert "precoder would hold" in err
 
 
 @pytest.mark.parametrize("K, G", [(20000, 10000), (3000, 1500)])
-@pytest.mark.parametrize("command", ["build", "oracle"])
+@pytest.mark.parametrize("command", ["build"])
 def test_huge_precoder_refused_quickly_with_a_short_message(capsys, monkeypatch, command, K, G):
     # The full entry count has thousands of digits; the guard neither
     # computes nor prints it.
@@ -334,16 +359,17 @@ def test_huge_precoder_refused_quickly_with_a_short_message(capsys, monkeypatch,
     assert "precoder would hold" in err and len(err) < 200
 
 
-def test_oracle_budget_guard(capsys, monkeypatch):
-    refuse_to_enumerate(monkeypatch)
-    code, _, err = run_cli(capsys, "oracle", "-K", "6", "-T", "0", "-G", "2", "--q", "101")
-    assert code == 1
-    assert "budget" in err
-    assert "101**120" in err
+def test_oracle_budget_guard(tmp_path, capsys, monkeypatch):
+    # q**N = 101**120 points: refused before the audit's views are built.
+    scheme = saved(tmp_path, random_precoder(SchemeParams(6, 0, 2, q=101), 0))
+    monkeypatch.setattr(dsagg.cli, "AuditContext", refuse)
+    code, out, err = run_cli(capsys, "oracle", scheme)
+    assert code == 1 and out == ""
+    assert err == "error: q**N = 101**120 exceeds the enumeration budget 16777216\n"
 
 
-def test_oracle_deterministic(capsys):
-    args = ("oracle", "-K", "3", "-T", "0", "-G", "2", "--q", "3", "--seed", "4")
+def test_oracle_deterministic(tmp_path, capsys):
+    args = ("oracle", three_users(tmp_path, q=3), "--seed", "4")
     code1, out1, _ = run_cli(capsys, *args)
     code2, out2, _ = run_cli(capsys, *args)
     assert (code1, out1) == (code2, out2)

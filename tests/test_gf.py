@@ -21,8 +21,18 @@ def test_prime_validation():
             PrimeField(bad)
     with pytest.raises(ValueError):
         PrimeField(2**31 + 11)
-    with pytest.raises(TypeError):
-        PrimeField(5.0)
+    for bad in (5.0, True, np.float64(5)):
+        with pytest.raises(TypeError, match="modulus"):
+            PrimeField(bad)
+
+
+def test_numpy_integer_modulus_is_stored_as_an_int():
+    # It raised "modulus must be an int, got int64", though SchemeParams
+    # took the same q.
+    for q in (np.int64(101), np.uint32(101)):
+        field = PrimeField(q)
+        assert field == PrimeField(101) and hash(field) == hash(PrimeField(101))
+        assert type(field.q) is int
 
 
 def test_is_prime_small():

@@ -21,7 +21,14 @@ import pytest
 from dsagg.auditor import audit
 from dsagg.cli import main
 from dsagg.linalg import Matrix
-from dsagg.scheme import SchemeParams, fixture_example1, fixture_example2, random_precoder
+from dsagg.scheme import (
+    SchemeParams,
+    fixture_example1,
+    fixture_example2,
+    random_precoder,
+    reference_precoder,
+    save_scheme,
+)
 from dsagg.sim import run_round
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -84,15 +91,22 @@ def test_round_transcript_digest(fixture, source):
     assert sha(run_round(pre, source, seed=3).to_text()) == ROUNDS[fixture, source]
 
 
+def oracle_stdout(params, path, capsys) -> str:
+    """The oracle's stdout on the closed-form scheme for ``params``."""
+    save_scheme(reference_precoder(params), path)
+    assert main(["oracle", str(path)]) == 0
+    return capsys.readouterr().out
+
+
 @pytest.mark.parametrize("q", sorted(ORACLE))
-def test_oracle_stdout_digest(q, capsys):
-    assert main(["oracle", "-K", "3", "-T", "0", "-G", "2", "--q", q]) == 0
-    assert sha(capsys.readouterr().out) == ORACLE[q]
+def test_oracle_stdout_digest(q, tmp_path, capsys):
+    out = oracle_stdout(SchemeParams(3, 0, 2, q=int(q)), tmp_path / "s.dsa", capsys)
+    assert sha(out) == ORACLE[q]
 
 
-def test_oracle_with_collusion_stdout_digest(capsys):
-    assert main(["oracle", "-K", "4", "-T", "1", "-G", "2", "--q", "2"]) == 0
-    assert sha(capsys.readouterr().out) == ORACLE_COLLUSION
+def test_oracle_with_collusion_stdout_digest(tmp_path, capsys):
+    out = oracle_stdout(SchemeParams(4, 1, 2, q=2), tmp_path / "s.dsa", capsys)
+    assert sha(out) == ORACLE_COLLUSION
 
 
 def demo_stdout(name: str, cwd: Path) -> str:

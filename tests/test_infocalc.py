@@ -1011,14 +1011,14 @@ def test_budget_enforced():
     pre = fixture_example2()  # q**N = 5**35, far over any budget
     lay = layout_for(pre)
     with pytest.raises(BudgetExceededError):
-        brute_force_entropy([observe_input(lay, 1)], budget=2**20)
+        brute_force_entropy([observe_input(lay, 1)])
 
 
 def test_count_that_is_not_a_power_of_q_raises(monkeypatch):
     # No linear observable of a uniform source is seen 3 times at q=2; both
     # oracles must refuse such a tally rather than read a fraction from it.
     _, pre, lay = three_user_instance(2)
-    monkeypatch.setattr(dsagg.infocalc, "_tally", lambda layout, stacked, selections, budget:
+    monkeypatch.setattr(dsagg.infocalc, "_tally", lambda layout, stacked, selections:
                         ([np.array([3])] * len(selections), 3))
     with pytest.raises(NonPowerOfQSupportError):
         brute_force_entropy([observe_message(pre, 1)])

@@ -201,7 +201,7 @@ def test_rank_of_every_surviving_key_submatrix_equals_row_reduce():
 
 def test_rank_kernel_peak_memory_within_row_reduce():
     q = 2**31 - 1
-    m = random_matrix(560, 490, PrimeField(q), seed=0)
+    m = random_matrix(560, 490, PrimeField(q), rng=0)
     assert min(m.shape) >= _RECURSIVE_MIN
 
     def peak(run):
@@ -277,14 +277,23 @@ def test_rank_kernel_product_is_exact_at_the_overflow_edge():
 # ---------------------------------------------------------------------------
 
 def test_random_matrix_deterministic_in_seed():
-    a = random_matrix(2, 2, F5, seed=42)
-    b = random_matrix(2, 2, F5, seed=42)
+    a = random_matrix(2, 2, F5, rng=42)
+    b = random_matrix(2, 2, F5, rng=42)
     assert a == b
-    assert a != random_matrix(2, 2, F5, seed=43)
+    assert a != random_matrix(2, 2, F5, rng=43)
+    # A seed is the Generator(PCG64(seed)) stream; a Generator is drawn from.
+    stream = np.random.Generator(np.random.PCG64(42))
+    assert random_matrix(2, 2, F5, rng=stream) == a
+
+
+def test_random_matrix_needs_a_seed_or_generator():
+    # Without one it drew from OS entropy, so two calls differed.
+    with pytest.raises(TypeError):
+        random_matrix(3, 3, F5)
 
 
 def test_empty_random_matrix():
-    m = random_matrix(0, 3, F5, seed=1)
+    m = random_matrix(0, 3, F5, rng=1)
     assert m.shape == (0, 3)
     assert m.rank() == 0
 
@@ -293,7 +302,7 @@ def test_random_symbols_uniform_within_5_sigma():
     # 10^4 draws at q=5: each symbol count should sit within 5 sigma of the
     # binomial mean n*p.
     n = 10_000
-    m = random_matrix(100, 100, F5, seed=2024)
+    m = random_matrix(100, 100, F5, rng=2024)
     counts = np.bincount(m.data.ravel(), minlength=5)
     mean = n / 5
     sigma = np.sqrt(n * 0.2 * 0.8)
