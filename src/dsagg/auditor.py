@@ -35,7 +35,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field as dc_field
+import operator
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -252,121 +253,47 @@ def rank_certificate_ok(precoder: Precoder) -> bool:
 # -- audit entries ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SecurityCheck:
-    """One (user, collusion set) security probe: exact MI plus the rank view."""
-
-    k: int
-    colluders: tuple[int, ...]
-    mi: int
-    rank: RankCheck
-
-    @property
-    def ok(self) -> bool:
-        return self.mi == 0
-
-    @property
-    def consistent(self) -> bool:
-        """MI and rank must agree; disagreement indicts the auditor."""
-        return (self.mi == 0) == self.rank.ok
+_RELATIONS = {"ge": operator.ge, "le": operator.le, "eq": operator.eq}
 
 
 @dataclass(frozen=True)
-class RecoveryCheck:
-    """Residual entropy of the global sum given one user's view, plus a
-    concrete seeded spot check through the decode path."""
+class Check:
+    """One line of the audit report: an exact value that must meet its bound
+    under ``relation`` ("ge", "le" or "eq"). ``agrees`` is False when a
+    second computation of the entry disagrees with the first, a fault of
+    the auditor: the line then fails whatever the relation says."""
 
-    k: int
-    residual_entropy: int
-    spot_check_ok: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.residual_entropy == 0 and self.spot_check_ok
-
-
-@dataclass(frozen=True)
-class ConverseCheck:
-    """A floor/ceiling the theory imposes on every valid scheme, evaluated
-    numerically on this one."""
-
-    check_id: str
+    kind: str
     k: int | None
     colluders: tuple[int, ...]
-    value: int
-    bound: int
-    relation: str  # "ge", "le", or "eq"
+    value: int | Fraction
+    bound: int | Fraction
+    relation: str
+    agrees: bool = True
 
     @property
     def ok(self) -> bool:
-        if self.relation == "ge":
-            return self.value >= self.bound
-        if self.relation == "le":
-            return self.value <= self.bound
-        return self.value == self.bound
+        return self.agrees and _RELATIONS[self.relation](self.value, self.bound)
 
-
-@dataclass(frozen=True)
-class RateCheck:
-    """Achieved rates against the optimal corner."""
-
-    r_x: Fraction
-    r_s: Fraction
-    r_x_star: Fraction
-    r_s_star: Fraction
-
-    @property
-    def ok(self) -> bool:
-        return self.r_x >= self.r_x_star and self.r_s >= self.r_s_star
-
-    @property
-    def tight(self) -> bool:
-        return self.r_x == self.r_x_star and self.r_s == self.r_s_star
+    def line(self) -> str:
+        who = "-" if self.k is None else self.k
+        colluders = ",".join(str(u) for u in self.colluders)
+        return (f"CHECK {self.kind} k={who} T={{{colluders}}} value={self.value} "
+                f"bound={self.bound} {'PASS' if self.ok else 'FAIL'}")
 
 
 @dataclass
 class AuditReport:
     params: SchemeParams
-    recovery: list[RecoveryCheck] = dc_field(default_factory=list)
-    security: list[SecurityCheck] = dc_field(default_factory=list)
-    converse: list[ConverseCheck] = dc_field(default_factory=list)
-    rates: RateCheck | None = None
+    checks: list[Check]
 
     @property
     def all_ok(self) -> bool:
-        checks: list[bool] = [c.ok for c in self.recovery]
-        checks += [c.ok and c.consistent for c in self.security]
-        checks += [c.ok for c in self.converse]
-        if self.rates is not None:
-            checks.append(self.rates.ok)
-        return bool(checks) and all(checks)
+        return bool(self.checks) and all(c.ok for c in self.checks)
 
     def to_lines(self) -> list[str]:
         """Machine-readable one-line-per-check report."""
-
-        def tset(cset: Sequence[int]) -> str:
-            return "{" + ",".join(str(u) for u in cset) + "}"
-
-        def line(kind: str, k, cset, value, bound, ok: bool) -> str:
-            who = "-" if k is None else str(k)
-            verdict = "PASS" if ok else "FAIL"
-            return (f"CHECK {kind} k={who} T={tset(cset)} "
-                    f"value={value} bound={bound} {verdict}")
-
-        lines: list[str] = []
-        for c in self.recovery:
-            lines.append(line("recovery", c.k, (), c.residual_entropy, 0, c.ok))
-        for c in self.security:
-            lines.append(line("security", c.k, c.colluders, c.mi, 0, c.ok))
-            lines.append(line("rank", c.k, c.colluders, c.rank.achieved,
-                              c.rank.required, c.rank.ok and c.consistent))
-        for c in self.converse:
-            lines.append(line(c.check_id, c.k, c.colluders, c.value, c.bound, c.ok))
-        if self.rates is not None:
-            r = self.rates
-            lines.append(line("rate_x", None, (), r.r_x, r.r_x_star, r.r_x >= r.r_x_star))
-            lines.append(line("rate_s", None, (), r.r_s, r.r_s_star, r.r_s >= r.r_s_star))
-        return lines
+        return [c.line() for c in self.checks]
 
 
 # -- audit context --------------------------------------------------------------
@@ -423,23 +350,25 @@ def _context(subject: Precoder | AuditContext) -> AuditContext:
 # Each audit takes a precoder, or the context ``audit`` shares across them.
 
 
-def audit_security(precoder: Precoder | AuditContext) -> list[SecurityCheck]:
+def audit_security(precoder: Precoder | AuditContext) -> list[Check]:
     """Exact MI and rank certificate for every user and collusion set.
 
     The MI probed is: what the received messages reveal about the other
     users' inputs beyond the global sum, the receiver's own material, and
     the colluders' material. Both it and the rank depend only on the
     coalition D = {k} ∪ C (module docstring), so each is computed once per
-    coalition, as one MI and one ``RankCheck`` that every pair forming it
-    shares. The achieved rank is H(X_S | W, Z_D) = rank Ĥ(D), read from
-    the MI's own cached stacks with no further rank call; ``rank_condition``
-    is the independent per-coalition reference. Entries are emitted in
-    (user, set size, lexicographic) order so reports diff cleanly.
+    coalition and shared by every pair forming it. The achieved rank is
+    H(X_S | W, Z_D) = rank Ĥ(D), read from the MI's own cached stacks with
+    no further rank call; ``rank_condition`` is the independent
+    per-coalition reference. Each pair gives a ``security`` line, MI = 0,
+    then a ``rank`` line, achieved >= required, which agrees only if both
+    pass or both fail. Pairs go in (user, set size, lexicographic) order so
+    reports diff cleanly.
     """
     ctx = _context(precoder)
     p = ctx.precoder.params
-    per_coalition: dict[tuple[int, ...], tuple[int, RankCheck]] = {}
-    checks: list[SecurityCheck] = []
+    per_coalition: dict[tuple[int, ...], tuple[int, int, int]] = {}
+    checks: list[Check] = []
     for k in p.users:
         for cset in collusion_sets(p.K, k, p.T):
             coalition = tuple(sorted((k, *cset)))
@@ -448,16 +377,20 @@ def audit_security(precoder: Precoder | AuditContext) -> list[SecurityCheck]:
                 mi = infocalc.mutual_information(a, b, view, cache=ctx.cache)
                 achieved = infocalc.conditional_entropy(a, b + view, cache=ctx.cache)
                 required = (p.K - len(coalition) - 1) * ctx.precoder.L
-                per_coalition[coalition] = mi, RankCheck(coalition, required, achieved)
-            checks.append(SecurityCheck(k, cset, *per_coalition[coalition]))
+                per_coalition[coalition] = mi, achieved, required
+            mi, achieved, required = per_coalition[coalition]
+            checks.append(Check("security", k, cset, mi, 0, "eq"))
+            checks.append(Check("rank", k, cset, achieved, required, "ge",
+                                agrees=(mi == 0) == (achieved >= required)))
     return checks
 
 
-def audit_recovery(precoder: Precoder | AuditContext, seed: int = 0) -> list[RecoveryCheck]:
+def audit_recovery(precoder: Precoder | AuditContext, seed: int = 0) -> list[Check]:
     """Zero residual entropy of the global sum per user, plus a spot check:
     two simulated rounds, seeds 2 * seed and 2 * seed + 1, whose verdicts
-    must both pass. Every user decodes the same value, the sum of all
-    messages, so one verdict per round speaks for each user."""
+    must both pass for any ``recovery`` line to agree. Every user decodes
+    the same value, the sum of all messages, so one verdict per round
+    speaks for each user."""
     ctx = _context(precoder)
     # A list, not a generator: both rounds run even when the first fails.
     spot = all([run_round(ctx.precoder, "random", seed=2 * seed + i).verdict
@@ -466,11 +399,11 @@ def audit_recovery(precoder: Precoder | AuditContext, seed: int = 0) -> list[Rec
     for k in ctx.precoder.params.users:
         residual = infocalc.conditional_entropy([ctx.total], ctx.recovery_view(k),
                                                 cache=ctx.cache)
-        checks.append(RecoveryCheck(k, residual, spot))
+        checks.append(Check("recovery", k, (), residual, 0, "eq", agrees=spot))
     return checks
 
 
-def audit_converse(precoder: Precoder | AuditContext) -> list[ConverseCheck]:
+def audit_converse(precoder: Precoder | AuditContext) -> list[Check]:
     """Evaluate the converse floors on this scheme and assert each one.
 
     These hold for every valid scheme whatsoever; here they are instantiated
@@ -484,14 +417,14 @@ def audit_converse(precoder: Precoder | AuditContext) -> list[ConverseCheck]:
     cache = ctx.cache
     L = ctx.precoder.L
     messages, inputs, bundles = ctx.messages, ctx.inputs, ctx.bundles
-    checks: list[ConverseCheck] = []
+    checks: list[Check] = []
 
     # Each message still carries a full input's worth of fresh entropy even
     # when everyone else's material is known.
     for u in p.users:
         value = infocalc.conditional_entropy([messages[u]], ctx.material(ctx.others(u)),
                                              cache=cache)
-        checks.append(ConverseCheck("message_entropy_floor", u, (), value, L, "ge"))
+        checks.append(Check("message_entropy_floor", u, (), value, L, "ge"))
 
     # A message must stay independent of its own input from any single
     # other user's seat.
@@ -499,7 +432,7 @@ def audit_converse(precoder: Precoder | AuditContext) -> list[ConverseCheck]:
         for u in ctx.others(k):
             value = infocalc.mutual_information(
                 [messages[k]], [inputs[k]], ctx.material((u,)), cache=cache)
-            checks.append(ConverseCheck("pairwise_input_leak", k, (u,), value, 0, "eq"))
+            checks.append(Check("pairwise_input_leak", k, (u,), value, 0, "eq"))
 
     for k in p.users:
         others = ctx.others(k)
@@ -510,40 +443,32 @@ def audit_converse(precoder: Precoder | AuditContext) -> list[ConverseCheck]:
             surv_inputs = [inputs[u] for u in surv]
 
             value = infocalc.conditional_entropy(surv_msgs, cond, cache=cache)
-            checks.append(ConverseCheck("joint_message_floor", k, cset,
-                                        value, len(surv) * L, "ge"))
+            checks.append(Check("joint_message_floor", k, cset, value, len(surv) * L, "ge"))
 
             value = infocalc.mutual_information(surv_msgs, surv_inputs, cond, cache=cache)
-            checks.append(ConverseCheck("residual_sum_leak", k, cset, value, L, "le"))
+            checks.append(Check("residual_sum_leak", k, cset, value, L, "le"))
 
             key_cond = [bundles[k]] + [bundles[u] for u in cset]
             value = infocalc.conditional_entropy([bundles[u] for u in surv],
                                                  key_cond, cache=cache)
-            checks.append(ConverseCheck("key_entropy_floor", k, cset,
-                                        value, (p.K - p.T - 2) * L, "ge"))
+            checks.append(Check("key_entropy_floor", k, cset, value, (p.K - p.T - 2) * L, "ge"))
 
     budget = math.comb(p.K - p.T - 1, p.G) * ctx.precoder.L_S
-    checks.append(ConverseCheck("key_budget", None, (), budget,
-                                (p.K - p.T - 2) * L, "ge"))
+    checks.append(Check("key_budget", None, (), budget, (p.K - p.T - 2) * L, "ge"))
     return checks
 
 
-def audit_rates(precoder: Precoder) -> RateCheck:
+def audit_rates(precoder: Precoder) -> list[Check]:
+    """The achieved rates against the optimal corner: R_X = 1, as each
+    broadcast is L long, and R_S = L_S / L."""
     region = capacity(precoder.params.K, precoder.params.T, precoder.params.G)
-    return RateCheck(
-        r_x=Fraction(precoder.L, precoder.L),  # broadcast length equals L
-        r_s=Fraction(precoder.L_S, precoder.L),
-        r_x_star=region.r_x_star,
-        r_s_star=region.r_s_star,
-    )
+    return [Check("rate_x", None, (), Fraction(1), region.r_x_star, "ge"),
+            Check("rate_s", None, (), Fraction(precoder.L_S, precoder.L),
+                  region.r_s_star, "ge")]
 
 
 def audit(precoder: Precoder, seed: int = 0) -> AuditReport:
     """Run the full battery and assemble one deterministic report."""
     ctx = AuditContext(precoder)
-    report = AuditReport(params=precoder.params)
-    report.recovery = audit_recovery(ctx, seed=seed)
-    report.security = audit_security(ctx)
-    report.converse = audit_converse(ctx)
-    report.rates = audit_rates(precoder)
-    return report
+    return AuditReport(precoder.params, audit_recovery(ctx, seed=seed) + audit_security(ctx)
+                       + audit_converse(ctx) + audit_rates(precoder))

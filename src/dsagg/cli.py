@@ -210,11 +210,12 @@ def _cmd_oracle(args) -> int:
     # The audit's own entries against enumerations of the same views; pairs
     # with colluders are skipped. Security goes first, so each recovery
     # residual reads a stack its cache already holds.
-    security = {c.k: c.mi for c in audit_security(ctx) if not c.colluders}
+    security = {c.k: c.value for c in audit_security(ctx)
+                if c.kind == "security" and not c.colluders}
     for c in audit_recovery(ctx, seed=args.seed):
         k, cond = c.k, ctx.recovery_view(c.k)
         record("security_mi", k, security[k], infocalc.brute_force_mi(*ctx.security_terms((k,))))
-        record("recovery_residual", k, c.residual_entropy,
+        record("recovery_residual", k, c.value,
                infocalc.brute_force_entropy([ctx.total] + cond)
                - infocalc.brute_force_entropy(cond))
 

@@ -511,6 +511,9 @@ def mutual_information(a: Sequence[LinearObservable],
 # -- enumeration oracle ----------------------------------------------------------
 
 _CHUNK = 1 << 16
+# Fibonacci hashing: an odd multiplier, 2**64 over the golden ratio, permutes
+# the 64-bit words and spreads any set of them over the top bits.
+_MIX = -0x61C8864680B583EB
 
 
 def _enumeration_size(layout: SourceLayout) -> int:
@@ -527,16 +530,19 @@ def _enumeration_size(layout: SourceLayout) -> int:
 
 
 def _tally(layout: SourceLayout, stacked: np.ndarray,
-           selections: Sequence[np.ndarray]) -> tuple[list[np.ndarray], int]:
+           selections: Sequence[np.ndarray]) -> tuple[list[list[np.ndarray]], int]:
     """Walk the whole source space once and, for each selection of rows of
     ``stacked``, count how often each value of those rows occurs.
 
-    Returns those counts, one array per selection, and the source-space size
-    q**N. The walk goes in chunks of q**low points that share their high
-    digits: the low digits' share of the values is computed once, and each
-    chunk adds its high digits' share. No observed tuple is stored: each
-    chunk is tallied per selection at once, under codes that name the same
-    value in every chunk, and the chunks' tallies are merged at the end.
+    Returns those counts, per selection in 16 parts, and the source-space
+    size q**N. The walk goes in chunks of q**low points that share their
+    high digits: the low digits' share of the values is computed once, and
+    each chunk adds its high digits' share. No observed tuple is stored:
+    each chunk is tallied per selection at once, under codes that name the
+    same value in every chunk. The top bits of a code's mixed first word
+    pick its part, and a part merges its chunks' tallies once they
+    outnumber the merged one, so a merge sorts one part and a marginal
+    holds about twice its distinct values, not a tally per chunk.
     """
     q, N = layout.field.q, layout.N
     total = _enumeration_size(layout)
@@ -545,20 +551,32 @@ def _tally(layout: SourceLayout, stacked: np.ndarray,
     # Values are held one row per stacked row, one column per point.
     low_values = _safe_dot(stacked[:, :low], _digits(np.arange(q**low), low, q).T, q)
     high_rows = stacked[:, low:]
-    parts: list[tuple[list, list]] = [([], []) for _ in selections]
+    # Per selection, 16 parts: each the merged (codes, counts), then each chunk's.
+    marginals = [[[] for _ in range(16)] for _ in selections]
     for high in range(q ** (N - low)):
         values = low_values + _safe_dot(high_rows, _digits(np.array([high]), N - low, q).T, q)
         values %= q
-        for (codes, counts), rows in zip(parts, selections):
-            code, count = _distinct(_codes(values[rows], q), return_counts=True)
-            codes.append(code)
-            counts.append(count)
-    tallies = []
-    for codes, counts in parts:
-        inverse = _distinct(np.vstack(codes), return_inverse=True)[1].ravel()
-        tallies.append(np.zeros(inverse.max() + 1, dtype=np.int64))
-        np.add.at(tallies[-1], inverse, np.concatenate(counts))
-    return tallies, total
+        for parts, rows in zip(marginals, selections):
+            code = _codes(values[rows], q)
+            code[:, 0] *= _MIX  # wraps, so equal values keep equal codes
+            code, count = _distinct(code, return_counts=True)
+            # The top 4 bits, -8 to 7 as a signed word, name the part.
+            edges = np.searchsorted(code[:, 0] >> 60, np.arange(-8, 9))
+            for part, start, stop in zip(parts, edges, edges[1:]):
+                part.append((code[start:stop], count[start:stop]))
+                if sum(len(c) for c, _ in part[1:]) > len(part[0][0]):
+                    part[:] = [_merged(part)]
+    # Popped, so each part's codes are freed once its counts are merged.
+    return [[_merged(parts.pop())[1] for _ in range(16)] for parts in marginals], total
+
+
+def _merged(tallies: Sequence[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """(codes, counts) tallies as one: each distinct code once, its counts summed."""
+    codes, counts = zip(*tallies)
+    distinct, inverse = _distinct(np.vstack(codes), return_inverse=True)
+    summed = np.zeros(len(distinct), dtype=np.int64)
+    np.add.at(summed, inverse.ravel(), np.concatenate(counts))
+    return distinct, summed
 
 
 def _digits(idx: np.ndarray, n: int, q: int) -> np.ndarray:
@@ -615,8 +633,8 @@ def brute_force_entropy(obs: Sequence[LinearObservable]) -> Fraction:
     """
     layout = _common_layout([obs])
     stacked = np.vstack([o.matrix.data for o in obs])
-    (counts,), total = _tally(layout, stacked, [np.arange(stacked.shape[0])])
-    return Fraction(layout.N * total - _n_log_n(counts, layout.field.q), total)
+    (parts,), total = _tally(layout, stacked, [np.arange(stacked.shape[0])])
+    return Fraction(layout.N * total - sum(_n_log_n(c, layout.field.q) for c in parts), total)
 
 
 def brute_force_mi(a: Sequence[LinearObservable],
@@ -638,6 +656,7 @@ def brute_force_mi(a: Sequence[LinearObservable],
     rab = ra + sum(o.rows for o in b)
     n = stacked.shape[0]
     selections = [np.arange(n), np.arange(rab, n), np.r_[0:ra, rab:n], np.arange(ra, n)]
-    counts, total = _tally(layout, stacked, selections)
-    s_abc, s_c, s_ac, s_bc = (_n_log_n(x, layout.field.q) for x in counts)
+    tallies, total = _tally(layout, stacked, selections)
+    s_abc, s_c, s_ac, s_bc = (sum(_n_log_n(part, layout.field.q) for part in parts)
+                              for parts in tallies)
     return Fraction(s_abc + s_c - s_ac - s_bc, total)

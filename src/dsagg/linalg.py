@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gf import PrimeField
+from .gf import PrimeField, _integer
 
 
 class DimensionMismatchError(ValueError):
@@ -289,7 +289,9 @@ def random_matrix(rows: int, cols: int, field: PrimeField,
                   rng: np.random.Generator | int) -> Matrix:
     """A matrix with i.i.d. uniform entries drawn from ``rng``: a Generator,
     to draw several matrices from one stream, or an int seed of a PCG64
-    stream, so the same seed always yields the same matrix."""
-    rng = np.random.default_rng(rng)
+    stream, so the same seed always yields the same matrix; TypeError,
+    naming rng, for anything else, None and bools included."""
+    if not isinstance(rng, np.random.Generator):
+        rng = np.random.default_rng(_integer("rng", rng))
     data = rng.integers(0, field.q, size=(rows, cols), dtype=np.int64)
     return Matrix(field, data)

@@ -26,6 +26,8 @@ from dsagg.scheme import (
     recover,
 )
 
+from conftest import by_kind, feasible_triples
+
 
 @contextmanager
 def criterion(num, name, budget_seconds):
@@ -38,13 +40,6 @@ def criterion(num, name, budget_seconds):
     elapsed = time.perf_counter() - start
     print(f"\nACCEPTANCE {num} {name}: PASS ({elapsed:.2f}s / budget {budget_seconds}s)")
     assert elapsed < budget_seconds
-
-
-def feasible_triples(k_max):
-    for K in range(3, k_max + 1):
-        for T in range(0, K - 2):
-            for G in range(2, K - T):
-                yield K, T, G
 
 
 # ---------------------------------------------------------------------------
@@ -95,8 +90,8 @@ def test_criterion_2_three_user_scheme_reproduction():
 
         # exact security for all three users
         checks = dsagg.audit_security(pre)
-        assert len(checks) == 3
-        assert all(c.mi == 0 for c in checks)
+        assert [c.value for c in by_kind(checks)["security"]] == [0, 0, 0]
+        assert all(c.ok for c in checks)
 
 
 def test_criterion_3_five_user_fixture_reproduction():
@@ -124,8 +119,10 @@ def test_criterion_3_five_user_fixture_reproduction():
 
         # exact MI zero on all 25 (user, collusion set) pairs
         checks = dsagg.audit_security(pre)
-        assert len(checks) == 25
-        assert all(c.mi == 0 and c.consistent for c in checks)
+        security = by_kind(checks)["security"]
+        assert len(security) == 25
+        assert all(c.value == 0 for c in security)
+        assert all(c.ok for c in checks)  # the rank lines agree
 
 
 def test_criterion_4_randomized_construction_all_triples(grid_schemes):
@@ -135,8 +132,8 @@ def test_criterion_4_randomized_construction_all_triples(grid_schemes):
         assert set(built) == set(feasible_triples(7))
         for triple, (precoder, report) in built.items():
             assert report.all_ok, triple
-            assert all(c.consistent for c in report.security), triple
-            assert len(report.security) == dsagg.expected_check_count(
+            assert all(c.agrees for c in report.checks), triple
+            assert len(by_kind(report.checks)["security"]) == dsagg.expected_check_count(
                 triple[0], triple[1]), triple
         assert elapsed < 60.0
 
@@ -187,10 +184,7 @@ def test_criterion_6_converse_floors_tight(grid_schemes):
     with criterion(6, "converse floors hold (tight) on every built scheme", 30.0):
         for (K, T, G), (precoder, _) in built.items():
             L, L_S = precoder.L, precoder.L_S
-            checks = audit_converse(precoder)
-            by_id = {}
-            for c in checks:
-                by_id.setdefault(c.check_id, []).append(c)
+            by_id = by_kind(audit_converse(precoder))
 
             assert all(c.value >= L and c.ok for c in by_id["message_entropy_floor"])
             assert all(c.value == 0 for c in by_id["pairwise_input_leak"])

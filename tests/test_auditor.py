@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from dsagg import auditor, infocalc
 from dsagg.auditor import (
     AuditContext,
+    AuditReport,
     InvalidCollusionSetError,
     _first_failure,
     _top_checks,
@@ -34,11 +36,25 @@ from dsagg.scheme import (
     reference_precoder,
 )
 
+from conftest import by_kind, zero_precoder
 
-def zero_precoder(params, L=None, L_S=None):
-    L = params.L if L is None else L
-    L_S = params.L_S if L_S is None else L_S
-    return Precoder(params, np.zeros((len(params.members), params.G, L, L_S), dtype=np.int64))
+
+def pairs_of(checks):
+    """The security and rank lines of each (user, collusion set) pair, in
+    report order; fails unless they alternate pair by pair."""
+    security, rank = checks[::2], checks[1::2]
+    assert {c.kind for c in security} == {"security"} and {c.kind for c in rank} == {"rank"}
+    assert [(c.k, c.colluders) for c in security] == [(c.k, c.colluders) for c in rank]
+    return list(zip(security, rank))
+
+
+def bumped_example2():
+    """fixture_example2 with one entry of user 1's (1,2) block bumped: not
+    zero-sum."""
+    pre = fixture_example2()
+    bumped = pre.block(1, (1, 2)).data.copy()
+    bumped[0, 0] = (bumped[0, 0] + 1) % 5
+    return pre.replace_block(1, (1, 2), Matrix(pre.params.field, bumped))
 
 
 # ---------------------------------------------------------------------------
@@ -181,21 +197,21 @@ def test_rank_condition_undersized_keys_always_fail():
 # ---------------------------------------------------------------------------
 
 def test_audit_security_fixture_all_zero_mi():
-    checks = audit_security(fixture_example2())
-    assert len(checks) == expected_check_count(5, 1)
-    assert all(c.mi == 0 and c.ok and c.consistent for c in checks)
+    pairs = pairs_of(audit_security(fixture_example2()))
+    assert len(pairs) == expected_check_count(5, 1)
+    assert all(s.value == 0 and s.ok and r.ok for s, r in pairs)
 
 
 def test_audit_security_three_user():
-    checks = audit_security(fixture_example1())
-    assert len(checks) == 3
-    assert all(c.colluders == () and c.mi == 0 for c in checks)
+    pairs = pairs_of(audit_security(fixture_example1()))
+    assert len(pairs) == 3
+    assert all(s.colluders == () and s.value == 0 for s, _ in pairs)
 
 
 def test_audit_security_unmasked_scheme_leaks_everywhere():
     params = SchemeParams(K=3, T=0, G=2, q=2)
-    checks = audit_security(zero_precoder(params))
-    assert all(c.mi > 0 and not c.ok and c.consistent for c in checks)
+    pairs = pairs_of(audit_security(zero_precoder(params)))
+    assert all(s.value > 0 and not s.ok and not r.ok and r.agrees for s, r in pairs)
 
 
 def test_security_mi_equals_rank_deficit():
@@ -204,9 +220,9 @@ def test_security_mi_equals_rank_deficit():
     params = SchemeParams(K=5, T=1, G=2, q=101)
     for pre in (build_precoder(params, seed=0),
                 random_precoder(params, seed=3, L=3, L_S=1)):
-        for c in audit_security(pre):
-            assert c.mi == c.rank.required - min(c.rank.achieved, c.rank.required)
-            assert c.consistent
+        for s, r in pairs_of(audit_security(pre)):
+            assert s.value == r.bound - min(r.value, r.bound)
+            assert r.agrees
 
 
 def test_security_equivalence_on_small_field_failures():
@@ -215,9 +231,9 @@ def test_security_equivalence_on_small_field_failures():
     params = SchemeParams(K=4, T=0, G=2, q=2)
     found_failure = False
     for seed in range(6):
-        for c in audit_security(random_precoder(params, seed=seed)):
-            assert c.consistent
-            found_failure = found_failure or not c.ok
+        for s, r in pairs_of(audit_security(random_precoder(params, seed=seed))):
+            assert r.agrees and s.ok == r.ok
+            found_failure = found_failure or not s.ok
     assert found_failure
 
 
@@ -255,15 +271,13 @@ def test_coalition_values_equal_every_pair(coalition_precoders, name):
     pre = coalition_precoders[name]
     p = pre.params
     checks = audit_security(pre)
-    pairs = [(k, cset) for k in p.users for cset in collusion_sets(p.K, k, p.T)]
-    assert [(c.k, c.colluders) for c in checks] == pairs
-    shared = {}
-    for c in checks:
-        # The pairs of one coalition share one RankCheck object.
-        assert c.rank is shared.setdefault(c.rank.coalition, c.rank)
-        assert c.rank.coalition == tuple(sorted((c.k, *c.colluders)))
-        assert c.rank == rank_condition(pre, (c.k, *c.colluders))
-        assert c.mi == infocalc.mutual_information(*pair_security_terms(pre, c.k, c.colluders))
+    pairs = pairs_of(checks)
+    assert [(s.k, s.colluders) for s, _ in pairs] == [
+        (k, cset) for k in p.users for cset in collusion_sets(p.K, k, p.T)]
+    for s, r in pairs:
+        reference = rank_condition(pre, (s.k, *s.colluders))
+        assert (r.value, r.bound) == (reference.achieved, reference.required)
+        assert s.value == infocalc.mutual_information(*pair_security_terms(pre, s.k, s.colluders))
     if name in ("zeroed block", "undersized"):
         assert any(not c.ok for c in checks)
     else:
@@ -301,11 +315,11 @@ def test_coalition_mi_matches_pair_enumeration(q, damaged):
     pre = reference_precoder(params)
     if damaged:
         pre = pre.replace_block(1, (1, 2), Matrix.zeros(params.field, pre.L, pre.L_S))
-    checks = audit_security(pre)
-    assert len(checks) == 16
-    for c in checks:
-        assert c.mi == infocalc.brute_force_mi(*pair_security_terms(pre, c.k, c.colluders))
-    assert any(c.mi > 0 for c in checks) == damaged
+    security = by_kind(audit_security(pre))["security"]
+    assert len(security) == 16
+    for c in security:
+        assert c.value == infocalc.brute_force_mi(*pair_security_terms(pre, c.k, c.colluders))
+    assert any(c.value > 0 for c in security) == damaged
 
 
 def every_pair_ok(pre):
@@ -434,7 +448,9 @@ def test_oracle_confirms_smaller_coalitions_of_draws_passing_the_largest(q, m, s
 def test_audit_recovery_fixtures_clean():
     for pre in (fixture_example1(), fixture_example2()):
         checks = audit_recovery(pre)
-        assert all(c.residual_entropy == 0 and c.spot_check_ok for c in checks)
+        assert [c.k for c in checks] == list(pre.params.users)
+        assert all(c.kind == "recovery" and c.value == 0 and c.agrees and c.ok
+                   for c in checks)
 
 
 def test_each_spot_check_draw_computes_the_masks_once(monkeypatch):
@@ -446,17 +462,13 @@ def test_each_spot_check_draw_computes_the_masks_once(monkeypatch):
 
 
 def test_audit_recovery_detects_zero_sum_violation():
-    pre = fixture_example2()
-    bumped = pre.block(1, (1, 2)).data.copy()
-    bumped[0, 0] = (bumped[0, 0] + 1) % 5
-    broken = pre.replace_block(1, (1, 2), Matrix(pre.params.field, bumped))
-    checks = audit_recovery(broken)
-    assert any(c.residual_entropy > 0 for c in checks)
-    assert any(not c.spot_check_ok for c in checks)
+    checks = audit_recovery(bumped_example2())
+    assert any(c.value > 0 for c in checks)
+    assert not any(c.agrees or c.ok for c in checks)  # the spot check fails
     # users holding the damaged pair's key can still cancel it themselves
     by_user = {c.k: c for c in checks}
-    assert by_user[1].residual_entropy == 0
-    assert by_user[3].residual_entropy > 0
+    assert by_user[1].value == 0
+    assert by_user[3].value > 0
 
 
 # ---------------------------------------------------------------------------
@@ -465,10 +477,7 @@ def test_audit_recovery_detects_zero_sum_violation():
 
 def test_audit_converse_fixture_values_are_tight():
     pre = fixture_example2()
-    checks = audit_converse(pre)
-    by_id = {}
-    for c in checks:
-        by_id.setdefault(c.check_id, []).append(c)
+    by_id = by_kind(audit_converse(pre))
 
     assert all(c.value == 3 and c.bound == 3 and c.ok
                for c in by_id["message_entropy_floor"])
@@ -490,10 +499,7 @@ def test_audit_converse_fixture_values_are_tight():
 
 
 def test_audit_converse_three_user():
-    checks = audit_converse(fixture_example1())
-    by_id = {}
-    for c in checks:
-        by_id.setdefault(c.check_id, []).append(c)
+    by_id = by_kind(audit_converse(fixture_example1()))
     assert all(c.value == 1 and c.bound == 1 for c in by_id["message_entropy_floor"])
     assert all(c.value == 0 for c in by_id["pairwise_input_leak"])
     (budget,) = by_id["key_budget"]
@@ -507,9 +513,10 @@ def test_audit_converse_three_user():
 def test_full_audit_fixture():
     report = audit(fixture_example2())
     assert report.all_ok
-    assert all(c.consistent for c in report.security)
-    assert len(report.security) == expected_check_count(5, 1)
-    assert report.rates.tight
+    assert all(c.agrees for c in report.checks)
+    kinds = by_kind(report.checks)
+    assert len(kinds["security"]) == len(kinds["rank"]) == expected_check_count(5, 1)
+    assert all(c.value == c.bound for c in kinds["rate_x"] + kinds["rate_s"])
 
 
 def test_rank_cache_never_outlives_its_precoder():
@@ -518,7 +525,7 @@ def test_rank_cache_never_outlives_its_precoder():
     # earlier in the process.
     audit(fixture_example2())
     report = audit(zero_precoder(SchemeParams(K=5, T=1, G=2, q=5)))
-    assert sum(c.mi for c in report.security) == 165
+    assert sum(c.value for c in by_kind(report.checks)["security"]) == 165
     with pytest.raises(TypeError):
         audit_security(fixture_example2(), cache={})
 
@@ -528,18 +535,59 @@ def test_audit_of_an_undersized_precoder_reports_every_failure():
     # recovery spot check runs and the report carries the failures.
     report = audit(random_precoder(SchemeParams(K=5, T=1, G=2, q=101), 0, L_S=1))
     assert not report.all_ok
-    assert all(c.ok for c in report.recovery)
-    assert len(report.security) == 25
-    assert not any(c.rank.ok for c in report.security)
-    assert all(c.mi > 0 for c in report.security)
-    assert all(c.consistent for c in report.security)
-    assert not report.rates.ok
+    kinds = by_kind(report.checks)
+    assert all(c.ok for c in kinds["recovery"])
+    assert len(kinds["security"]) == len(kinds["rank"]) == 25
+    assert not any(c.ok for c in kinds["rank"])
+    assert all(c.value > 0 for c in kinds["security"])
+    assert all(c.agrees for c in report.checks)
+    assert kinds["rate_x"][0].ok and not kinds["rate_s"][0].ok
 
 
 def test_audit_rates_undersized_scheme_outside_region():
     params = SchemeParams(K=5, T=1, G=2, q=101)
-    rates = audit_rates(random_precoder(params, seed=0, L=3, L_S=1))
-    assert not rates.ok and not rates.tight
+    rate_x, rate_s = audit_rates(random_precoder(params, seed=0, L=3, L_S=1))
+    assert (rate_x.kind, rate_s.kind) == ("rate_x", "rate_s")
+    assert rate_x.ok and rate_s.value == Fraction(1, 3) < rate_s.bound and not rate_s.ok
+
+
+_VERDICT_PRECODERS = {
+    "passing_example2": fixture_example2,
+    "passing_6_1_2": lambda: build_precoder(SchemeParams(6, 1, 2, q=101), seed=0),
+    "zeroed_block_not_zero_sum": lambda: fixture_example2().replace_block(
+        1, (1, 2), Matrix.zeros(fixture_example2().params.field, 3, 2)),
+    "undersized_6_1_2": lambda: random_precoder(SchemeParams(6, 1, 2, q=101), 0, L=3, L_S=1),
+    "failing_5_2_2_over_F2": lambda: random_precoder(SchemeParams(5, 2, 2, q=2), 0),
+    "bumped_entry_not_zero_sum": bumped_example2,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_VERDICT_PRECODERS))
+def test_all_ok_reads_the_printed_verdicts(name):
+    pre = _VERDICT_PRECODERS[name]()
+    report = audit(pre)
+    assert pre.zero_sum_ok() == ("not_zero_sum" not in name)
+    lines = report.to_lines()
+    assert lines == [c.line() for c in report.checks]
+    assert all(line.endswith((" PASS", " FAIL")) for line in lines)
+    assert report.all_ok == all(line.endswith(" PASS") for line in lines)
+    assert report.all_ok == name.startswith("passing")
+
+
+def test_a_disagreeing_rank_fails_its_line_and_the_report(monkeypatch):
+    # A rank one short of what the MI implies: the scheme is secure, so
+    # every security line still passes, but each rank line disagrees with
+    # its MI and fails as a fault of the auditor.
+    pre = build_precoder(SchemeParams(5, 1, 2, q=101), seed=0)
+    entropy = infocalc.conditional_entropy
+    monkeypatch.setattr(infocalc, "conditional_entropy", lambda *a, **kw: entropy(*a, **kw) - 1)
+    checks = audit_security(pre)
+    kinds = by_kind(checks)
+    assert len(kinds["rank"]) == 25
+    assert all(not c.agrees and not c.ok and c.line().endswith(" FAIL") for c in kinds["rank"])
+    assert all(c.ok and c.line().endswith(" PASS") for c in kinds["security"])
+    assert not AuditReport(pre.params, checks).all_ok
+    assert not AuditReport(pre.params, []).all_ok
 
 
 def test_report_line_grammar_and_determinism():
@@ -559,15 +607,15 @@ def test_monotone_damage_no_silent_degradation():
     # Zeroing any single nonzero block must move at least one recorded
     # value; nothing may degrade silently.
     pre = fixture_example2()
-    base_recovery = [c.residual_entropy for c in audit_recovery(pre)]
-    base_security = [(c.mi, c.rank.achieved) for c in audit_security(pre)]
+    base_recovery = [c.value for c in audit_recovery(pre)]
+    base_security = [c.value for c in audit_security(pre)]
     for g in pre.params.members.tolist():
         for k in g:
             if not pre.block(k, g).data.any():
                 continue
             mutated = pre.replace_block(k, g, Matrix.zeros(pre.params.field, 3, 2))
-            rec = [c.residual_entropy for c in audit_recovery(mutated)]
-            sec = [(c.mi, c.rank.achieved) for c in audit_security(mutated)]
+            rec = [c.value for c in audit_recovery(mutated)]
+            sec = [c.value for c in audit_security(mutated)]
             assert rec != base_recovery or sec != base_security, (k, g)
 
 
@@ -579,11 +627,11 @@ def test_infeasibility_group_size_one():
     # With singleton groups the only zero-sum (4,0,1) scheme is all zero, so
     # every user's input reaches the server unmasked.
     params = SchemeParams(K=4, T=0, G=1, q=2)
-    checks = audit_security(zero_precoder(params, L=1, L_S=1))
-    assert [c.k for c in checks] == [1, 2, 3, 4]
-    for c in checks:
-        assert c.mi >= 1 and c.consistent
-        assert (c.rank.achieved, c.rank.required) == (0, 2)
+    pairs = pairs_of(audit_security(zero_precoder(params, L=1, L_S=1)))
+    assert [s.k for s, _ in pairs] == [1, 2, 3, 4]
+    for s, r in pairs:
+        assert s.value >= 1 and r.agrees
+        assert (r.value, r.bound) == (0, 2)
 
 
 def test_infeasibility_group_size_one_exhaustive_candidates():
@@ -595,4 +643,4 @@ def test_infeasibility_group_size_one_exhaustive_candidates():
         if any(pattern):
             assert not candidate.zero_sum_ok(), pattern
         else:
-            assert all(c.mi >= 1 for c in audit_security(candidate))
+            assert all(c.value >= 1 for c in by_kind(audit_security(candidate))["security"])

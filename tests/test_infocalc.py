@@ -53,12 +53,7 @@ from dsagg.scheme import (
 )
 from dsagg.scheme import encode
 
-from conftest import plain_rank
-
-
-def zero_precoder(params):
-    shape = (len(params.members), params.G, params.L, params.L_S)
-    return Precoder(params, np.zeros(shape, dtype=np.int64))
+from conftest import plain_rank, zero_precoder
 
 
 # ---------------------------------------------------------------------------
@@ -1019,7 +1014,7 @@ def test_count_that_is_not_a_power_of_q_raises(monkeypatch):
     # oracles must refuse such a tally rather than read a fraction from it.
     _, pre, lay = three_user_instance(2)
     monkeypatch.setattr(dsagg.infocalc, "_tally", lambda layout, stacked, selections:
-                        ([np.array([3])] * len(selections), 3))
+                        ([[np.array([1]), np.array([3])]] * len(selections), 4))
     with pytest.raises(NonPowerOfQSupportError):
         brute_force_entropy([observe_message(pre, 1)])
     with pytest.raises(NonPowerOfQSupportError):
@@ -1038,6 +1033,28 @@ def test_oracle_tallies_marginals_without_storing_atoms():
     finally:
         tracemalloc.stop()
     assert mi == 0
+    assert peak < 100 * 2**20
+
+
+def test_oracle_tally_holds_distinct_values_not_a_tally_per_chunk():
+    # 2**20 points, on which the joint marginal is one-to-one and the ac, bc
+    # and c marginals take 2**18, 2**18 and 2**16 values. Every chunk of
+    # 2**16 points sees 2**16 values of each, so keeping each chunk's
+    # tallies until the walk ends peaked at 145 MB; merging them as they
+    # fill holds the distinct values alone, and peaks near 67 MB, most of
+    # it the walk's own chunk of values.
+    lay = SourceLayout(SchemeParams(K=4, T=0, G=2, q=2), 2, 2)
+    data = np.random.Generator(np.random.PCG64(5)).integers(0, 2, size=(lay.N, lay.N))
+    a, b, c = ([LinearObservable(tag, Matrix(lay.field, data[rows]), lay)]
+               for tag, rows in (("a", slice(0, 2)), ("b", slice(2, 4)), ("c", slice(4, None))))
+    assert 2**lay.N == 2**20 and entropy(a + b + c) == lay.N
+    tracemalloc.start()
+    try:
+        mi = brute_force_mi(a, b, c)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert mi == mutual_information(a, b, c) == 0
     assert peak < 100 * 2**20
 
 

@@ -287,9 +287,17 @@ def test_random_matrix_deterministic_in_seed():
 
 
 def test_random_matrix_needs_a_seed_or_generator():
-    # Without one it drew from OS entropy, so two calls differed.
+    # None drew from OS entropy, so two calls differed, and True seeded
+    # with 1; the other values were passed on to NumPy's seeding.
     with pytest.raises(TypeError):
         random_matrix(3, 3, F5)
+    for rng in (None, True, False, 2.0, "0", [0], np.random.PCG64(0), np.random.RandomState(0)):
+        with pytest.raises(TypeError, match="rng"):
+            random_matrix(3, 3, F5, rng)
+
+
+def test_random_matrix_takes_numpy_integer_seeds():
+    assert random_matrix(2, 2, F5, np.int64(42)) == random_matrix(2, 2, F5, 42)
 
 
 def test_empty_random_matrix():

@@ -38,12 +38,7 @@ from dsagg.scheme import (
     scheme_to_text,
 )
 
-
-def feasible_triples(k_max):
-    for K in range(3, k_max + 1):
-        for T in range(0, K - 2):
-            for G in range(2, K - T):
-                yield K, T, G
+from conftest import feasible_triples
 
 
 # ---------------------------------------------------------------------------
